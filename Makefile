@@ -11,17 +11,17 @@ test:
 bench:
 	pytest benchmarks/ --benchmark-only
 
-# Host-executor microbenchmark: segmented-reduction engine vs. the
-# preserved scatter oracles (see docs/PERFORMANCE.md "Host executor"),
-# the incremental-delta bench (see "Dynamic graphs"), and the tiled
-# executor's strict peak-memory + wide-N throughput floors (see "Tiled
-# execution & operand batching").  Separate pytest invocations: each
-# file's timings assume a fresh process heap (the rebuild loops leave
-# glibc in a state that taxes later timings); the delta and tiled
-# benches additionally isolate each measurement in a subprocess with
-# pinned malloc thresholds.  Asserts the speedup floors and records
-# timings under the gate-ignored run.host.microbench block of
-# BENCH_spmm.json.
+# Host-executor property floors (not speedups; host wall time is
+# measured end to end by perfbench/run.py): the incremental-delta bench
+# (see docs/PERFORMANCE.md "Dynamic graphs"), the tiled executor's
+# flat peak memory (see "Tiled execution & operand batching"), and the
+# delta_apply parity, disk_cache replay, corpus_stream flat-peak and
+# tiled flat-peak checks of bench_host_executor.py.  Separate pytest
+# invocations: each file's timings assume a fresh process heap (the
+# rebuild loops leave glibc in a state that taxes later timings); the
+# delta and tiled benches additionally isolate each measurement in a
+# subprocess with pinned malloc thresholds.  Records the measurements
+# under the gate-ignored run.host.microbench block of BENCH_spmm.json.
 microbench:
 	PYTHONPATH=src python -m pytest benchmarks/bench_delta_updates.py -q --durations=5 --override-ini "addopts=-q"
 	PYTHONPATH=src python -m pytest benchmarks/bench_tiled_memory.py -q --durations=5 --override-ini "addopts=-q"

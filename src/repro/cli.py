@@ -74,10 +74,13 @@ ALL_KERNELS = {
 }
 
 
+_CITATION_GRAPHS = ("cora", "citeseer", "pubmed")
+
+
 def _load_graph_arg(args):
     if args.graph == "random":
         return uniform_random(args.m, args.nnz, seed=args.seed)
-    if args.graph in ("cora", "citeseer", "pubmed"):
+    if args.graph in _CITATION_GRAPHS:
         return load_citation(args.graph).normalized_adjacency()
     return load_graph(args.graph, max_nnz=args.max_nnz)
 
@@ -769,6 +772,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    graph = getattr(args, "graph", None)
+    if graph is not None and graph not in ("random", *_CITATION_GRAPHS, *catalog_names()):
+        print(f"repro-bench: unknown graph {graph!r} (expected 'random', "
+              f"{', '.join(_CITATION_GRAPHS)} or a SNAP catalog name)", file=sys.stderr)
+        return 2
     trace_out = getattr(args, "trace_out", None)
     metrics_out = getattr(args, "metrics_out", None)
     if trace_out is None and metrics_out is None:

@@ -33,8 +33,8 @@ instead of O(nnz x segments).
 a sweep touching the same matrix at many widths, kernels, and GPUs pays
 the O(nnz) histogram pass exactly once.  Hits and misses surface as the
 ``access_profile.hits`` / ``.misses`` counters.  Exactness against the
-retained array-expansion oracles is enforced bit-for-bit by
-``tests/test_access_profile.py`` (see docs/PERFORMANCE.md).
+array-expansion references in ``tests/references.py`` is enforced
+bit-for-bit by ``tests/test_access_profile.py`` (see docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations
@@ -210,8 +210,8 @@ class AccessProfile:
 
         Requires ``tile % 8 == 0`` (all simulated kernels use multiples
         of 32) so every tile of a row shares the row's start phase —
-        callers with exotic tiles use the oracle.  Returns totals **per
-        column-segment warp**.
+        ``count_tile_loads`` expands exotic tiles instead.  Returns
+        totals **per column-segment warp**.
         """
         tile = int(tile)
         if tile % ELEMS_PER_SECTOR != 0:

@@ -1,7 +1,7 @@
 """SpMM-like operator definitions (re-export of :mod:`repro.semiring`).
 
 The implementation lives in the dependency-free top-level module so the
-sparse substrate's oracle functions can use it without importing the
+sparse substrate's host executor can use it without importing the
 kernel package; the public API keeps it under ``repro.core`` where the
 paper's contribution lives.
 """

@@ -1,9 +1,12 @@
-"""Reference (oracle) implementations of SpMM and SpMM-like operations.
+"""Host execution of SpMM and SpMM-like operations.
 
-Every simulated kernel in :mod:`repro.core` and :mod:`repro.baselines` is
-checked against these functions in the test suite.  They are written for
-clarity and use vectorized segment reductions, not the GPU execution
-model — they have no notion of warps, transactions or timing.
+Every simulated kernel's ``run`` in :mod:`repro.core` and
+:mod:`repro.baselines` computes its numeric output here, and the test
+suite checks those kernels against these functions.  Built-in reductions
+execute through the segmented-reduction engine
+(:mod:`repro.sparse.segment`); user-defined reductions through a per-row
+loop.  Neither models the GPU: there are no warps, transactions or
+timing here.
 """
 
 from __future__ import annotations
@@ -40,18 +43,17 @@ def reference_spmv(a: CSRMatrix, x: np.ndarray) -> np.ndarray:
 def reference_spmm_like(
     a: CSRMatrix, b: np.ndarray, semiring: Semiring = PLUS_TIMES
 ) -> np.ndarray:
-    """General SpMM-like oracle under an arbitrary semiring.
+    """General SpMM-like execution under an arbitrary semiring.
 
     Computes ``C[i, :] = reduce_k combine(A[i,k], B[k, :])`` with the
     semiring's identity for empty rows.  Executes through the
     segmented-reduction engine (:mod:`repro.sparse.segment`) for the
-    builtin reductions; user-defined reductions — and every call while
-    the engine is disabled — take the preserved scatter-oracle path.
+    builtin reductions and row by row for user-defined ones.
     """
     b = _check_dense(a, b)
-    if segment.engine_enabled() and segment.reduce_ufunc(semiring) is not None:
+    if segment.reduce_ufunc(semiring) is not None:
         return segment.segment_spmm_like(a, b, semiring)
-    return segment.scatter_oracle_spmm_like(a, b, semiring)
+    return _per_row_spmm_like(a, b, semiring)
 
 
 def reference_spmm_like_multi(
@@ -60,14 +62,26 @@ def reference_spmm_like_multi(
     """Batched :func:`reference_spmm_like`: K same-graph dense operands
     through one shared traversal (``segment_spmm_like_multi``) — the
     feature-width-batching primitive a serving layer coalesces
-    concurrent same-graph requests onto.  Falls back to a per-operand
-    loop for user-defined reductions or a disabled engine; each output
-    is byte-identical to the corresponding single-operand call either
-    way.
+    concurrent same-graph requests onto.  User-defined reductions run
+    operand by operand; each output is byte-identical to the
+    corresponding single-operand call either way.
     """
-    if segment.engine_enabled() and segment.reduce_ufunc(semiring) is not None:
+    if segment.reduce_ufunc(semiring) is not None:
         return segment.segment_spmm_like_multi(a, bs, semiring)
-    return [segment.scatter_oracle_spmm_like(a, b, semiring) for b in bs]
+    return [_per_row_spmm_like(a, _check_dense(a, b), semiring) for b in bs]
+
+
+def _per_row_spmm_like(a: CSRMatrix, b: np.ndarray, semiring: Semiring) -> np.ndarray:
+    """SpMM-like for a reduction no ufunc implements: gather and combine
+    all contributions, then call ``semiring.reduce`` once per non-empty
+    row."""
+    out = np.full((a.nrows, b.shape[1]), semiring.init, dtype=VALUE_DTYPE)
+    if a.nnz:
+        contributions = semiring.combine(a.values[:, None], b[a.colind64()])
+        rowptr = a.rowptr64()
+        for i in np.flatnonzero(a.row_lengths()):
+            out[i] = semiring.reduce(contributions[rowptr[i] : rowptr[i + 1]], axis=0)
+    return semiring.finalize(out, a.row_lengths()).astype(VALUE_DTYPE)
 
 
 def flops_of_spmm(a: CSRMatrix, n: int) -> int:

@@ -3,60 +3,35 @@
 Yang et al.'s *Design Principles for Sparse Matrix Multiplication on the
 GPU* frames row-split SpMM as gather + segmented reduce; this module
 brings the same structure to the host executor: contributions are
-gathered once and reduced per CSR row with a single
-``ufunc.reduceat`` call instead of the order-of-magnitude slower
-``ufunc.at`` scatter loop.  Every numeric hot path —
-``reference_spmm_like``, ``CSRMatrix.to_dense`` /
-``row_normalized`` / ``sym_normalized``, and ``gnn.aggregate`` — routes
-through here by default; the original scatter implementations are
-preserved verbatim as ``scatter_oracle_*`` functions and enforced as
-parity oracles by ``tests/test_segment_engine.py``.
-
-The parity contract (see ``docs/PERFORMANCE.md``):
-
-* ``max`` / ``min`` reductions are **bit-identical** to the scatter
-  oracles on any input — the reduction is order-independent, so
-  ``np.maximum.reduceat`` and ``np.maximum.at`` agree float for float.
-* ``plus`` / ``mean`` reductions are bit-identical whenever the
-  accumulation is exact (integer-valued float32 operands, which the
-  parity suite locks in), and agree to tight ``allclose`` tolerances on
-  arbitrary floats.  ``np.add.reduceat`` does *not* reduce strictly
-  left-to-right (NumPy pairs segment tails), so a rounding-level
-  reassociation relative to the sequential scatter is unavoidable; all
-  existing kernel/oracle comparisons use ``allclose`` and are
-  insensitive to it.
+gathered and reduced per CSR row with a single ``ufunc.reduceat`` call.
+It is the one host path for every built-in reduction —
+``reference_spmm_like``, ``CSRMatrix.row_normalized`` /
+``sym_normalized``, and ``gnn.aggregate`` all route through here.  The
+parity references it is tested against live in ``tests/references.py``.
 
 Empty rows never reach ``reduceat`` (whose semantics for empty segments
 are not a reduction): the output is pre-filled with the semiring
 identity and only non-empty rows are overwritten, so identities are
 exact by construction.
 
-``set_engine(False)`` / ``use_segment_engine(False)`` flip every routed
-call site back to the scatter oracles — used by the parity suite and by
-``benchmarks/bench_host_executor.py`` to measure the speedup.
-
 Column tiling (the host analogue of GE-SpMM's coarse-grained warp
-merging, which reuses each loaded sparse row across feature tiles):
-``segment_spmm_like`` splits the dense operand into column tiles of
-width ``T`` and gathers + combines + reduces each tile inside a
-preallocated ``(nnz, T)`` workspace drawn from a per-process pool, so
-peak transient memory is O(nnz·T) instead of O(nnz·N) and the working
-set stays cache-resident on wide operands.  ``T`` adapts from an
-LLC-size heuristic (``REPRO_LLC_BYTES``), overridable via
-:func:`set_tile_width` / ``REPRO_TILE_WIDTH``.  Tiling columns never
-reorders a row's reduction, so the tiled path is **bit-identical** to
-the untiled one for every reduction (the parity suite asserts exact
-equality); ``set_tiling(False)`` / ``use_tiling(False)`` keep the
-untiled path available as the parity oracle and microbench baseline.
+merging, which reuses each loaded sparse row across feature tiles): the
+dense operand is split into column tiles of width ``T``, and each tile
+is gathered, combined and reduced inside a preallocated ``(nnz, T)``
+workspace drawn from a per-process pool, so peak transient memory is
+O(nnz·T) instead of O(nnz·N) and the working set stays cache-resident on
+wide operands.  ``T`` adapts from a fixed LLC budget
+(:func:`tile_width_for`); the per-call ``tile_width=`` argument forces
+it.  Tiles never split a row's reduction, so the output is
+**bit-identical** for every tile width and every reduction.
 ``segment_spmm_like_multi`` runs K same-graph operands through one
-traversal sharing the pooled workspace and cached gather indices — the
-feature-width-batching primitive the serving layer coalesces concurrent
-requests onto.
+traversal sharing the pooled workspace and cached gather indices, and
+``segment_max_with_argmax`` resolves the first maximizer of each tile
+while its contributions are still in the workspace.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from contextlib import contextmanager
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
@@ -64,7 +39,7 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import obs
-from repro.semiring import Semiring
+from repro.semiring import MAX_TIMES, Semiring
 from repro.sparse.csr import CSRMatrix, VALUE_DTYPE
 
 __all__ = [
@@ -72,125 +47,33 @@ __all__ = [
     "segment_spmm_like",
     "segment_spmm_like_multi",
     "segment_max_with_argmax",
-    "segment_argmax",
-    "scatter_oracle_segment_reduce",
-    "scatter_oracle_spmm_like",
-    "scatter_oracle_to_dense",
     "reduce_ufunc",
-    "engine_enabled",
-    "set_engine",
-    "use_segment_engine",
-    "tiling_enabled",
-    "set_tiling",
-    "use_tiling",
     "tile_width_for",
-    "set_tile_width",
-    "use_tile_width",
     "clear_workspace_pool",
     "workspace_stats",
 ]
 
-_ENGINE_ENABLED = True
-
-
-def engine_enabled() -> bool:
-    """True when the segmented-reduction engine is the default executor."""
-    return _ENGINE_ENABLED
-
-
-def set_engine(enabled: bool) -> bool:
-    """Enable/disable the engine process-wide; returns the previous state."""
-    global _ENGINE_ENABLED
-    prev = _ENGINE_ENABLED
-    _ENGINE_ENABLED = bool(enabled)
-    return prev
-
-
-@contextmanager
-def use_segment_engine(enabled: bool = True) -> Iterator[None]:
-    """Scoped engine toggle (parity tests, microbenchmark baselines)."""
-    prev = set_engine(enabled)
-    try:
-        yield
-    finally:
-        set_engine(prev)
-
-
-# ----------------------------------------------------------------------
-# Column-tiling controls
-# ----------------------------------------------------------------------
-
-_TILING_ENABLED = True
-
-#: Forced tile width; None means the adaptive LLC heuristic.  Seeded
-#: from ``REPRO_TILE_WIDTH`` at import, overridable at runtime.
-_TILE_WIDTH: Optional[int] = None
-if os.environ.get("REPRO_TILE_WIDTH"):
-    _TILE_WIDTH = max(1, int(os.environ["REPRO_TILE_WIDTH"]))
-
-#: Assumed last-level-cache size for the adaptive heuristic.  The
+#: Assumed last-level-cache size for the adaptive tile width.  The
 #: workspace budget is a quarter of it: the gather workspace shares the
 #: LLC with the dense-operand tile, the reduction output, and whatever
 #: else the process keeps warm.  Deliberately a fixed constant (not
-#: probed) so tile choices — and therefore the bit-exact telemetry —
-#: are reproducible across hosts; override via ``REPRO_LLC_BYTES``.
-_LLC_BYTES = int(os.environ.get("REPRO_LLC_BYTES", 32 * 1024 * 1024))
+#: probed) so tile choices are reproducible across hosts.
+_LLC_BYTES = 32 * 1024 * 1024
 _WORKSPACE_BUDGET = _LLC_BYTES // 4
 
-
-def tiling_enabled() -> bool:
-    """True when ``segment_spmm_like`` runs the column-tiled executor."""
-    return _TILING_ENABLED
-
-
-def set_tiling(enabled: bool) -> bool:
-    """Enable/disable column tiling process-wide; returns the previous
-    state.  The untiled path is the tiled executor's parity oracle."""
-    global _TILING_ENABLED
-    prev = _TILING_ENABLED
-    _TILING_ENABLED = bool(enabled)
-    return prev
-
-
-@contextmanager
-def use_tiling(enabled: bool = True) -> Iterator[None]:
-    """Scoped tiling toggle (parity tests, microbench baselines)."""
-    prev = set_tiling(enabled)
-    try:
-        yield
-    finally:
-        set_tiling(prev)
-
-
-def set_tile_width(width: Optional[int]) -> Optional[int]:
-    """Force the tile width (None restores the adaptive heuristic);
-    returns the previous setting."""
-    global _TILE_WIDTH
-    prev = _TILE_WIDTH
-    _TILE_WIDTH = None if width is None else max(1, int(width))
-    return prev
-
-
-@contextmanager
-def use_tile_width(width: Optional[int]) -> Iterator[None]:
-    """Scoped :func:`set_tile_width`."""
-    prev = set_tile_width(width)
-    try:
-        yield
-    finally:
-        set_tile_width(prev)
+#: Position of "no maximizer" in the argmax reduction: above every
+#: nonzero index, so ``minimum.reduceat`` keeps any real hit; mapped to -1.
+_NO_WINNER = np.iinfo(np.int32).max
 
 
 def tile_width_for(nnz: int, n: int) -> int:
-    """Tile width for an ``(nnz, n)`` contributions matrix.
+    """Adaptive tile width for an ``(nnz, n)`` contributions matrix.
 
-    Forced width (:func:`set_tile_width` / ``REPRO_TILE_WIDTH``) wins;
-    otherwise the width is the largest multiple of 8 (keeping the
-    argmax uint64 row-prefilter applicable) whose ``(nnz, T)`` float32
-    workspace fits the LLC budget, floored at 8 and capped at ``n``.
+    The largest multiple of 8 whose ``(nnz, T)`` float32 workspace fits
+    the LLC budget, floored at 8 and capped at ``n``.  Multiples of 8
+    keep every tile's first column on a 32-byte (eight-float32) boundary
+    of the operand row.
     """
-    if _TILE_WIDTH is not None:
-        return max(1, min(_TILE_WIDTH, n)) if n else _TILE_WIDTH
     if nnz <= 0 or n <= 0:
         return max(n, 1)
     t = _WORKSPACE_BUDGET // (4 * nnz)
@@ -202,13 +85,14 @@ def tile_width_for(nnz: int, n: int) -> int:
 class _WorkspacePool:
     """Per-process pool of flat float32 scratch buffers.
 
-    The tiled executor draws its ``(nnz, T)`` gather workspace and
-    ``(K, T)`` operand-tile buffer from here, so steady-state SpMM calls
-    allocate nothing: ``segment.workspace.reuses`` counts pool hits,
-    ``.allocs`` fresh buffers, and the ``segment.workspace.bytes_peak``
-    gauge tracks the high-water mark of pool-owned bytes.  Thread-safe
-    (sweep workers share the process pool); the free list is capped so
-    a one-off giant operand cannot pin memory forever.
+    The tiled executor draws its ``(nnz, T)`` gather workspace, the
+    ``(K, T)`` operand-tile buffer and the argmax position buffer from
+    here, so steady-state SpMM calls allocate nothing:
+    ``segment.workspace.reuses`` counts pool hits, ``.allocs`` fresh
+    buffers, and the ``segment.workspace.bytes_peak`` gauge tracks the
+    high-water mark of pool-owned bytes.  Thread-safe (sweep workers
+    share the process pool); the free list is capped so a one-off giant
+    operand cannot pin memory forever.
     """
 
     _MAX_FREE = 4
@@ -284,9 +168,22 @@ def workspace_stats() -> dict:
     return _POOL.stats()
 
 
-#: semiring ``reduce`` callable -> the ufunc whose ``reduceat``/``at``
+@contextmanager
+def _pooled(*sizes: int) -> Iterator[List[Optional[np.ndarray]]]:
+    """Flat float32 pool buffers of the given element counts for one
+    traversal (None for a size of 0), released on exit."""
+    bufs = [_POOL.acquire(size) if size else None for size in sizes]
+    try:
+        yield bufs
+    finally:
+        for buf in reversed(bufs):
+            if buf is not None:
+                _POOL.release(buf)
+
+
+#: semiring ``reduce`` callable -> the ufunc whose ``reduceat``
 #: implements it.  Semirings outside this map (user-defined reductions)
-#: fall back to the scatter oracle's generic per-row loop.
+#: run through ``reference_spmm_like``'s per-row loop instead.
 _REDUCE_UFUNCS = {
     np.add.reduce: np.add,
     np.maximum.reduce: np.maximum,
@@ -330,32 +227,6 @@ def segment_reduce(
     return out
 
 
-def scatter_oracle_segment_reduce(
-    contributions: np.ndarray,
-    rowptr: np.ndarray,
-    ufunc: np.ufunc,
-    init: float,
-    out: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """The pre-engine ``ufunc.at`` scatter path, preserved as the parity
-    oracle for :func:`segment_reduce`."""
-    rowptr = np.asarray(rowptr, dtype=np.int64)
-    contributions = np.asarray(contributions)
-    m = rowptr.shape[0] - 1
-    lengths = rowptr[1:] - rowptr[:-1]
-    if out is None:
-        out = np.full((m,) + contributions.shape[1:], init, dtype=contributions.dtype)
-    if m == 0 or contributions.shape[0] == 0:
-        return out
-    rows = np.repeat(np.arange(m, dtype=np.int64), lengths)
-    ufunc.at(out, rows, contributions)
-    if ufunc is np.add and init != 0.0:
-        # add.at accumulated on top of init for occupied rows; restore the
-        # identity only where nothing was accumulated.
-        out[lengths == 0] = init
-    return out
-
-
 def _check_dense(a: CSRMatrix, b: np.ndarray) -> np.ndarray:
     b = np.ascontiguousarray(b, dtype=VALUE_DTYPE)
     if b.ndim != 2 or b.shape[0] != a.ncols:
@@ -368,7 +239,7 @@ def _require_ufunc(semiring: Semiring) -> np.ufunc:
     if ufunc is None:
         raise NotImplementedError(
             f"semiring {semiring.name!r} has no reduceat-capable reduction; "
-            "use scatter_oracle_spmm_like"
+            "use reference_spmm_like"
         )
     return ufunc
 
@@ -396,64 +267,64 @@ def _nonempty_starts(a: CSRMatrix) -> Tuple[np.ndarray, np.ndarray]:
     return nonempty, starts[nonempty]
 
 
-def _tiled_spmm_into(
+def _run_tiled(
     a: CSRMatrix,
-    b: np.ndarray,
+    bs: Sequence[np.ndarray],
     semiring: Semiring,
     ufunc: np.ufunc,
-    out: np.ndarray,
-    tile: int,
-    ws: np.ndarray,
-    bt: Optional[np.ndarray],
-    nonempty: np.ndarray,
-    ne_starts: np.ndarray,
+    outs: Sequence[np.ndarray],
+    tile_width: Optional[int],
+    on_tile: Optional[Callable[[int, np.ndarray, np.ndarray], None]] = None,
 ) -> None:
-    """One tiled gather + combine + reduceat traversal into ``out``.
+    """Tiled gather + combine + reduceat of every operand into its output.
 
-    ``ws`` is the pooled ``(nnz, tile)`` workspace (flat), ``bt`` the
-    pooled operand-tile buffer (flat; None when a single tile covers the
-    whole operand, in which case the gather reads ``b`` directly).  Each
-    tile's reduction touches only its own columns, so the result is
-    bit-identical to the untiled path.
+    All operands share the gather indices, the nonempty-row segment
+    starts, and one pooled workspace acquisition sized for the widest
+    operand: the ``(nnz, T)`` gather workspace plus, when ``T`` is
+    narrower than an operand, a contiguous ``(ncols, T)`` copy of its
+    column tile (a full-width tile gathers straight from the operand).
+    ``on_tile(first_column, contributions, out_slice)`` runs after each
+    tile's reduction, while the tile's ``(nnz, w)`` contributions are
+    still in the workspace.
     """
     nnz = a.nnz
-    n = b.shape[1]
+    n_max = max(b.shape[1] for b in bs)
+    if not (nnz and n_max):
+        return
+    tile_max = (
+        tile_width_for(nnz, n_max)
+        if tile_width is None
+        else max(1, min(int(tile_width), n_max))
+    )
+    nonempty, ne_starts = _nonempty_starts(a)
     idx = a.colind64()
     vals = a.values[:, None]
     reg = obs.get_registry()
-    reg.counter("segment.reduce_calls", op=ufunc.__name__).inc()
-    if not ne_starts.size:
-        return
-    for lo in range(0, n, tile):
-        w = min(tile, n - lo)
-        if bt is None:
-            src = b  # single tile spanning the full width: gather in place
-        else:
-            src = bt[: a.ncols * w].reshape(a.ncols, w)
-            np.copyto(src, b[:, lo : lo + w])
-        wsv = ws[: nnz * w].reshape(nnz, w)
-        # mode="clip" keeps np.take unbuffered (indices are validated at
-        # construction, so clipping never actually fires).
-        np.take(src, idx, axis=0, out=wsv, mode="clip")
-        semiring.combine_into(vals, wsv, wsv)
-        out[nonempty, lo : lo + w] = ufunc.reduceat(wsv, ne_starts, axis=0)
-        reg.counter("segment.tiles", op=ufunc.__name__).inc()
-
-
-def _untiled_spmm_like(
-    a: CSRMatrix,
-    b: np.ndarray,
-    semiring: Semiring,
-    ufunc: np.ufunc,
-    out: np.ndarray,
-) -> np.ndarray:
-    """The pre-tiling engine body: one O(nnz·N) contributions temporary,
-    one full-width ``reduceat``.  Kept as the tiled executor's parity
-    oracle and reachable via ``set_tiling(False)``."""
-    if a.nnz:
-        contributions = semiring.combine(a.values[:, None], b[a.colind64()])
-        segment_reduce(contributions, a.rowptr, ufunc, semiring.init, out=out)
-    return semiring.finalize_into(out, a.row_lengths())
+    op = ufunc.__name__
+    with _pooled(nnz * tile_max, a.ncols * tile_max if tile_max < n_max else 0) as (ws, bt):
+        for b, out in zip(bs, outs):
+            n = b.shape[1]
+            if not n:
+                continue
+            reg.counter("segment.reduce_calls", op=op).inc()
+            tile = min(tile_max, n)
+            for lo in range(0, n, tile):
+                w = min(tile, n - lo)
+                if tile == n:
+                    src = b
+                else:
+                    src = bt[: a.ncols * w].reshape(a.ncols, w)
+                    np.copyto(src, b[:, lo : lo + w])
+                wsv = ws[: nnz * w].reshape(nnz, w)
+                # mode="clip" keeps np.take unbuffered (indices are
+                # validated at construction, so clipping never fires).
+                np.take(src, idx, axis=0, out=wsv, mode="clip")
+                semiring.combine_into(vals, wsv, wsv)
+                out_slice = out[:, lo : lo + w]
+                out_slice[nonempty] = ufunc.reduceat(wsv, ne_starts, axis=0)
+                if on_tile is not None:
+                    on_tile(lo, wsv, out_slice)
+                reg.counter("segment.tiles", op=op).inc()
 
 
 def segment_spmm_like(
@@ -463,38 +334,21 @@ def segment_spmm_like(
     out: Optional[np.ndarray] = None,
     tile_width: Optional[int] = None,
 ) -> np.ndarray:
-    """SpMM-like execution as gather + segmented reduce.
+    """SpMM-like execution as a column-tiled gather + segmented reduce.
 
-    Runs the column-tiled, workspace-pooled executor by default (peak
-    transient memory O(nnz·T), bit-identical to the untiled path); pass
-    ``tile_width`` to override the adaptive width for this call, or
-    disable tiling process-wide with :func:`set_tiling`.  ``out`` (a
-    float32 ``(M, N)`` buffer) lets callers reuse output storage across
-    calls — the serving layer's steady state.
+    Peak transient memory is O(nnz·T); ``tile_width`` forces ``T`` for
+    this call (the result does not depend on it).  ``out`` (a float32
+    ``(M, N)`` buffer) lets callers reuse output storage across calls —
+    the serving layer's steady state.
 
     Requires a semiring whose ``reduce`` maps to a ufunc
-    (:func:`reduce_ufunc`); callers with user-defined reductions use
-    :func:`scatter_oracle_spmm_like`.
+    (:func:`reduce_ufunc`); ``reference_spmm_like`` also runs
+    user-defined reductions.
     """
     ufunc = _require_ufunc(semiring)
     b = _check_dense(a, b)
-    n = b.shape[1]
-    out = _prepare_out(a, n, semiring.init, out)
-    if not _TILING_ENABLED:
-        return _untiled_spmm_like(a, b, semiring, ufunc, out)
-    if a.nnz and n:
-        tile = tile_width_for(a.nnz, n) if tile_width is None else max(1, min(int(tile_width), n))
-        nonempty, ne_starts = _nonempty_starts(a)
-        ws = _POOL.acquire(a.nnz * tile)
-        bt = _POOL.acquire(a.ncols * tile) if tile < n else None
-        try:
-            _tiled_spmm_into(
-                a, b, semiring, ufunc, out, tile, ws, bt, nonempty, ne_starts
-            )
-        finally:
-            if bt is not None:
-                _POOL.release(bt)
-            _POOL.release(ws)
+    out = _prepare_out(a, b.shape[1], semiring.init, out)
+    _run_tiled(a, [b], semiring, ufunc, [out], tile_width)
     return semiring.finalize_into(out, a.row_lengths())
 
 
@@ -527,214 +381,60 @@ def segment_spmm_like_multi(
     if not bs:
         return results
     obs.get_registry().counter("segment.multi_calls", operands=len(bs)).inc()
-    if not _TILING_ENABLED:
-        for b, out in zip(bs, results):
-            _untiled_spmm_like(a, b, semiring, ufunc, out)
-        return results
-    n_max = max(b.shape[1] for b in bs)
-    if a.nnz and n_max:
-        tile_max = (
-            tile_width_for(a.nnz, n_max)
-            if tile_width is None
-            else max(1, min(int(tile_width), n_max))
-        )
-        nonempty, ne_starts = _nonempty_starts(a)
-        ws = _POOL.acquire(a.nnz * tile_max)
-        bt = _POOL.acquire(a.ncols * tile_max) if tile_max < n_max else None
-        try:
-            for b, out in zip(bs, results):
-                n = b.shape[1]
-                if not n:
-                    continue
-                tile = min(tile_max, n)
-                # A full-width tile gathers straight from the operand.
-                op_bt = bt if tile < n else None
-                _tiled_spmm_into(
-                    a, b, semiring, ufunc, out, tile, ws, op_bt, nonempty, ne_starts
-                )
-        finally:
-            if bt is not None:
-                _POOL.release(bt)
-            _POOL.release(ws)
+    _run_tiled(a, bs, semiring, ufunc, results, tile_width)
     for out in results:
         semiring.finalize_into(out, a.row_lengths())
     return results
 
 
-def scatter_oracle_spmm_like(
-    a: CSRMatrix, b: np.ndarray, semiring: Semiring
-) -> np.ndarray:
-    """The pre-engine ``reference_spmm_like`` body (``ufunc.at`` scatter
-    with a generic per-row loop for unknown semirings), preserved as the
-    parity oracle and the fallback for user-defined reductions."""
-    b = _check_dense(a, b)
-    m = a.nrows
-    n = b.shape[1]
-    out = np.full((m, n), semiring.init, dtype=VALUE_DTYPE)
-    if a.nnz == 0:
-        return semiring.finalize(out, a.row_lengths()).astype(VALUE_DTYPE)
-
-    contributions = semiring.combine(
-        a.values[:, None].astype(VALUE_DTYPE), b[a.colind.astype(np.int64)]
-    )
-    rows = np.repeat(np.arange(m, dtype=np.int64), a.row_lengths())
-    if semiring.reduce is np.add.reduce:
-        np.add.at(out, rows, contributions)
-        # Rows with no nonzeros keep init; for plus-like semirings that is
-        # already the additive identity folded into the accumulate above
-        # only for occupied rows, so reset empty rows explicitly.
-        empty = a.row_lengths() == 0
-        out[empty] = semiring.init
-    elif semiring.reduce is np.maximum.reduce:
-        np.maximum.at(out, rows, contributions)
-    elif semiring.reduce is np.minimum.reduce:
-        np.minimum.at(out, rows, contributions)
-    else:  # generic fallback for user semirings
-        for i in range(m):
-            lo, hi = int(a.rowptr[i]), int(a.rowptr[i + 1])
-            if hi > lo:
-                out[i] = semiring.reduce(contributions[lo:hi], axis=0)
-    return semiring.finalize(out, a.row_lengths()).astype(VALUE_DTYPE)
-
-
-def scatter_oracle_to_dense(a: CSRMatrix) -> np.ndarray:
-    """The pre-engine ``CSRMatrix.to_dense`` scatter, preserved as the
-    parity oracle and the fallback for duplicate/unsorted patterns."""
-    out = np.zeros(a.shape, dtype=VALUE_DTYPE)
-    rows = np.repeat(np.arange(a.nrows, dtype=np.int64), a.row_lengths())
-    # Duplicate (row, col) entries accumulate, matching COO semantics.
-    np.add.at(out, (rows, a.colind.astype(np.int64)), a.values)
-    return out
-
-
-def segment_argmax(
-    a: CSRMatrix,
-    contributions: np.ndarray,
-    row_max: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Index of the first maximizing nonzero per output cell.
-
-    Returns ``int32[M, N]`` of absolute positions into
-    ``a.values``/``a.colind``; empty rows hold ``-1``.  Ties resolve to
-    the lowest nonzero index (PyTorch ``scatter_max`` semantics).  Cells
-    whose maximum is NaN also hold ``-1`` (NaN compares unequal to
-    itself, so nothing ever matches) — the same no-gradient outcome the
-    scatter oracle's ``contributions == out`` mask produces.  Consumers
-    mask with ``argmax >= 0``.
-
-    Implementation: one equality pass against the broadcast row maxima,
-    then the *sparse* hit set (≈ one hit per output cell) is collapsed
-    to first-per-cell with ``np.unique`` — an order of magnitude cheaper
-    than a second dense ``(nnz, N)`` reduction, since ``np.nonzero``
-    returns hits in ascending nonzero order and ``unique``'s first
-    occurrence is therefore the lowest index.
-
-    This is what lets ``aggregate_max`` keep an ``(M, N)`` int32 in its
-    backward closure instead of the full ``(nnz, N)`` contributions.
-    """
-    m = a.nrows
-    n = contributions.shape[1] if contributions.ndim == 2 else 1
-    contributions = contributions.reshape(a.nnz, n)
-    if row_max is None:
-        row_max = segment_reduce(contributions, a.rowptr, np.maximum, -np.inf)
-    argmax = np.full((m, n), -1, dtype=np.int32)
-    if a.nnz == 0 or m == 0:
-        return argmax
-    rows = a.coo_rows()
-    hits = contributions == row_max.reshape(m, n)[rows]
-    hit_pos, hit_col = _sparse_nonzero(hits)
-    cell = rows[hit_pos] * np.int64(n) + hit_col
-    first_cell, first_idx = np.unique(cell, return_index=True)
-    argmax.ravel()[first_cell] = hit_pos[first_idx].astype(np.int32)
-    return argmax
-
-
-def _sparse_nonzero(hits: np.ndarray):
-    """``np.nonzero`` for a boolean matrix with ~one True per *row
-    segment* (the argmax hit mask): prefilter rows by viewing each
-    8-byte run of bools as one uint64, so the full-width scan only
-    touches the ≈``M/nnz`` fraction of rows that contain a hit.
-    Widths that are not a multiple of 8 (or non-contiguous masks) are
-    zero-padded into an 8-aligned copy first — an O(rows·n) byte copy,
-    still far cheaper than the full ``np.nonzero`` scan — so common
-    widths like 100 keep the prefilter.  Only degenerate inputs fall
-    back to plain ``np.nonzero``, counted as
-    ``segment.sparse_nonzero.fallbacks``.  Row-major result order
-    (ascending row index) is preserved — the first-occurrence semantics
-    of the caller's ``np.unique`` depend on it."""
-    if hits.ndim != 2 or hits.dtype != np.bool_ or 0 in hits.shape:
-        obs.get_registry().counter("segment.sparse_nonzero.fallbacks").inc()
-        return np.nonzero(hits)
-    n = hits.shape[1]
-    if not hits.flags.c_contiguous or n % 8 != 0:
-        obs.get_registry().counter("segment.sparse_nonzero.pads").inc()
-        aligned = np.zeros((hits.shape[0], -(-n // 8) * 8), dtype=np.bool_)
-        aligned[:, :n] = hits
-    else:
-        aligned = hits
-    words = aligned.view(np.uint64)
-    if words.shape[1] == 1:
-        row_any = words.ravel() != 0
-    else:
-        row_any = np.bitwise_or.reduce(words, axis=1) != 0
-    cand = np.flatnonzero(row_any)
-    # Scan the original-width mask so padded columns can never leak.
-    sub_pos, sub_col = np.nonzero(hits[cand])
-    return cand[sub_pos], sub_col
-
-
 def segment_max_with_argmax(
-    a: CSRMatrix, b: np.ndarray
+    a: CSRMatrix, b: np.ndarray, tile_width: Optional[int] = None
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Max-times forward and its argmax in one tiled traversal.
 
-    The ``aggregate_max`` hot path: per column tile, gather + scale the
-    contributions inside the pooled workspace, ``maximum.reduceat`` them
-    into the output slice, and resolve that tile's first-maximizer
-    indices while the workspace is still hot — so the full ``(nnz, N)``
-    contributions array is never materialized.  Returns
-    ``(out, argmax)`` where ``out`` is the raw max-times output (empty
-    rows hold ``-inf``) and ``argmax`` the int32 winner positions of
-    :func:`segment_argmax`.  Bit-identical to the untiled two-pass
-    computation: tiles never split a row's reduction, and the argmax is
-    resolved per column independently.
+    Returns ``(out, argmax)``: ``out`` is the raw max-times output
+    (empty rows hold ``-inf``) and ``argmax`` the ``int32[M, N]``
+    position in ``a.values``/``a.colind`` of the *first* nonzero that
+    attains each cell's maximum (PyTorch ``scatter_max`` semantics).
+    Empty rows and cells whose maximum is NaN hold ``-1`` (NaN compares
+    unequal to itself, so nothing matches); consumers mask with
+    ``argmax >= 0``.
+
+    The argmax is one more segmented reduction per column tile, with no
+    sort or scan: while the tile's contributions are in the workspace,
+    each nonzero that equals its row's maximum writes its own position
+    into an int32 buffer (every other slot holds a sentinel above any
+    position), and ``minimum.reduceat`` over the same segment starts
+    picks the lowest.  The position buffer is an int32 view of a pooled
+    float32 buffer, and it first holds the row maxima gathered for the
+    comparison.  The full ``(nnz, N)`` contributions array is never
+    materialized, and ``tile_width`` does not change the result.
     """
     b = _check_dense(a, b)
     m, n = a.nrows, b.shape[1]
-    out = np.full((m, n), -np.inf, dtype=VALUE_DTYPE)
+    out = np.full((m, n), MAX_TIMES.init, dtype=VALUE_DTYPE)
     argmax = np.full((m, n), -1, dtype=np.int32)
     if not (a.nnz and n):
         return out, argmax
-    if not _TILING_ENABLED:
-        contributions = a.values[:, None] * b[a.colind64()]
-        segment_reduce(contributions, a.rowptr, np.maximum, -np.inf, out=out)
-        return out, segment_argmax(a, contributions, row_max=out)
-    tile = tile_width_for(a.nnz, n)
+    nnz = a.nnz
+    tile = tile_width_for(nnz, n) if tile_width is None else max(1, min(int(tile_width), n))
     nonempty, ne_starts = _nonempty_starts(a)
-    idx = a.colind64()
-    vals = a.values[:, None]
-    reg = obs.get_registry()
-    reg.counter("segment.reduce_calls", op="maximum").inc()
-    ws = _POOL.acquire(a.nnz * tile)
-    bt = _POOL.acquire(a.ncols * tile) if tile < n else None
-    try:
-        for lo in range(0, n, tile):
-            w = min(tile, n - lo)
-            if bt is None:
-                src = b
-            else:
-                src = bt[: a.ncols * w].reshape(a.ncols, w)
-                np.copyto(src, b[:, lo : lo + w])
-            wsv = ws[: a.nnz * w].reshape(a.nnz, w)
-            np.take(src, idx, axis=0, out=wsv, mode="clip")
-            np.multiply(vals, wsv, out=wsv)
-            out_slice = out[:, lo : lo + w]
-            if ne_starts.size:
-                out_slice[nonempty] = np.maximum.reduceat(wsv, ne_starts, axis=0)
-            argmax[:, lo : lo + w] = segment_argmax(a, wsv, row_max=out_slice)
-            reg.counter("segment.tiles", op="maximum").inc()
-    finally:
-        if bt is not None:
-            _POOL.release(bt)
-        _POOL.release(ws)
+    rows = a.coo_rows()
+    positions = np.arange(nnz, dtype=np.int32)[:, None]
+
+    with _pooled(nnz * tile) as (scratch,):
+
+        def first_maximizer(lo: int, wsv: np.ndarray, out_slice: np.ndarray) -> None:
+            w = wsv.shape[1]
+            row_max = scratch[: nnz * w].reshape(nnz, w)
+            np.take(out_slice, rows, axis=0, out=row_max, mode="clip")
+            hits = wsv == row_max
+            pos = row_max.view(np.int32)
+            pos.fill(_NO_WINNER)
+            np.copyto(pos, positions, where=hits)
+            first = np.minimum.reduceat(pos, ne_starts, axis=0)
+            first[first == _NO_WINNER] = -1
+            argmax[nonempty, lo : lo + w] = first
+
+        _run_tiled(a, [b], MAX_TIMES, np.maximum, [out], tile, first_maximizer)
     return out, argmax

@@ -2,18 +2,20 @@
 
 The contract (docs/PERFORMANCE.md): every profile-backed counter in
 ``repro.core._counting`` is bit-identical — exact integer equality — to
-the retained ``*_oracle`` array-expansion implementation, on every
+its array-expansion reference in ``tests/references.py``, on every
 matrix and every width, aligned or not.
 """
 
 import numpy as np
 import pytest
+import references as ref
 from hypothesis import given, settings, strategies as st
 
 from repro import obs
 from repro.core import _counting as cnt
 from repro.core.access_profile import (
     AccessProfile,
+    AccessTotals,
     access_profile,
     clear_access_profile,
 )
@@ -40,17 +42,17 @@ def random_csr(draw, max_m=40, max_k=40, max_nnz=200):
 def assert_profile_matches_oracle(a, widths=WIDTHS, tiles=TILES):
     clear_access_profile(a)
     for n in widths:
-        assert cnt.count_b_loads(a, n) == cnt.count_b_loads_oracle(a, n), n
-        assert cnt.count_c_stores(a, n) == cnt.count_c_stores_oracle(a, n), n
+        assert cnt.count_b_loads(a, n) == ref.count_b_loads(a, n), n
+        assert cnt.count_c_stores(a, n) == ref.count_c_stores(a, n), n
     for tile in tiles:
-        assert cnt.count_tile_loads(a, tile) == cnt.count_tile_loads_oracle(a, tile)
-    assert cnt.broadcast_walk_sectors(a) == cnt.broadcast_walk_sectors_oracle(a)
-    assert cnt.unique_b_columns(a) == cnt.unique_b_columns_oracle(a)
-    assert cnt.occupied_rows(a) == cnt.occupied_rows_oracle(a)
+        assert cnt.count_tile_loads(a, tile) == ref.count_tile_loads(a, tile)
+    assert cnt.broadcast_walk_sectors(a) == ref.broadcast_walk_sectors(a)
+    assert cnt.unique_b_columns(a) == ref.unique_b_columns(a)
+    assert cnt.occupied_rows(a) == ref.occupied_rows(a)
 
 
 # ----------------------------------------------------------------------
-# Hypothesis parity: profile == oracle, bit for bit
+# Hypothesis parity: profile == reference, bit for bit
 # ----------------------------------------------------------------------
 
 
@@ -75,7 +77,7 @@ def test_profile_matches_oracle_power_law(seed):
 
 
 # ----------------------------------------------------------------------
-# Edge cases (satellite 3): asserted for BOTH paths
+# Edge cases: the profile path and the reference agree on each
 # ----------------------------------------------------------------------
 
 
@@ -99,29 +101,21 @@ def _single_entry():
 @pytest.mark.parametrize("n", [1, 7, 8, 9])
 def test_edge_cases_both_paths(make, n):
     a = make()
-    for forced_oracle in (False, True):
-        clear_access_profile(a)
-        if forced_oracle:
-            with cnt.use_oracle_counters():
-                b = cnt.count_b_loads(a, n)
-                c = cnt.count_c_stores(a, n)
-                t = cnt.count_tile_loads(a, 32)
-                w = cnt.broadcast_walk_sectors(a)
-        else:
-            b = cnt.count_b_loads(a, n)
-            c = cnt.count_c_stores(a, n)
-            t = cnt.count_tile_loads(a, 32)
-            w = cnt.broadcast_walk_sectors(a)
-        assert b == cnt.count_b_loads_oracle(a, n)
-        assert c == cnt.count_c_stores_oracle(a, n)
-        assert t == cnt.count_tile_loads_oracle(a, 32)
-        assert w == cnt.broadcast_walk_sectors_oracle(a)
-        if a.nnz == 0:
-            assert b.sectors == 0 and b.instructions == 0
-            assert t == cnt.count_tile_loads_oracle(a, 32)
-            assert w == 0
-        # C stores cover all rows regardless of occupancy.
-        assert c.instructions == a.nrows * len(cnt.dense_segments(n))
+    clear_access_profile(a)
+    b = cnt.count_b_loads(a, n)
+    c = cnt.count_c_stores(a, n)
+    t = cnt.count_tile_loads(a, 32)
+    w = cnt.broadcast_walk_sectors(a)
+    assert b == ref.count_b_loads(a, n)
+    assert c == ref.count_c_stores(a, n)
+    assert t == ref.count_tile_loads(a, 32)
+    assert w == ref.broadcast_walk_sectors(a)
+    if a.nnz == 0:
+        assert b.sectors == 0 and b.instructions == 0
+        assert t == AccessTotals(0, 0, 0)
+        assert w == 0
+    # C stores cover all rows regardless of occupancy.
+    assert c.instructions == a.nrows * len(cnt.dense_segments(n))
 
 
 def test_empty_matrix_profile_fields():
@@ -145,7 +139,7 @@ def test_known_value_aligned():
 
 
 # ----------------------------------------------------------------------
-# Caching, counters, toggles
+# Caching, counters, exotic tiles
 # ----------------------------------------------------------------------
 
 
@@ -172,47 +166,31 @@ def test_per_width_memoization():
     assert p.tile_loads(32) is p.tile_loads(32)
 
 
-def test_oracle_toggle_restores():
-    assert cnt.profile_counters_enabled()
-    with cnt.use_oracle_counters():
-        assert not cnt.profile_counters_enabled()
-        with cnt.use_oracle_counters():
-            assert not cnt.profile_counters_enabled()
-        assert not cnt.profile_counters_enabled()
-    assert cnt.profile_counters_enabled()
-
-
-def test_oracle_toggle_skips_profile_build():
-    a = uniform_random(15, 30, 15, seed=3)
-    clear_access_profile(a)
-    with cnt.use_oracle_counters():
-        cnt.count_b_loads(a, 9)
-        cnt.broadcast_walk_sectors(a)
-    assert a._derived.get("access_profile") is None
-
-
 def test_exotic_tile_falls_back_to_oracle():
     a = uniform_random(20, 80, 20, seed=4)
     # tile not a multiple of 8: profile method refuses, public API stays exact
     p = access_profile(a)
     with pytest.raises(ValueError):
         p.tile_loads(12)
-    assert cnt.count_tile_loads(a, 12) == cnt.count_tile_loads_oracle(a, 12)
-    assert cnt.count_tile_loads(a, 1) == cnt.count_tile_loads_oracle(a, 1)
+    assert cnt.count_tile_loads(a, 12) == ref.count_tile_loads(a, 12)
+    assert cnt.count_tile_loads(a, 1) == ref.count_tile_loads(a, 1)
 
 
-def test_kernel_counts_unchanged_by_profile_path():
-    # count() must yield identical stats under both counting paths.
+def test_kernel_counts_unchanged_by_profile_path(monkeypatch):
+    # count() must yield identical stats when every counter is swapped
+    # for its reference.
     from repro.core import CRCSpMM, CWMSpMM, GESpMM, SimpleSpMM
     from repro.gpusim.config import GTX_1080TI
 
     a = power_law(200, 2000, seed=5)
-    for kern in (SimpleSpMM(), CRCSpMM(), CWMSpMM(2), GESpMM()):
-        for n in (32, 250, 7):
-            clear_access_profile(a)
-            stats_p, launch_p, hints_p = kern.count(a, n, GTX_1080TI)
-            with cnt.use_oracle_counters():
-                stats_o, launch_o, hints_o = kern.count(a, n, GTX_1080TI)
-            assert stats_p == stats_o, (kern.name, n)
-            assert launch_p == launch_o
-            assert hints_p == hints_o
+    kernels = (SimpleSpMM(), CRCSpMM(), CWMSpMM(2), GESpMM())
+    widths = (32, 250, 7)
+    profiled = {(k.name, n): k.count(a, n, GTX_1080TI) for k in kernels for n in widths}
+    with monkeypatch.context() as patch:
+        for name in ref.COUNTERS:
+            patch.setattr(cnt, name, getattr(ref, name))
+        clear_access_profile(a)
+        for kern in kernels:
+            for n in widths:
+                assert kern.count(a, n, GTX_1080TI) == profiled[kern.name, n], (kern.name, n)
+        assert a._derived.get("access_profile") is None  # references never built one

@@ -113,3 +113,12 @@ def test_tracer_uninstalled_after_cli_run(tmp_path):
     run_cli(["profile", *SMALL_GRAPH, "--n", "64",
              "--trace-out", str(tmp_path / "t.json")])
     assert obs.get_tracer() is None
+
+
+@pytest.mark.parametrize("command", ["profile", "trace"])
+def test_unknown_graph_is_a_usage_error(command, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main([command, "--graph", "nosuchgraph", "--n", "64"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "nosuchgraph" in err[0]
+    assert not (tmp_path / "trace.json").exists()

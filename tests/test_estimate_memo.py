@@ -102,9 +102,22 @@ def test_training_reuses_estimates_across_epochs():
     """The acceptance criterion: a multi-epoch full-batch train() hits the
     estimate memo (the cost model re-prices the same kernel/matrix pair
     every epoch)."""
-    from repro.bench.hostbench import _synthetic_citation
+    from repro.datasets.citation import CitationDataset
+    from repro.sparse import power_law
 
-    ds = _synthetic_citation(m=300, nnz=2400, feature_dim=8)
+    m, rng = 300, np.random.default_rng(0)
+    train_mask = np.zeros(m, dtype=bool)
+    train_mask[: m // 10] = True
+    ds = CitationDataset(
+        name="synthetic",
+        graph=power_law(m, 2400, seed=0, weighted=True),
+        features=rng.standard_normal((m, 8)).astype(np.float32),
+        labels=rng.integers(0, 7, size=m).astype(np.int64),
+        train_mask=train_mask,
+        val_mask=~train_mask,
+        test_mask=~train_mask,
+        n_classes=7,
+    )
     model = GCN(ds.feature_dim, 8, ds.n_classes, rng=np.random.default_rng(0))
     backend = DGLBackend(SimDevice(GTX_1080TI), use_gespmm=True)
     train(model, backend, ds, epochs=3, warmup=0)

@@ -1,19 +1,20 @@
 """Parity suite for the segmented-reduction host engine.
 
-Locks the contract in ``repro.sparse.segment``'s docstring: the engine
-must be bit-identical to the preserved scatter oracles for max/min
-reductions on any input and for plus/mean on exact (integer-valued)
-arithmetic, and within tight tolerances on arbitrary floats (where
-``np.add.reduceat``'s pairing reassociates the sum).  Also covers the
-derived-array caches on ``CSRMatrix``, the engine-routed
-``to_dense``/normalizers, and the argmax semantics (first maximizer,
-empty rows, NaN) that ``aggregate_max``'s backward depends on.
+The engine must be bit-identical to the ``ufunc.at`` scatter references
+in ``tests/references.py`` for max/min reductions on any input and for
+plus/mean on exact (integer-valued) arithmetic, and within tight
+tolerances on arbitrary floats (where ``np.add.reduceat``'s pairing
+reassociates the sum).  Also covers the derived-array caches on
+``CSRMatrix``, ``to_dense`` and the normalizers, and the argmax
+semantics (first maximizer, empty rows, NaN) that ``aggregate_max``'s
+backward depends on.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+import references as ref
 from hypothesis import given, settings, strategies as st
 
 from repro import obs
@@ -21,17 +22,11 @@ from repro.obs.metrics import MetricsRegistry
 from repro.semiring import MAX_TIMES, MEAN_TIMES, MIN_TIMES, PLUS_TIMES, Semiring
 from repro.sparse import (
     csr_from_coo,
-    engine_enabled,
     power_law,
-    scatter_oracle_segment_reduce,
-    scatter_oracle_spmm_like,
-    scatter_oracle_to_dense,
-    segment_argmax,
+    segment_max_with_argmax,
     segment_reduce,
     segment_spmm_like,
-    set_engine,
     uniform_random,
-    use_segment_engine,
 )
 from repro.sparse.ops import reference_spmm_like
 
@@ -79,7 +74,7 @@ def test_segment_vs_scatter_parity(name, n, a, seed):
     sr = SEMIRINGS[name]
     b = _dense_operand(a, n, seed)
     got = segment_spmm_like(a, b, sr)
-    want = scatter_oracle_spmm_like(a, b, sr)
+    want = ref.scatter_spmm_like(a, b, sr)
     if name in BITWISE_ALWAYS:
         np.testing.assert_array_equal(got, want)
     else:
@@ -96,7 +91,7 @@ def test_plus_like_bitwise_on_exact_arithmetic(name, a, seed):
     sr = SEMIRINGS[name]
     b = _dense_operand(a, 5, seed, integer_values=True)
     np.testing.assert_array_equal(
-        segment_spmm_like(a, b, sr), scatter_oracle_spmm_like(a, b, sr)
+        segment_spmm_like(a, b, sr), ref.scatter_spmm_like(a, b, sr)
     )
 
 
@@ -106,7 +101,7 @@ def test_parity_on_power_law(name):
     a = power_law(300, 4000, seed=7, weighted=True)
     b = _dense_operand(a, 16, seed=3)
     got = segment_spmm_like(a, b, sr)
-    want = scatter_oracle_spmm_like(a, b, sr)
+    want = ref.scatter_spmm_like(a, b, sr)
     if name in BITWISE_ALWAYS:
         np.testing.assert_array_equal(got, want)
     else:
@@ -114,13 +109,11 @@ def test_parity_on_power_law(name):
 
 
 def test_reference_spmm_like_dispatches_on_toggle():
+    """Built-in reductions dispatch to the segment engine."""
     a = uniform_random(50, 400, seed=1, weighted=True)
     b = _dense_operand(a, 8, seed=2)
-    with use_segment_engine(True):
-        engine = reference_spmm_like(a, b, MAX_TIMES)
-    with use_segment_engine(False):
-        oracle = reference_spmm_like(a, b, MAX_TIMES)
-    np.testing.assert_array_equal(engine, oracle)
+    engine = reference_spmm_like(a, b, MAX_TIMES)
+    np.testing.assert_array_equal(engine, ref.scatter_spmm_like(a, b, MAX_TIMES))
     np.testing.assert_array_equal(engine, segment_spmm_like(a, b, MAX_TIMES))
 
 
@@ -137,23 +130,15 @@ def test_generic_semiring_falls_back_to_scatter_loop():
     )
     a = uniform_random(20, 100, seed=3, weighted=True)
     b = _dense_operand(a, 4, seed=4)
-    with use_segment_engine(True):
-        got = reference_spmm_like(a, b, odd)
+    got = reference_spmm_like(a, b, odd)
     assert got.shape == (a.nrows, 4)
+    contributions = a.values[:, None] * b[a.colind64()]
+    for i in range(a.nrows):
+        lo, hi = a.rowptr[i], a.rowptr[i + 1]
+        want = odd.reduce(contributions[lo:hi], axis=0) if hi > lo else odd.init
+        np.testing.assert_array_equal(got[i], np.broadcast_to(want, (4,)))
     with pytest.raises(NotImplementedError):
         segment_spmm_like(a, b, odd)
-
-
-def test_engine_toggle_restores_on_exception():
-    assert engine_enabled()
-    with pytest.raises(RuntimeError):
-        with use_segment_engine(False):
-            assert not engine_enabled()
-            raise RuntimeError("boom")
-    assert engine_enabled()
-    prev = set_engine(False)
-    assert prev is True
-    assert set_engine(True) is False
 
 
 # ----------------------------------------------------------------------
@@ -166,7 +151,7 @@ def test_segment_reduce_empty_rows_hold_exact_identity():
     contributions = np.arange(10, dtype=np.float32).reshape(5, 2)
     for ufunc, init in ((np.add, 0.0), (np.maximum, -np.inf), (np.minimum, np.inf)):
         out = segment_reduce(contributions, rowptr, ufunc, init)
-        oracle = scatter_oracle_segment_reduce(contributions, rowptr, ufunc, init)
+        oracle = ref.scatter_segment_reduce(contributions, rowptr, ufunc, init)
         np.testing.assert_array_equal(out[0], np.full(2, init))
         np.testing.assert_array_equal(out[2], np.full(2, init))
         np.testing.assert_array_equal(out, oracle)
@@ -226,25 +211,33 @@ def test_fingerprint_content_addressing():
 def test_to_dense_engine_matches_oracle_including_duplicates():
     sorted_free = uniform_random(25, 180, seed=11, weighted=True)
     np.testing.assert_array_equal(
-        sorted_free.to_dense(), scatter_oracle_to_dense(sorted_free)
+        sorted_free.to_dense(), ref.scatter_to_dense(sorted_free)
     )
     # Duplicate (row, col) pattern: engine must fall back to accumulation.
     rows = np.array([0, 0, 1, 2, 2, 2])
     cols = np.array([1, 1, 0, 2, 2, 0])
     vals = np.array([1.5, 2.5, 3.0, 1.0, 1.0, 4.0], dtype=np.float32)
     dup = csr_from_coo(rows, cols, vals, shape=(3, 3), sum_duplicates=False)
-    np.testing.assert_array_equal(dup.to_dense(), scatter_oracle_to_dense(dup))
+    np.testing.assert_array_equal(dup.to_dense(), ref.scatter_to_dense(dup))
     assert dup.to_dense()[0, 1] == np.float32(4.0)
 
 
 def test_normalizers_parity_across_toggle():
+    """Row/symmetric normalization against row sums from the scatter
+    reference."""
     a = power_law(120, 1500, seed=12, weighted=True)
-    with use_segment_engine(True):
-        rn1, sn1 = a.row_normalized(), a.sym_normalized()
-    with use_segment_engine(False):
-        rn0, sn0 = a.row_normalized(), a.sym_normalized()
-    np.testing.assert_allclose(rn1.values, rn0.values, rtol=1e-6)
-    np.testing.assert_allclose(sn1.values, sn0.values, rtol=1e-6)
+    sums = ref.scatter_segment_reduce(a.values.astype(np.float64), a.rowptr, np.add, 0.0)
+    rows, cols = a.coo_rows(), a.colind64()
+    inv = np.divide(1.0, sums, out=np.zeros_like(sums), where=sums != 0)
+    np.testing.assert_allclose(
+        a.row_normalized().values, a.values * inv[rows].astype(np.float32), rtol=1e-6
+    )
+    inv_sqrt = np.divide(1.0, np.sqrt(sums), out=np.zeros_like(sums), where=sums > 0)
+    np.testing.assert_allclose(
+        a.sym_normalized().values,
+        a.values * (inv_sqrt[rows] * inv_sqrt[cols]).astype(np.float32),
+        rtol=1e-6,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -252,70 +245,70 @@ def test_normalizers_parity_across_toggle():
 # ----------------------------------------------------------------------
 
 
-def _manual_argmax(a, contributions):
-    m, n = a.nrows, contributions.shape[1]
-    want = np.full((m, n), -1, dtype=np.int64)
-    for i in range(m):
-        lo, hi = int(a.rowptr[i]), int(a.rowptr[i + 1])
-        for j in range(n):
-            col = contributions[lo:hi, j]
-            if col.size == 0 or np.isnan(col.max()):
-                continue  # empty row or NaN cell: no winner
-            want[i, j] = lo + int(np.argmax(col == col.max()))
-    return want
+def _argmax_of(a, contributions):
+    """``segment_max_with_argmax``'s argmax for precomputed per-nonzero
+    ``contributions``: with unit values the contributions are exactly the
+    gathered operand rows, so the operand is built to gather them."""
+    assert np.all(a.values == 1)
+    b = np.zeros((a.ncols, contributions.shape[1]), np.float32)
+    b[a.colind64()] = contributions
+    return segment_max_with_argmax(a, b)[1]
 
 
 def test_argmax_first_maximizer_on_ties():
+    # Nonzeros live in distinct columns so each one gathers its own row.
     rows = np.array([0, 0, 0, 1, 1])
-    cols = np.array([0, 1, 2, 0, 1])
+    cols = np.array([0, 1, 2, 3, 4])
     vals = np.ones(5, dtype=np.float32)
-    a = csr_from_coo(rows, cols, vals, shape=(2, 3), sum_duplicates=True)
+    a = csr_from_coo(rows, cols, vals, shape=(2, 5), sum_duplicates=True)
     # Tie in row 0 between nonzeros 0 and 2 (same contribution value).
     contributions = np.array(
         [[5.0, 1.0], [3.0, 1.0], [5.0, 0.0], [2.0, 2.0], [2.0, 7.0]], dtype=np.float32
     )
-    am = segment_argmax(a, contributions)
+    am = _argmax_of(a, contributions)
     np.testing.assert_array_equal(am, [[0, 0], [3, 4]])
+    np.testing.assert_array_equal(am, ref.per_row_argmax(a, contributions))
 
 
-@pytest.mark.parametrize("n", [5, 8, 16])  # 5 exercises the plain-nonzero path
+@pytest.mark.parametrize("n", [5, 8, 16])
 def test_argmax_matches_manual_loop(n):
-    a = uniform_random(40, 300, seed=13, weighted=True)
+    a = uniform_random(40, 300, seed=13)
+    a = a.with_values(np.ones(a.nnz, np.float32))  # unit weights: many ties
     rng = np.random.default_rng(14)
-    contributions = rng.integers(-3, 4, size=(a.nnz, n)).astype(np.float32)
-    am = segment_argmax(a, contributions)
-    np.testing.assert_array_equal(am, _manual_argmax(a, contributions))
+    b = rng.integers(-3, 4, size=(a.ncols, n)).astype(np.float32)
+    _, am = segment_max_with_argmax(a, b)
+    contributions = a.values[:, None] * b[a.colind64()]
+    np.testing.assert_array_equal(am, ref.per_row_argmax(a, contributions))
 
 
 def test_argmax_empty_rows_and_nan_cells_hold_minus_one():
     rows = np.array([0, 0, 2])
-    cols = np.array([0, 1, 1])
+    cols = np.array([0, 1, 2])
     vals = np.ones(3, dtype=np.float32)
-    a = csr_from_coo(rows, cols, vals, shape=(4, 2), sum_duplicates=True)
+    a = csr_from_coo(rows, cols, vals, shape=(4, 3), sum_duplicates=True)
     contributions = np.array(
         [[1.0, np.nan], [0.5, np.nan], [2.0, 3.0]], dtype=np.float32
     )
-    am = segment_argmax(a, contributions)
+    am = _argmax_of(a, contributions)
     assert am[1].tolist() == [-1, -1] and am[3].tolist() == [-1, -1]  # empty rows
     assert am[0, 1] == -1  # NaN cell: no winner
     assert am[0, 0] == 0 and am[2].tolist() == [2, 2]
 
 
 # ----------------------------------------------------------------------
-# aggregate_max: engine vs preserved scatter path
+# aggregate_max against the reference gradient
 # ----------------------------------------------------------------------
 
 
-def _run_aggregate(a, x_data, grad, enabled):
+def _run_aggregate(a, x_data, grad):
     from repro.gnn.aggregate import GraphPair, aggregate_max
     from repro.gnn.tensor import Tensor
 
     no_cost = lambda *args, **kw: 0.0
     record = lambda *args, **kw: None
-    with use_segment_engine(enabled):
-        x = Tensor(x_data.copy(), requires_grad=True)
-        y = aggregate_max(GraphPair(a), x, no_cost, no_cost, record)
-        y.backward(grad.copy())
+    x = Tensor(x_data.copy(), requires_grad=True)
+    y = aggregate_max(GraphPair(a), x, no_cost, no_cost, record)
+    y.backward(grad.copy())
     return y.data, x.grad
 
 
@@ -324,31 +317,25 @@ def test_aggregate_max_forward_bitwise_and_backward_close():
     rng = np.random.default_rng(16)
     x = rng.standard_normal((a.ncols, 8)).astype(np.float32)
     grad = rng.standard_normal((a.nrows, 8)).astype(np.float32)
-    y1, g1 = _run_aggregate(a, x, grad, enabled=True)
-    y0, g0 = _run_aggregate(a, x, grad, enabled=False)
-    np.testing.assert_array_equal(y1, y0)
-    # Continuous values: ties have measure zero, so winner-takes-all and
-    # tie-sharing route gradients identically (up to accumulation order).
-    np.testing.assert_allclose(g1, g0, rtol=1e-5, atol=1e-5)
+    y, g = _run_aggregate(a, x, grad)
+    y_ref, g_ref = ref.aggregate_max(a, x, grad)
+    np.testing.assert_array_equal(y, y_ref)
+    np.testing.assert_allclose(g, g_ref, rtol=1e-5, atol=1e-5)
 
 
 def test_aggregate_max_tie_gradient_goes_to_first_maximizer():
     # Row 0 aggregates two neighbors with identical contributions: the
-    # engine routes the whole gradient to the first nonzero (PyTorch
-    # scatter_max semantics); the legacy scatter path duplicates it to
-    # every tied maximizer.  Lock both behaviors.
+    # whole gradient goes to the first nonzero (PyTorch scatter_max
+    # semantics), none to the later tied maximizer.
     rows = np.array([0, 0])
     cols = np.array([1, 2])
     vals = np.ones(2, dtype=np.float32)
     a = csr_from_coo(rows, cols, vals, shape=(1, 3), sum_duplicates=True)
     x = np.full((3, 2), 4.0, dtype=np.float32)
     grad = np.array([[1.0, 2.0]], dtype=np.float32)
-    _, g_engine = _run_aggregate(a, x, grad, enabled=True)
-    np.testing.assert_array_equal(
-        g_engine, [[0.0, 0.0], [1.0, 2.0], [0.0, 0.0]]
-    )
-    _, g_scatter = _run_aggregate(a, x, grad, enabled=False)
-    np.testing.assert_allclose(g_scatter, [[0, 0], [1.0, 2.0], [1.0, 2.0]])
+    _, g = _run_aggregate(a, x, grad)
+    np.testing.assert_array_equal(g, [[0.0, 0.0], [1.0, 2.0], [0.0, 0.0]])
+    np.testing.assert_array_equal(g, ref.aggregate_max(a, x, grad)[1])
 
 
 def test_aggregate_max_empty_rows_zero_output_and_grad():
@@ -358,8 +345,7 @@ def test_aggregate_max_empty_rows_zero_output_and_grad():
     a = csr_from_coo(rows, cols, vals, shape=(3, 2), sum_duplicates=True)
     x = np.array([[1.0], [1.0]], dtype=np.float32)
     grad = np.ones((3, 1), dtype=np.float32)
-    for enabled in (True, False):
-        y, g = _run_aggregate(a, x, grad, enabled)
-        np.testing.assert_array_equal(y[1:], np.zeros((2, 1), np.float32))
-        assert y[0, 0] == np.float32(2.0)
-        np.testing.assert_array_equal(g, [[0.0], [2.0]])
+    y, g = _run_aggregate(a, x, grad)
+    np.testing.assert_array_equal(y[1:], np.zeros((2, 1), np.float32))
+    assert y[0, 0] == np.float32(2.0)
+    np.testing.assert_array_equal(g, [[0.0], [2.0]])

@@ -2,23 +2,25 @@
 executor.
 
 Locks the tiling contract in ``repro.sparse.segment``'s docstring: the
-tiled path must be **bit-identical** to the untiled engine body for
-every tile geometry (T=1, T >= N, N % T != 0), every reduceat-capable
-reduction (add / maximum / minimum, plus mean's finalize), and every
-edge shape (empty rows, empty matrices, zero-width operands) — tiles
-never split a row's reduction, so even float32 addition associates
-identically.  Also covers the workspace pool (reuse/alloc counters,
-free-list cap, clearing), the multi-operand batching primitive (byte
-parity with per-operand calls, one gather's worth of allocations), the
-``_sparse_nonzero`` pad path that keeps non-multiple-of-8 widths on the
-uint64 prefilter, and the fused ``segment_max_with_argmax`` traversal
-``aggregate_max`` runs on.
+output must not depend on the tile width — **bit for bit** — for every
+tile geometry (T=1, N % T != 0, T > N), every reduceat-capable reduction
+(add / maximum / minimum, plus mean's finalize), and every edge shape
+(empty rows, empty matrices, zero-width operands): tiles never split a
+row's reduction, so even float32 addition associates identically.  The
+untiled geometry (``tile_width=N``, one tile) is the reference.  Also
+covers the workspace pool (reuse/alloc counters, free-list cap,
+clearing), the multi-operand batching primitive (byte parity with
+per-operand calls, one gather's worth of allocations), and the fused
+``segment_max_with_argmax`` traversal ``aggregate_max`` runs on, whose
+sort-free argmax is checked against the per-row loop in
+``tests/references.py``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+import references as ref
 from hypothesis import given, settings, strategies as st
 
 from repro import obs
@@ -28,21 +30,15 @@ from repro.sparse import (
     clear_workspace_pool,
     csr_from_coo,
     power_law,
-    segment_argmax,
     segment_max_with_argmax,
     segment_spmm_like,
     segment_spmm_like_multi,
-    set_tile_width,
-    set_tiling,
     tile_width_for,
-    tiling_enabled,
     uniform_random,
-    use_tile_width,
-    use_tiling,
     workspace_stats,
 )
 from repro.sparse.ops import reference_spmm_like_multi
-from repro.sparse.segment import _POOL, _sparse_nonzero
+from repro.sparse.segment import _POOL
 
 SEMIRINGS = {
     "plus": PLUS_TIMES,
@@ -73,13 +69,18 @@ def _dense_operand(a, n, seed):
     return rng.standard_normal((a.ncols, n)).astype(np.float32)
 
 
+def _width(tile, n):
+    """A tile-width parameter resolved against the operand width ``n``."""
+    return {"N": n, "N+5": n + 5}.get(tile, tile)
+
+
 # ----------------------------------------------------------------------
-# tiled vs. untiled bit parity
+# geometry invariance: every tile width vs. the one-tile traversal
 # ----------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("name", sorted(SEMIRINGS))
-@pytest.mark.parametrize("tile", [1, 7, 64])  # 1, N%7!=0 mostly, T>=N mostly
+@pytest.mark.parametrize("tile", [1, 3, 7, 8, 64, "N+5"])
 @given(a=csr_matrices(), n=st.integers(1, 40), seed=st.integers(0, 2**20))
 @settings(max_examples=25, deadline=None)
 def test_tiled_bit_identical_to_untiled(name, tile, a, n, seed):
@@ -87,14 +88,17 @@ def test_tiled_bit_identical_to_untiled(name, tile, a, n, seed):
     so even the float32 add accumulates in the identical order."""
     sr = SEMIRINGS[name]
     b = _dense_operand(a, n, seed)
-    with use_tiling(False):
-        want = segment_spmm_like(a, b, sr)
-    with use_tile_width(tile):
-        got = segment_spmm_like(a, b, sr)
-    np.testing.assert_array_equal(got, want)
+    b2 = _dense_operand(a, max(1, n // 2), seed + 1)
+    want = segment_spmm_like(a, b, sr, tile_width=n)
+    np.testing.assert_array_equal(segment_spmm_like(a, b, sr, tile_width=_width(tile, n)), want)
     # Adaptive width too (covers T == N for these small operands).
-    got_auto = segment_spmm_like(a, b, sr)
-    np.testing.assert_array_equal(got_auto, want)
+    np.testing.assert_array_equal(segment_spmm_like(a, b, sr), want)
+    # The batched traversal shares one tile geometry across operands of
+    # different widths.
+    want_multi = [want, segment_spmm_like(a, b2, sr, tile_width=b2.shape[1])]
+    got_multi = segment_spmm_like_multi(a, [b, b2], sr, tile_width=_width(tile, n))
+    for got, w in zip(got_multi, want_multi):
+        np.testing.assert_array_equal(got, w)
 
 
 @pytest.mark.parametrize("name", sorted(SEMIRINGS))
@@ -104,11 +108,9 @@ def test_tiled_parity_on_power_law(name):
     sr = SEMIRINGS[name]
     a = power_law(300, 4000, seed=7, weighted=True)
     b = _dense_operand(a, 100, seed=3)
-    with use_tiling(False):
-        want = segment_spmm_like(a, b, sr)
-    for tile in (1, 8, 33, 100, 512, None):
-        with use_tile_width(tile):
-            np.testing.assert_array_equal(segment_spmm_like(a, b, sr), want)
+    want = segment_spmm_like(a, b, sr, tile_width=100)
+    for tile in (1, 8, 33, 512, None):
+        np.testing.assert_array_equal(segment_spmm_like(a, b, sr, tile_width=tile), want)
 
 
 def test_tiled_empty_rows_matrices_and_widths():
@@ -129,34 +131,17 @@ def test_out_buffer_reused_and_validated():
     out = np.empty((a.nrows, 10), dtype=np.float32)
     got = segment_spmm_like(a, b, PLUS_TIMES, out=out)
     assert got is out
-    with use_tiling(False):
-        np.testing.assert_array_equal(out, segment_spmm_like(a, b, PLUS_TIMES))
+    np.testing.assert_array_equal(out, segment_spmm_like(a, b, PLUS_TIMES))
     with pytest.raises(ValueError):
         segment_spmm_like(a, b, PLUS_TIMES, out=np.empty((a.nrows, 9), np.float32))
     with pytest.raises(ValueError):
         segment_spmm_like(a, b, PLUS_TIMES, out=np.empty((a.nrows, 10), np.float64))
 
 
-def test_tiling_toggles_restore_and_report():
-    assert tiling_enabled()
-    with use_tiling(False):
-        assert not tiling_enabled()
-    assert tiling_enabled()
-    assert set_tiling(False) is True
-    assert set_tiling(True) is False
-    prev = set_tile_width(24)
-    try:
-        assert tile_width_for(10_000, 256) == 24
-        assert tile_width_for(10_000, 16) == 16  # forced width capped at n
-    finally:
-        set_tile_width(prev)
-
-
 def test_tile_width_heuristic_shape():
     # Small problems run untiled (one full-width tile)...
     assert tile_width_for(100, 64) == 64
-    # ...large ones tile at a multiple of 8 (argmax prefilter stays
-    # applicable), floored at 8, capped at n.
+    # ...large ones tile at a multiple of 8, floored at 8, capped at n.
     big = tile_width_for(1_000_000, 4096)
     assert 8 <= big < 4096 and big % 8 == 0
     assert tile_width_for(10**9, 4096) == 8
@@ -174,15 +159,14 @@ def test_workspace_pool_reuse_and_counters():
     try:
         a = power_law(200, 3000, seed=4, weighted=True)
         b = _dense_operand(a, 64, seed=5)
-        with use_tile_width(8):
-            segment_spmm_like(a, b, PLUS_TIMES)
-            reg = obs.get_registry()
-            allocs_first = reg.counter("segment.workspace.allocs").value
-            assert allocs_first >= 1
-            assert reg.gauge("segment.workspace.bytes_peak").value > 0
-            segment_spmm_like(a, b, PLUS_TIMES)  # steady state: pool hits only
-            assert reg.counter("segment.workspace.allocs").value == allocs_first
-            assert reg.counter("segment.workspace.reuses").value >= 1
+        segment_spmm_like(a, b, PLUS_TIMES, tile_width=8)
+        reg = obs.get_registry()
+        allocs_first = reg.counter("segment.workspace.allocs").value
+        assert allocs_first >= 1
+        assert reg.gauge("segment.workspace.bytes_peak").value > 0
+        segment_spmm_like(a, b, PLUS_TIMES, tile_width=8)  # steady state: pool hits only
+        assert reg.counter("segment.workspace.allocs").value == allocs_first
+        assert reg.counter("segment.workspace.reuses").value >= 1
         stats = workspace_stats()
         assert stats["free_buffers"] >= 1
         assert clear_workspace_pool() == stats["free_buffers"]
@@ -215,9 +199,8 @@ def test_multi_byte_identical_to_per_operand_loop():
     a = power_law(300, 5000, seed=6, weighted=True)
     bs = [_dense_operand(a, n, seed=n) for n in (3, 17, 64, 100)]
     for sr in (PLUS_TIMES, MAX_TIMES, MEAN_TIMES):
-        with use_tile_width(16):
-            multi = segment_spmm_like_multi(a, bs, sr)
-            loop = [segment_spmm_like(a, b, sr) for b in bs]
+        multi = segment_spmm_like_multi(a, bs, sr, tile_width=16)
+        loop = [segment_spmm_like(a, b, sr, tile_width=16) for b in bs]
         assert len(multi) == len(loop)
         for got, want in zip(multi, loop):
             assert got.tobytes() == want.tobytes()
@@ -231,8 +214,7 @@ def test_multi_shares_one_workspace_acquisition():
     prev = obs.set_registry(MetricsRegistry())
     clear_workspace_pool()
     try:
-        with use_tile_width(8):
-            segment_spmm_like_multi(a, bs, PLUS_TIMES)
+        segment_spmm_like_multi(a, bs, PLUS_TIMES, tile_width=8)
         reg = obs.get_registry()
         assert reg.counter("segment.workspace.allocs").value <= 2
         assert reg.counter("segment.multi_calls", operands=len(bs)).value == 1
@@ -256,103 +238,113 @@ def test_multi_mixed_widths_empty_and_outs():
 def test_multi_untiled_fallback_matches():
     a = uniform_random(25, 120, seed=9, weighted=True)
     bs = [_dense_operand(a, n, seed=n) for n in (4, 11)]
-    with use_tiling(False):
-        off = segment_spmm_like_multi(a, bs, PLUS_TIMES)
-    on = segment_spmm_like_multi(a, bs, PLUS_TIMES)
-    for got, want in zip(on, off):
+    untiled = segment_spmm_like_multi(a, bs, PLUS_TIMES, tile_width=11)
+    tiled = segment_spmm_like_multi(a, bs, PLUS_TIMES, tile_width=1)
+    for got, want in zip(tiled, untiled):
         np.testing.assert_array_equal(got, want)
 
 
 def test_reference_multi_dispatch_matches_reference():
     from repro.sparse.ops import reference_spmm_like
-    from repro.sparse.segment import use_segment_engine
 
     a = uniform_random(30, 150, seed=10, weighted=True)
     bs = [_dense_operand(a, n, seed=n) for n in (6, 20)]
     engine = reference_spmm_like_multi(a, bs, MAX_TIMES)
-    with use_segment_engine(False):
-        oracle = reference_spmm_like_multi(a, bs, MAX_TIMES)
-    for got, want, b in zip(engine, oracle, bs):
-        np.testing.assert_array_equal(got, want)
+    for got, b in zip(engine, bs):
+        np.testing.assert_array_equal(got, ref.scatter_spmm_like(a, b, MAX_TIMES))
         np.testing.assert_array_equal(got, reference_spmm_like(a, b, MAX_TIMES))
 
 
 # ----------------------------------------------------------------------
-# _sparse_nonzero pad path (satellite: widths like 100 keep the
-# uint64 prefilter instead of silently falling back to np.nonzero)
+# fused max + sort-free argmax traversal
 # ----------------------------------------------------------------------
 
-
-@pytest.mark.parametrize("n", [1, 5, 100])
-def test_sparse_nonzero_pads_unaligned_widths(n):
-    prev = obs.set_registry(MetricsRegistry())
-    try:
-        rng = np.random.default_rng(n)
-        hits = rng.random((40, n)) < 0.05
-        got = _sparse_nonzero(np.ascontiguousarray(hits))
-        want = np.nonzero(hits)
-        np.testing.assert_array_equal(got[0], want[0])
-        np.testing.assert_array_equal(got[1], want[1])
-        reg = obs.get_registry()
-        assert reg.counter("segment.sparse_nonzero.pads").value == 1
-        assert reg.counter("segment.sparse_nonzero.fallbacks").value == 0
-    finally:
-        obs.set_registry(prev)
+ARGMAX_TILES = [1, 3, 8, "N", "N+5"]
 
 
-def test_sparse_nonzero_aligned_noncontiguous_and_degenerate():
-    prev = obs.set_registry(MetricsRegistry())
-    try:
-        reg = obs.get_registry()
-        rng = np.random.default_rng(0)
-        aligned = rng.random((30, 16)) < 0.1
-        got = _sparse_nonzero(np.ascontiguousarray(aligned))
-        np.testing.assert_array_equal(got[0], np.nonzero(aligned)[0])
-        assert reg.counter("segment.sparse_nonzero.pads").value == 0
-        # Non-contiguous slice of an aligned mask: padded copy, same result.
-        wide = np.ascontiguousarray(rng.random((30, 32)) < 0.1)
-        view = wide[:, ::2]
-        got = _sparse_nonzero(view)
-        np.testing.assert_array_equal(got[1], np.nonzero(view)[1])
-        assert reg.counter("segment.sparse_nonzero.pads").value == 1
-        # Degenerate (empty) input: plain np.nonzero, counted as fallback.
-        empty = np.zeros((0, 8), dtype=np.bool_)
-        assert _sparse_nonzero(empty)[0].size == 0
-        assert reg.counter("segment.sparse_nonzero.fallbacks").value == 1
-    finally:
-        obs.set_registry(prev)
+def _assert_max_argmax_matches_reference(a, b):
+    want_out, want_am = ref.max_with_argmax(a, b)
+    for tile in ARGMAX_TILES:
+        out, am = segment_max_with_argmax(a, b, tile_width=_width(tile, b.shape[1]))
+        np.testing.assert_array_equal(out, want_out, err_msg=f"tile={tile}")
+        np.testing.assert_array_equal(am, want_am, err_msg=f"tile={tile}")
 
 
 def test_argmax_unaligned_width_matches_aligned_semantics():
-    """Width 100 (not a multiple of 8) must produce the same winners the
-    plain np.nonzero scan would — the pad can never leak columns."""
-    a = uniform_random(40, 300, seed=13, weighted=True)
+    """Width 100 (not a multiple of 8 or of the adaptive tile) with many
+    ties: the winners match the per-row reference column by column."""
+    a = uniform_random(40, 300, seed=13)
+    a = a.with_values(np.ones(a.nnz, np.float32))
     rng = np.random.default_rng(14)
-    contributions = rng.integers(-3, 4, size=(a.nnz, 100)).astype(np.float32)
-    am = segment_argmax(a, contributions)
+    b = rng.integers(-3, 4, size=(a.ncols, 100)).astype(np.float32)
+    _, am = segment_max_with_argmax(a, b)
     assert am.shape == (a.nrows, 100)
-    # Cross-check a few columns against the 8-aligned single-column path.
+    np.testing.assert_array_equal(am, ref.per_row_argmax(a, b[a.colind64()]))
     for j in (0, 37, 99):
-        single = segment_argmax(a, np.ascontiguousarray(
-            np.repeat(contributions[:, j : j + 1], 8, axis=1)))
+        _, single = segment_max_with_argmax(a, np.ascontiguousarray(b[:, j : j + 1]))
         np.testing.assert_array_equal(am[:, j], single[:, 0])
 
 
-# ----------------------------------------------------------------------
-# fused max + argmax traversal
-# ----------------------------------------------------------------------
+@st.composite
+def max_operands(draw, a, n):
+    """Dense operands with ties (small integers), NaN cells and whole
+    ``-inf`` columns mixed in."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**20)))
+    if draw(st.booleans()):
+        b = rng.integers(-2, 3, size=(a.ncols, n)).astype(np.float32)
+    else:
+        b = rng.standard_normal((a.ncols, n)).astype(np.float32)
+    if draw(st.booleans()):
+        b[rng.random(b.shape) < 0.05] = np.nan
+    if draw(st.booleans()):
+        b[:, rng.integers(0, n)] = -np.inf
+    return b
 
 
-@given(a=csr_matrices(), n=st.integers(1, 24), seed=st.integers(0, 2**20))
+@given(a=csr_matrices(), n=st.integers(1, 24), data=st.data())
 @settings(max_examples=25, deadline=None)
-def test_max_with_argmax_matches_untiled_two_pass(a, n, seed):
-    b = _dense_operand(a, n, seed)
-    with use_tiling(False):
-        want_out, want_am = segment_max_with_argmax(a, b)
-    with use_tile_width(3):
-        got_out, got_am = segment_max_with_argmax(a, b)
-    np.testing.assert_array_equal(got_out, want_out)
-    np.testing.assert_array_equal(got_am, want_am)
+def test_max_with_argmax_matches_untiled_two_pass(a, n, data):
+    """Every tile width against the two-pass reference (scatter max,
+    then the per-row first-maximizer loop)."""
+    if data.draw(st.booleans()):
+        a = a.with_values(np.ones(a.nnz, np.float32))  # ties across a row
+    _assert_max_argmax_matches_reference(a, data.draw(max_operands(a, n)))
+
+
+def test_max_with_argmax_ties_nan_neg_inf_and_empty_rows():
+    # Row 0: a tie between nonzeros 0 and 2; row 1: empty; row 2: a NaN
+    # in column 1; column 2 is all -inf; row 3: one nonzero.
+    rows = np.array([0, 0, 0, 2, 2, 3])
+    cols = np.array([0, 1, 2, 0, 3, 1])
+    a = csr_from_coo(rows, cols, np.ones(6, np.float32), shape=(4, 4))
+    b = np.array(
+        [[5.0, 1.0, -np.inf], [3.0, 2.0, -np.inf], [5.0, 0.0, -np.inf], [1.0, np.nan, -np.inf]],
+        dtype=np.float32,
+    )
+    _assert_max_argmax_matches_reference(a, b)
+    out, am = segment_max_with_argmax(a, b, tile_width=1)
+    np.testing.assert_array_equal(am, [[0, 1, 0], [-1, -1, -1], [3, -1, 3], [5, 5, 5]])
+    assert np.isnan(out[2, 1]) and out[0, 2] == -np.inf
+
+
+def test_aggregate_max_gradient_only_to_first_maximizer():
+    """With unit weights and integer features most cells tie; the whole
+    gradient of each cell must land on its first maximizer only."""
+    from repro.gnn.aggregate import GraphPair, aggregate_max
+    from repro.gnn.tensor import Tensor
+
+    a = power_law(120, 1500, seed=3)
+    a = a.with_values(np.ones(a.nnz, np.float32))
+    rng = np.random.default_rng(4)
+    x_data = rng.integers(-2, 3, size=(a.ncols, 6)).astype(np.float32)
+    grad = rng.standard_normal((a.nrows, 6)).astype(np.float32)
+    x = Tensor(x_data, requires_grad=True)
+    no_cost = lambda *args, **kw: 0.0
+    y = aggregate_max(GraphPair(a), x, no_cost, no_cost, lambda *args, **kw: None)
+    y.backward(grad)
+    want_y, want_dx = ref.aggregate_max(a, x_data, grad)
+    np.testing.assert_array_equal(y.data, want_y)
+    np.testing.assert_array_equal(x.grad, want_dx)
 
 
 def test_max_with_argmax_empty_rows_hold_identity_and_no_winner():
