@@ -58,7 +58,7 @@ class ASpTSpMM(SpMMKernel):
         self._formats: Dict[int, ASpTFormat] = {}
 
     def preprocess(self, a: CSRMatrix) -> ASpTFormat:
-        """Build (and memoize) the tiled format for ``a``."""
+        """Build (and cache) the tiled format for ``a``."""
         fmt = self._formats.get(id(a))
         if fmt is None:
             fmt = to_aspt(a)

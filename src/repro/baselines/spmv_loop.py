@@ -80,12 +80,12 @@ class SpMVLoopSpMM(SpMMKernel):
         )
         return stats, launch, ExecHints(mlp=self.mlp, efficiency=self.efficiency)
 
-    def estimate(self, a, n, gpu, semiring=PLUS_TIMES, params=None):
+    def _estimate(self, a, n, gpu, semiring=PLUS_TIMES, params=None):
         """N launches pay N launch overheads; the base estimate prices the
         aggregate work with a single launch, so add the remaining N-1."""
-        timing = super().estimate(a, n, gpu, semiring, params)
+        timing, computed = super()._estimate(a, n, gpu, semiring, params)
         if "extra_launches" not in timing.breakdown:  # cached copies mutate once
             extra = max(int(n) - 1, 0) * gpu.launch_overhead_s
             timing.time_s += extra
             timing.breakdown["extra_launches"] = extra
-        return timing
+        return timing, computed

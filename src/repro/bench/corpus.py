@@ -21,8 +21,7 @@ matrices at 50–98% sparsity).  This module adds the missing layer:
   each through :func:`repro.bench.runner.run_sweep_with_stats` with
   bounded peak memory: per-shard matrices are built lazily, their
   derived-array caches dropped (:meth:`CSRMatrix.clear_derived`), and
-  the process-wide estimate/sweep memos capped (LRU) during the run and
-  cleared at shard boundaries.  When a :class:`~repro.bench.diskcache.
+  the process-wide estimate memo cleared at shard boundaries.  When a :class:`~repro.bench.diskcache.
   DiskCache` is active each completed shard is checkpointed under a
   content-addressed key, so a killed sweep resumes with **zero
   recomputation** and a **byte-identical roll-up**: restored shards
@@ -61,17 +60,9 @@ from typing import (
 
 from repro import obs
 from repro.bench.diskcache import get_disk_cache
-from repro.bench.runner import (
-    clear_sweep_cache,
-    run_sweep_with_stats,
-    set_sweep_cache_limit,
-)
+from repro.bench.runner import run_sweep_with_stats
 from repro.gpusim.config import GPUSpec
-from repro.gpusim.kernel import (
-    SpMMKernel,
-    clear_estimate_memo,
-    set_estimate_memo_limit,
-)
+from repro.gpusim.kernel import SpMMKernel, clear_estimate_memo
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.generators import (
     banded_random,
@@ -469,15 +460,14 @@ def run_corpus_sweep(
     jobs: int = 1,
     resume: bool = True,
     max_shards: Optional[int] = None,
-    memo_limit: Optional[int] = 4096,
     progress: Optional[Callable[[int, int, bool], None]] = None,
 ) -> CorpusSweepResult:
     """Stream a matrix corpus through the sweep runner, shard by shard.
 
     Memory stays bounded at one shard: matrices are built inside the
-    shard, their derived-array caches dropped afterwards, the estimate
-    and sweep memos LRU-capped at ``memo_limit`` entries during the run
-    (prior limits restored on exit) and cleared at every shard boundary.
+    shard, their derived-array caches dropped afterwards, and the
+    estimate memo cleared at every shard boundary, so it never holds more
+    than one shard's cells.
 
     With a :class:`~repro.bench.diskcache.DiskCache` active
     (``set_disk_cache`` / ``--cache-dir`` / ``$REPRO_CACHE_DIR``) and
@@ -504,51 +494,39 @@ def run_corpus_sweep(
     host = CorpusHostStats(shards_total=len(shard_list))
     payloads: List[Dict[str, Any]] = []
 
-    prev_est = set_estimate_memo_limit(memo_limit)
-    prev_sweep = set_sweep_cache_limit(memo_limit)
-    try:
-        for idx, shard in enumerate(shard_list):
-            if max_shards is not None and idx >= max_shards:
-                break
-            cache = get_disk_cache()
-            key = _shard_key(shard, kernels, widths, gpus)
-            payload = cache.get_shard(key) if (cache and resume) else None
-            restored = payload is not None
-            if payload is None:
-                with obs.span("corpus.shard", index=idx,
-                              matrices=len(shard)):
-                    payload = _run_shard(shard, kernels, widths, gpus, jobs)
-                if cache is not None:
-                    cache.put_shard(key, payload)
-                host.shards_computed += 1
-                host.cells_computed += len(payload["cells"])
-                registry.counter("corpus.shards.computed").inc()
-                registry.counter("corpus.cells.computed").inc(
-                    len(payload["cells"])
-                )
-            else:
-                host.shards_restored += 1
-                host.cells_restored += len(payload["cells"])
-                registry.counter("corpus.shards.restored").inc()
-                registry.counter("corpus.cells.restored").inc(
-                    len(payload["cells"])
-                )
-            host.matrices += len(shard)
-            payloads.append(payload)
-            # Shard boundary: drop every in-process cache so the next
-            # shard starts from the same (empty) state an uninterrupted
-            # or resumed run would — and so memory cannot accumulate.
-            clear_sweep_cache()
-            clear_estimate_memo()
-            obs.event(
-                "corpus.shard.done", index=idx, total=len(shard_list),
-                restored=restored, matrices=len(shard),
-            )
-            if progress is not None:
-                progress(idx, len(shard_list), restored)
-    finally:
-        set_estimate_memo_limit(prev_est)
-        set_sweep_cache_limit(prev_sweep)
+    for idx, shard in enumerate(shard_list):
+        if max_shards is not None and idx >= max_shards:
+            break
+        cache = get_disk_cache()
+        key = _shard_key(shard, kernels, widths, gpus)
+        payload = cache.get_shard(key) if (cache and resume) else None
+        restored = payload is not None
+        if payload is None:
+            with obs.span("corpus.shard", index=idx, matrices=len(shard)):
+                payload = _run_shard(shard, kernels, widths, gpus, jobs)
+            if cache is not None:
+                cache.put_shard(key, payload)
+            host.shards_computed += 1
+            host.cells_computed += len(payload["cells"])
+            registry.counter("corpus.shards.computed").inc()
+            registry.counter("corpus.cells.computed").inc(len(payload["cells"]))
+        else:
+            host.shards_restored += 1
+            host.cells_restored += len(payload["cells"])
+            registry.counter("corpus.shards.restored").inc()
+            registry.counter("corpus.cells.restored").inc(len(payload["cells"]))
+        host.matrices += len(shard)
+        payloads.append(payload)
+        # Shard boundary: drop the in-process estimate memo so the next
+        # shard starts from the same (empty) state an uninterrupted or
+        # resumed run would — and so memory cannot accumulate.
+        clear_estimate_memo()
+        obs.event(
+            "corpus.shard.done", index=idx, total=len(shard_list),
+            restored=restored, matrices=len(shard),
+        )
+        if progress is not None:
+            progress(idx, len(shard_list), restored)
 
     rollup = _build_rollup(payloads, kernels, widths, gpus)
     host.wall_s = time.perf_counter() - t0

@@ -1,17 +1,14 @@
-"""Opt-in content-addressed on-disk cache for kernel estimates and sweep cells.
+"""Opt-in content-addressed on-disk cache for kernel estimates and corpus shards.
 
-The in-process memos added in earlier PRs (``SpMMKernel.estimate``'s
-``_ESTIMATE_MEMO``, ``run_sweep``'s ``_SWEEP_CACHE``) die with the
-process, so CI and every CLI invocation re-derive the same deterministic
-numbers.  :class:`DiskCache` persists them across processes under the
-*same content-addressed keys*:
+``SpMMKernel.estimate``'s in-process memo (``_ESTIMATE_MEMO``) dies with
+the process, so CI and every CLI invocation would re-derive the same
+deterministic numbers.  :class:`DiskCache` persists them across
+processes under the *same content-addressed keys*:
 
 * ``timing`` entries — full :class:`~repro.gpusim.timing.KernelTiming`
   payloads keyed ``(kernel.cache_key(), fingerprint, n, gpu.name,
-  semiring.name, params)``;
-* ``cell`` entries — ``(time_s, gflops, attribution)`` sweep cells keyed
-  ``(kernel.cache_key(), fingerprint, n, gpu.name)``; ``attribution`` is
-  the per-cell bottleneck block of ``BENCH_spmm.json`` (or None);
+  semiring.name, params)``.  Sweeps replay from these: a sweep cell is
+  a pure function of its timing and ``2·nnz·N``;
 * ``shard`` entries — one completed corpus-sweep shard (the run-ordered
   cell list plus per-matrix stats; see ``repro.bench.corpus``) keyed on
   the shard's spec keys, kernel cache keys, widths, and GPU names.
@@ -49,7 +46,7 @@ import os
 import threading
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Dict, Iterator, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, Optional, Union
 
 from repro.gpusim.memory import AccessStats, ArrayTraffic, KernelStats
 from repro.gpusim.occupancy import LaunchConfig, Occupancy
@@ -68,10 +65,10 @@ PathLike = Union[str, Path]
 
 #: Version tag baked into every entry digest *and* stored in the file.
 #: Bump on any change to payload semantics (new KernelTiming fields, a
-#: different cell tuple, ...) — old entries then miss cleanly.
-#: v2: KernelTiming grew ``factors`` and sweep cells carry the
-#: bottleneck-attribution block next to (time_s, gflops).
-SCHEMA = "repro/diskcache/v2"
+#: different shard layout, ...) — old entries then miss cleanly.
+#: v2: KernelTiming grew ``factors``.
+#: v3: the ``cell`` kind is gone; sweeps now replay from ``timing`` entries.
+SCHEMA = "repro/diskcache/v3"
 
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
@@ -255,30 +252,6 @@ class DiskCache:
     def put_timing(self, key: tuple, timing: KernelTiming) -> None:
         self._put("timing", key, timing_to_json(timing))
 
-    def get_cell(
-        self, key: tuple
-    ) -> Optional[Tuple[float, float, Optional[Dict[str, Any]]]]:
-        payload = self._get("cell", key)
-        if payload is None:
-            return None
-        try:
-            attribution = payload[2]
-            if attribution is not None and not isinstance(attribution, dict):
-                raise TypeError("attribution must be an object or null")
-            return float(payload[0]), float(payload[1]), attribution
-        except (TypeError, ValueError, IndexError):
-            self._invalidate(self._path("cell", key), "cell")
-            return None
-
-    def put_cell(
-        self,
-        key: tuple,
-        time_s: float,
-        gflops: float,
-        attribution: Optional[Dict[str, Any]] = None,
-    ) -> None:
-        self._put("cell", key, [time_s, gflops, attribution])
-
     def get_shard(self, key: tuple) -> Optional[Dict[str, Any]]:
         """A completed corpus-sweep shard checkpoint, or None.
 
@@ -314,7 +287,7 @@ class DiskCache:
         fingerprint (as a quoted string — fingerprints are 32-hex-char
         BLAKE2b digests, so an accidental match inside an unrelated key
         component is not a realistic collision).  Matching ``timing``
-        and ``cell`` entries are unlinked; ``shard`` checkpoints whose
+        entries are unlinked; ``shard`` checkpoints whose
         spec keys embed the print are dropped too, forcing those shards
         to recompute rather than replay stale cells.  Entries for every
         other matrix are untouched.  Returns the number removed, counted

@@ -17,12 +17,9 @@ beyond-tolerance drift as either
 The report is deterministic in both renderings (:meth:`GateReport.format`
 for humans, :meth:`GateReport.to_json` for tooling), and the CLI wrapper
 (``repro-bench gate``, ``make gate``) maps the outcome onto CI-friendly
-exit codes: 0 pass, 1 regression, 2 unusable input.
-
-Interop with the older flat-map harness (:mod:`repro.bench.regression`)
-goes through :func:`repro.bench.regression.document_measurements`: a
-BENCH document collapses to the ``{key: seconds}`` shape that
-``capture``/``compare`` use, and both layers share one cell-key format.
+exit codes: 0 pass, 1 regression, 2 unusable input.  Cells are keyed
+``kernel|graph|N=<n>|gpu`` (:func:`measurement_key`), the form
+accepted-drift patterns glob against.
 """
 
 from __future__ import annotations
@@ -34,7 +31,6 @@ from fnmatch import fnmatchcase
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.bench.regression import measurement_key
 from repro.bench.telemetry import validate_bench_document
 
 __all__ = [
@@ -48,6 +44,7 @@ __all__ = [
     "AcceptedDrift",
     "Drift",
     "GateReport",
+    "measurement_key",
     "load_bench_document",
     "load_accepted_drift",
     "geomean_key",
@@ -428,6 +425,11 @@ def _attach_explanations(
 def geomean_key(g: Dict[str, Any]) -> str:
     """Stable key for one geomean record, glob-matchable like cell keys."""
     return f"geomean:{g['target']} vs {g['baseline']}|N={g['n']}|{g['gpu']}"
+
+
+def measurement_key(kernel: str, graph: str, n: int, gpu: str) -> str:
+    """The canonical cell key: ``kernel|graph|N=<n>|gpu``."""
+    return f"{kernel}|{graph}|N={int(n)}|{gpu}"
 
 
 def _cell_key(cell: Dict[str, Any]) -> str:

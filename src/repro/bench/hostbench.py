@@ -157,7 +157,7 @@ def bench_delta_apply(
 def bench_disk_cache_sweep() -> Dict[str, Any]:
     """Cold vs. disk-warm sweep through a throwaway :class:`DiskCache`.
 
-    Runs one small sweep cold, wipes the in-process memos (simulating a
+    Runs one small sweep cold, wipes the in-process memo (simulating a
     fresh process), and re-runs it against the same cache directory.  The
     warm run must recompute nothing (``memo_misses == 0``) and reproduce
     every cell byte for byte — the same contract CI asserts on the real
@@ -167,7 +167,7 @@ def bench_disk_cache_sweep() -> Dict[str, Any]:
     import tempfile
 
     from repro.bench.diskcache import DiskCache, use_disk_cache
-    from repro.bench.runner import clear_sweep_cache, run_sweep_with_stats
+    from repro.bench.runner import run_sweep_with_stats
     from repro.core import CRCSpMM, GESpMM, SimpleSpMM
     from repro.gpusim import GTX_1080TI
     from repro.gpusim.kernel import clear_estimate_memo
@@ -180,12 +180,10 @@ def bench_disk_cache_sweep() -> Dict[str, Any]:
     try:
         cache = DiskCache(root)
         with use_disk_cache(cache):
-            clear_sweep_cache()
             clear_estimate_memo()
             t0 = time.perf_counter()
             cold, _ = run_sweep_with_stats(kernels, graphs, widths, gpus)
             cold_s = time.perf_counter() - t0
-            clear_sweep_cache()
             clear_estimate_memo()  # simulate a fresh process
             t0 = time.perf_counter()
             warm, host_warm = run_sweep_with_stats(kernels, graphs, widths, gpus)
@@ -201,14 +199,11 @@ def bench_disk_cache_sweep() -> Dict[str, Any]:
             "byte_identical": dump(warm) == dump(cold),
         }
     finally:
-        clear_sweep_cache()
         clear_estimate_memo()
         shutil.rmtree(root, ignore_errors=True)
 
 
-def bench_corpus_stream(
-    n_specs: int = 1000, shards: int = 10, memo_limit: int = 256
-) -> Dict[str, Any]:
+def bench_corpus_stream(n_specs: int = 1000, shards: int = 10) -> Dict[str, Any]:
     """Stream a ≥``n_specs``-matrix generator-defined corpus through
     :func:`repro.bench.corpus.run_corpus_sweep` and verify peak memory
     stays **flat across shards** — the bounded-memory contract.
@@ -253,7 +248,6 @@ def bench_corpus_stream(
             [16],
             [GTX_1080TI],
             shard_size=shard_size,
-            memo_limit=memo_limit,
             progress=sample,
         )
         wall_s = time.perf_counter() - t0

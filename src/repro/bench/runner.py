@@ -10,17 +10,14 @@ from __future__ import annotations
 
 import math
 import sys
-import threading
 import time
-from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.bench.diskcache import get_disk_cache
 from repro.gpusim.config import GPUSpec
-from repro.gpusim.kernel import SpMMKernel
+from repro.gpusim.kernel import SpMMKernel, clear_estimate_memo
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.ops import flops_of_spmm
 
@@ -31,10 +28,6 @@ __all__ = [
     "run_sweep",
     "run_sweep_with_stats",
     "clear_sweep_cache",
-    "invalidate_sweep_cells_for",
-    "set_sweep_cache_limit",
-    "get_sweep_cache_limit",
-    "csr_fingerprint",
     "speedup_series",
     "format_table",
     "format_series",
@@ -114,134 +107,23 @@ class SweepHostStats:
         }
 
 
-def csr_fingerprint(a: CSRMatrix) -> str:
-    """Content hash of a CSR matrix: the graph component of the sweep
-    memoization key.  Two structurally identical matrices (same shape,
-    structure, and values) share a fingerprint regardless of identity.
-
-    Delegates to :meth:`CSRMatrix.fingerprint`, which caches the digest
-    on the (immutable) matrix; kept as a re-export for callers keyed on
-    the PR-3 sweep-memo API.
-    """
-    return a.fingerprint()
-
-
-#: (kernel.cache_key(), csr_fingerprint, n, gpu.name)
-#:   -> (time_s, gflops, attribution)
-#: Recency-ordered so an optional LRU cap (corpus-scale streaming) can
-#: evict the coldest cells; unbounded by default.
-_SWEEP_CACHE: "OrderedDict[tuple, Tuple[float, float, Optional[Dict[str, Any]]]]" = (
-    OrderedDict()
-)
-_SWEEP_CACHE_LOCK = threading.Lock()
-#: None = unlimited — the historical default, unchanged for existing
-#: sweeps.  ``repro.bench.corpus`` caps it while streaming a corpus.
-_SWEEP_CACHE_LIMIT: Optional[int] = None
-
-
 def clear_sweep_cache() -> None:
-    """Drop all memoized sweep cells (for tests and long-lived hosts)."""
-    with _SWEEP_CACHE_LOCK:
-        _SWEEP_CACHE.clear()
-
-
-def invalidate_sweep_cells_for(fingerprint: str) -> int:
-    """Drop every memoized sweep cell keyed on one matrix fingerprint.
-
-    The targeted alternative to :func:`clear_sweep_cache` for dynamic
-    graphs (``repro.sparse.delta``): only the superseded matrix's cells
-    — ``key[1]`` is the fingerprint component — are reclaimed.  Returns
-    the number dropped (also counted as ``sweep.memo.invalidations``).
-    """
-    with _SWEEP_CACHE_LOCK:
-        stale = [k for k in _SWEEP_CACHE if k[1] == fingerprint]
-        for k in stale:
-            del _SWEEP_CACHE[k]
-    if stale:
-        obs.get_registry().counter("sweep.memo.invalidations").inc(len(stale))
-    return len(stale)
-
-
-def set_sweep_cache_limit(limit: Optional[int]) -> Optional[int]:
-    """Cap the sweep memo at ``limit`` cells, LRU-evicting beyond it
-    (``sweep.memo.evictions`` counts the drops); ``None`` removes the cap
-    (the default).  Returns the previous limit so callers can restore it.
-    """
-    global _SWEEP_CACHE_LIMIT
-    if limit is not None and limit < 1:
-        raise ValueError(f"limit must be a positive int or None, got {limit!r}")
-    with _SWEEP_CACHE_LOCK:
-        prev = _SWEEP_CACHE_LIMIT
-        _SWEEP_CACHE_LIMIT = limit
-        evicted = _trim_sweep_cache_locked()
-    if evicted:
-        obs.get_registry().counter("sweep.memo.evictions").inc(evicted)
-    return prev
-
-
-def get_sweep_cache_limit() -> Optional[int]:
-    """The current sweep-memo cell cap (None = unlimited)."""
-    with _SWEEP_CACHE_LOCK:
-        return _SWEEP_CACHE_LIMIT
-
-
-def _trim_sweep_cache_locked() -> int:
-    """Evict LRU cells down to the cap; caller holds the lock."""
-    evicted = 0
-    if _SWEEP_CACHE_LIMIT is not None:
-        while len(_SWEEP_CACHE) > _SWEEP_CACHE_LIMIT:
-            _SWEEP_CACHE.popitem(last=False)
-            evicted += 1
-    return evicted
-
-
-def _sweep_cache_put(
-    memo_key: tuple, cell: Tuple[float, float, Optional[Dict[str, Any]]]
-) -> None:
-    """Insert into the sweep memo, LRU-trimming past the cap."""
-    with _SWEEP_CACHE_LOCK:
-        _SWEEP_CACHE[memo_key] = cell
-        _SWEEP_CACHE.move_to_end(memo_key)
-        evicted = _trim_sweep_cache_locked()
-    if evicted:
-        obs.get_registry().counter("sweep.memo.evictions").inc(evicted)
+    """Alias of :func:`repro.gpusim.kernel.clear_estimate_memo`: sweep
+    cells are derived from the estimate memo, which is the only cache."""
+    clear_estimate_memo()
 
 
 def _cell_values(
-    kernel: SpMMKernel,
-    graph: CSRMatrix,
-    n: int,
-    gpu: GPUSpec,
-    memo_key: Optional[tuple],
+    kernel: SpMMKernel, graph: CSRMatrix, n: int, gpu: GPUSpec
 ) -> Tuple[float, float, Optional[Dict[str, Any]], bool]:
     """(time_s, gflops, attribution, was_memo_hit) for one sweep cell.
 
-    Consults the in-process memo first, then — when a disk cache is
-    active (``--cache-dir`` / ``REPRO_CACHE_DIR``) — the cross-process
-    ``cell`` store under the same content-addressed key.  A disk hit
-    counts as a memo hit: the cell was served, not recomputed.
+    A pure function of the estimate memo's timing and ``2·nnz·N``; a hit
+    means the estimate was served from the memo or the disk cache without
+    calling ``count()``.
     """
-    disk = get_disk_cache() if memo_key is not None else None
-    if memo_key is not None:
-        with _SWEEP_CACHE_LOCK:
-            hit = _SWEEP_CACHE.get(memo_key)
-            if hit is not None:
-                _SWEEP_CACHE.move_to_end(memo_key)  # refresh LRU recency
-        if hit is not None:
-            return hit[0], hit[1], hit[2], True
-        if disk is not None:
-            cell = disk.get_cell(memo_key)
-            if cell is not None:
-                _sweep_cache_put(memo_key, cell)
-                return cell[0], cell[1], cell[2], True
-    t = kernel.estimate(graph, n, gpu)
-    gflops = t.gflops(flops_of_spmm(graph, n))
-    attribution = t.attribution()
-    if memo_key is not None:
-        _sweep_cache_put(memo_key, (t.time_s, gflops, attribution))
-        if disk is not None:
-            disk.put_cell(memo_key, t.time_s, gflops, attribution)
-    return t.time_s, gflops, attribution, False
+    t, computed = kernel._estimate(graph, n, gpu)
+    return t.time_s, t.gflops(flops_of_spmm(graph, n)), t.attribution(), not computed
 
 
 def run_sweep_with_stats(
@@ -252,7 +134,6 @@ def run_sweep_with_stats(
     progress: Optional[Callable[[str], None]] = None,
     quiet: bool = True,
     jobs: int = 1,
-    memoize: bool = True,
 ) -> Tuple[List[KernelResult], SweepHostStats]:
     """:func:`run_sweep` plus host-side throughput statistics.
 
@@ -265,31 +146,21 @@ def run_sweep_with_stats(
     and every span/gauge/event is then emitted serially in exactly the
     serial order, from the computed values.
 
-    ``memoize`` consults a process-wide content-addressed cache keyed by
-    ``(kernel.cache_key(), csr_fingerprint(graph), n, gpu.name)`` — so
-    repeated cells (gate regeneration, repeated benchmark scripts) hit
-    memory instead of recomputing.  See ``docs/PERFORMANCE.md``.
+    Each cell is derived from :meth:`SpMMKernel.estimate`'s memo (and its
+    disk entries), so repeated cells (gate regeneration, repeated
+    benchmark scripts) hit memory instead of recomputing; the
+    ``memo_hits``/``memo_misses`` stats count cells served versus
+    computed.  See ``docs/PERFORMANCE.md``.
     """
     t0 = time.perf_counter()
     registry = obs.get_registry()
     jobs = max(int(jobs), 1)
 
-    prints: Dict[str, str] = (
-        {gname: csr_fingerprint(graph) for gname, graph in graphs.items()}
-        if memoize
-        else {}
-    )
-
-    def memo_key(kernel: SpMMKernel, gname: str, n: int, gpu: GPUSpec):
-        if not memoize:
-            return None
-        return (kernel.cache_key(), prints[gname], int(n), gpu.name)
-
     # Cell work-list in serial emission order.
     cells = [
-        (gpu, gname, graph, n, kernel)
+        (kernel, graph, n, gpu)
         for gpu in gpus
-        for gname, graph in graphs.items()
+        for graph in graphs.values()
         for n in widths
         for kernel in kernels
     ]
@@ -301,13 +172,7 @@ def run_sweep_with_stats(
         prev = obs.set_tracer(None)
         try:
             with ThreadPoolExecutor(max_workers=jobs) as pool:
-                futures = [
-                    pool.submit(
-                        _cell_values, kernel, graph, n, gpu,
-                        memo_key(kernel, gname, n, gpu),
-                    )
-                    for gpu, gname, graph, n, kernel in cells
-                ]
+                futures = [pool.submit(_cell_values, *cell) for cell in cells]
                 for i, fut in enumerate(futures):
                     values[i] = fut.result()
         finally:
@@ -324,10 +189,7 @@ def run_sweep_with_stats(
                         with obs.span("sweep.cell", kernel=kernel.name, graph=gname,
                                       n=int(n), gpu=gpu.name) as cell:
                             if values[i] is None:
-                                values[i] = _cell_values(
-                                    kernel, graph, n, gpu,
-                                    memo_key(kernel, gname, n, gpu),
-                                )
+                                values[i] = _cell_values(kernel, graph, n, gpu)
                             time_s, gflops, attribution, was_hit = values[i]
                             i += 1
                             obs.add_sim_time(time_s)
@@ -378,7 +240,6 @@ def run_sweep(
     progress: Optional[Callable[[str], None]] = None,
     quiet: bool = True,
     jobs: int = 1,
-    memoize: bool = True,
 ) -> List[KernelResult]:
     """Estimate every kernel on every (graph, N, GPU) combination.
 
@@ -392,13 +253,13 @@ def run_sweep(
     benchmark scripts' stdout byte-identical.
 
     ``jobs`` parallelizes the cell computations (deterministic result
-    order for any value) and ``memoize`` reuses previously computed cells
-    across calls; see :func:`run_sweep_with_stats` for details and for
-    host-side throughput reporting.
+    order for any value) and the estimate memo reuses previously computed
+    cells across calls; see :func:`run_sweep_with_stats` for details and
+    for host-side throughput reporting.
     """
     results, _ = run_sweep_with_stats(
         kernels, graphs, widths, gpus,
-        progress=progress, quiet=quiet, jobs=jobs, memoize=memoize,
+        progress=progress, quiet=quiet, jobs=jobs,
     )
     return results
 

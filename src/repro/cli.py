@@ -85,6 +85,18 @@ def _load_graph_arg(args):
     return load_graph(args.graph, max_nnz=args.max_nnz)
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts and widths: ``0``/negatives exit 2 with a
+    usage error instead of failing deep inside the model."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _gpu_arg(name: str):
     if name not in KNOWN_GPUS:
         raise SystemExit(f"unknown GPU {name!r}; choose from {sorted(KNOWN_GPUS)}")
@@ -427,7 +439,7 @@ def cmd_report(args) -> int:
 
 
 def cmd_cache(args) -> int:
-    """Inspect or clear the on-disk estimate/sweep cache."""
+    """Inspect or clear the on-disk estimate/shard cache."""
     import os
 
     from repro.bench.diskcache import CACHE_DIR_ENV, DiskCache
@@ -482,8 +494,7 @@ def cmd_corpus(args) -> int:
             jobs=args.jobs,
             resume=args.resume,
             max_shards=args.max_shards,
-            memo_limit=args.memo_limit,
-            progress=(
+                progress=(
                 None
                 if args.quiet
                 else lambda i, total, restored: print(
@@ -580,7 +591,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("profile", help="nvprof-style kernel comparison")
     add_graph_opts(sp)
-    sp.add_argument("--n", type=int, default=128, help="dense feature width")
+    sp.add_argument("--n", type=_positive_int, default=128, help="dense feature width")
     sp.add_argument("--kernels", nargs="+", default=["simple", "crc", "gespmm", "cusparse"],
                     choices=sorted(ALL_KERNELS))
     add_telemetry_opts(sp)
@@ -588,16 +599,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sweep", help="mini SNAP sweep (Fig 11 style)")
     add_graph_opts(sp)
-    sp.add_argument("--graphs", type=int, default=8)
-    sp.add_argument("--n", type=int, nargs="+", default=[128, 512])
+    sp.add_argument("--graphs", type=_positive_int, default=8)
+    sp.add_argument("--n", type=_positive_int, nargs="+", default=[128, 512])
     sp.add_argument("--bench-json", default=None, metavar="PATH",
                     help="write machine-readable sweep telemetry (BENCH_spmm.json)")
-    sp.add_argument("--jobs", type=int, default=1, metavar="N",
+    sp.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
                     help="parallel sweep workers (results are byte-identical "
                          "to serial for any N; see docs/PERFORMANCE.md)")
     sp.add_argument("--cache-dir", default=None, metavar="DIR",
-                    help="persist kernel estimates and sweep cells across "
-                         "processes in a content-addressed cache at DIR "
+                    help="persist kernel estimates (which sweep cells are "
+                         "derived from) across processes in a content-addressed cache at DIR "
                          "(also honours $REPRO_CACHE_DIR; safe to delete "
                          "any time — see docs/PERFORMANCE.md)")
     add_telemetry_opts(sp)
@@ -624,14 +635,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("roofline", help="roofline placement of kernels")
     add_graph_opts(sp)
-    sp.add_argument("--n", type=int, default=256)
+    sp.add_argument("--n", type=_positive_int, default=256)
     sp.add_argument("--kernels", nargs="+", default=["simple", "crc", "gespmm", "cusparse"],
                     choices=sorted(ALL_KERNELS))
     sp.set_defaults(fn=cmd_roofline)
 
     sp = sub.add_parser("tune", help="per-matrix coarsening-factor tuning")
     add_graph_opts(sp)
-    sp.add_argument("--n", type=int, default=512)
+    sp.add_argument("--n", type=_positive_int, default=512)
     sp.set_defaults(fn=cmd_tune)
 
     sp = sub.add_parser(
@@ -657,11 +668,11 @@ def build_parser() -> argparse.ArgumentParser:
                     help="also write the machine-readable gate report")
     # Regeneration knobs; must mirror `make telemetry` for a clean tree
     # to gate green against the committed document.
-    sp.add_argument("--graphs", type=int, default=6)
-    sp.add_argument("--n", type=int, nargs="+", default=[128, 512])
+    sp.add_argument("--graphs", type=_positive_int, default=6)
+    sp.add_argument("--n", type=_positive_int, nargs="+", default=[128, 512])
     sp.add_argument("--max-nnz", type=int, default=300_000)
     sp.add_argument("--gpu", default=GTX_1080TI.name, choices=sorted(KNOWN_GPUS))
-    sp.add_argument("--jobs", type=int, default=1, metavar="N",
+    sp.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
                     help="parallel workers for in-process regeneration "
                          "(deterministic for any N)")
     sp.add_argument("--cache-dir", default=None, metavar="DIR",
@@ -698,7 +709,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser(
         "cache",
-        help="inspect (stats) or clear the on-disk estimate/sweep cache",
+        help="inspect (stats) or clear the on-disk estimate/shard cache",
     )
     sp.add_argument("action", choices=["stats", "clear"])
     sp.add_argument("--cache-dir", default=None, metavar="DIR",
@@ -714,11 +725,11 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=["dlmc", "graphs", "mixed"],
                     help="which corpus to stream (DLMC-style pruned-DNN "
                          "matrices, graph generators, or both)")
-    sp.add_argument("--limit", type=int, default=None, metavar="N",
+    sp.add_argument("--limit", type=_positive_int, default=None, metavar="N",
                     help="corpus size (widens the seed range to reach N)")
-    sp.add_argument("--shards", type=int, default=None, metavar="S",
+    sp.add_argument("--shards", type=_positive_int, default=None, metavar="S",
                     help="partition the corpus into S shards")
-    sp.add_argument("--shard-size", type=int, default=32, metavar="M",
+    sp.add_argument("--shard-size", type=_positive_int, default=32, metavar="M",
                     help="matrices per shard (ignored with --shards)")
     sp.add_argument("--max-shards", type=int, default=None, metavar="S",
                     help="stop after S shards (simulates an interrupted "
@@ -727,17 +738,15 @@ def build_parser() -> argparse.ArgumentParser:
                     default=True,
                     help="restore completed shards from the disk cache "
                          "(--no-resume recomputes but still checkpoints)")
-    sp.add_argument("--n", type=int, nargs="+", default=[64])
+    sp.add_argument("--n", type=_positive_int, nargs="+", default=[64])
     sp.add_argument("--gpu", default=GTX_1080TI.name, choices=sorted(KNOWN_GPUS))
     sp.add_argument("--kernels", nargs="+", default=["gespmm", "mergepath"],
                     choices=sorted(ALL_KERNELS))
-    sp.add_argument("--jobs", type=int, default=1, metavar="N",
+    sp.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
                     help="parallel workers inside each shard (byte-identical "
                          "for any N)")
-    sp.add_argument("--memo-limit", type=int, default=4096, metavar="E",
-                    help="LRU cap on the estimate/sweep memos while streaming")
     sp.add_argument("--cache-dir", default=None, metavar="DIR",
-                    help="checkpoint completed shards (and estimates/cells) "
+                    help="checkpoint completed shards (and estimates) "
                          "here; a killed run resumes with zero recomputation")
     sp.add_argument("--rollup-json", default=None, metavar="PATH",
                     help="write the deterministic win-rate roll-up JSON")
@@ -751,12 +760,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_corpus)
 
     sp = sub.add_parser("oom", help="paper-scale out-of-memory report")
-    sp.add_argument("--n", type=int, default=512)
+    sp.add_argument("--n", type=_positive_int, default=512)
     sp.set_defaults(fn=cmd_oom)
 
     sp = sub.add_parser("trace", help="observed profile run that dumps telemetry")
     add_graph_opts(sp)
-    sp.add_argument("--n", type=int, default=128, help="dense feature width")
+    sp.add_argument("--n", type=_positive_int, default=128, help="dense feature width")
     sp.add_argument("--kernels", nargs="+", default=["simple", "crc", "gespmm", "cusparse"],
                     choices=sorted(ALL_KERNELS))
     sp.add_argument("--per-warp", action="store_true",

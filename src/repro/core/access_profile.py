@@ -29,7 +29,7 @@ instead of O(nnz x segments).
 
 :class:`AccessProfile` instances are built lazily, cached on the
 (immutable) :class:`~repro.sparse.csr.CSRMatrix` via
-:func:`access_profile`, and memoize their per-``N``/per-tile results, so
+:func:`access_profile`, and cache their per-``N``/per-tile results, so
 a sweep touching the same matrix at many widths, kernels, and GPUs pays
 the O(nnz) histogram pass exactly once.  Hits and misses surface as the
 ``access_profile.hits`` / ``.misses`` counters.  Exactness against the
@@ -78,11 +78,11 @@ class AccessTotals:
 
 
 class AccessProfile:
-    """Lazily-memoized sector-count closed forms for one CSR matrix.
+    """Lazily-cached sector-count closed forms for one CSR matrix.
 
     Construction runs the two O(nnz) histogram passes; every query after
     that is O(distinct row lengths) (aligned) or O(8 x segments)
-    (unaligned) and memoized per ``n``/``tile``.
+    (unaligned) and cached per ``n``/``tile``.
     """
 
     __slots__ = (
@@ -342,7 +342,7 @@ class AccessProfile:
             col_counts = np.bincount(
                 parent_colind, minlength=self.ncols
             ).astype(np.int64)
-            self._col_counts = col_counts  # memoize: one seed per parent
+            self._col_counts = col_counts  # cache: one seed per parent
         new_counts = col_counts.copy()
         np.subtract.at(new_counts, removed_cols, 1)
         np.add.at(new_counts, added_cols, 1)

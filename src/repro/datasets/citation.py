@@ -64,7 +64,7 @@ _cache: Dict[str, CitationDataset] = {}
 
 
 def load_citation(name: str, seed: int = 7) -> CitationDataset:
-    """Build (and memoize) the synthetic twin of ``name``."""
+    """Build (and cache) the synthetic twin of ``name``."""
     key = f"{name}:{seed}"
     if key in _cache:
         return _cache[key]

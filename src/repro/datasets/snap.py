@@ -130,7 +130,7 @@ def _entry(name: str) -> SnapEntry:
 
 
 def load_graph(name: str, max_nnz: Optional[int] = 300_000, seed: int = 11) -> CSRMatrix:
-    """Build (and memoize) the synthetic twin of one catalog matrix,
+    """Build (and cache) the synthetic twin of one catalog matrix,
     scaled so that nnz <= ``max_nnz`` while preserving nnz/row."""
     key = (name, max_nnz, seed)
     if key in _cache:

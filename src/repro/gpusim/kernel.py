@@ -10,13 +10,13 @@ A kernel model couples three views of the same algorithm:
                  :class:`repro.gpusim.memory.TraceMemory`; exact but slow,
                  used on small inputs by tests and profiling examples.
 
-``estimate`` ties ``count`` to the timing model.  Results are memoized in
-a process-wide content-addressed cache keyed on ``(kernel.cache_key(),
-CSRMatrix.fingerprint(), N, gpu, semiring, params)`` — the same scheme as
-the sweep memo (``docs/PERFORMANCE.md``) — because benchmark sweeps
-re-time the same kernel/matrix pair at several places and full-batch
-training re-evaluates the cost model every epoch.  Hits and misses
-surface as the ``kernel.estimate_memo.hits`` / ``.misses`` counters;
+``estimate`` ties ``count`` to the timing model.  Results are kept in a
+process-wide content-addressed cache keyed on ``(kernel.cache_key(),
+CSRMatrix.fingerprint(), N, gpu, semiring, params)`` — the only cache of
+simulated results: benchmark sweeps derive every cell from it
+(``docs/PERFORMANCE.md``) and full-batch training re-evaluates the cost
+model every epoch.  Hits and misses surface as the
+``kernel.estimate_memo.hits`` / ``.misses`` counters;
 :func:`clear_estimate_memo` resets the cache.
 """
 
@@ -24,8 +24,7 @@ from __future__ import annotations
 
 import threading
 from abc import ABC, abstractmethod
-from collections import OrderedDict
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -42,8 +41,6 @@ __all__ = [
     "KernelCounts",
     "clear_estimate_memo",
     "invalidate_estimates_for",
-    "set_estimate_memo_limit",
-    "get_estimate_memo_limit",
 ]
 
 KernelCounts = Tuple[KernelStats, LaunchConfig, ExecHints]
@@ -51,15 +48,10 @@ KernelCounts = Tuple[KernelStats, LaunchConfig, ExecHints]
 #: (cache_key(), fingerprint, n, gpu.name, semiring.name, params) -> timing.
 #: Content-addressed and process-wide: equally configured kernel instances
 #: share entries, and GC id reuse can never alias two different matrices.
-#: Insertion/recency-ordered so an optional LRU cap (corpus-scale sweeps)
-#: can evict the coldest entries; unbounded by default.
-_ESTIMATE_MEMO: "OrderedDict[tuple, KernelTiming]" = OrderedDict()
+#: Unbounded: corpus sweeps clear it at every shard boundary.
+_ESTIMATE_MEMO: Dict[tuple, KernelTiming] = {}
 #: estimates run inside run_sweep's thread pool, so guard the dict.
 _ESTIMATE_MEMO_LOCK = threading.Lock()
-#: None = unlimited (the historical default; existing sweeps see no
-#: change).  Corpus-scale drivers cap it so streaming thousands of
-#: matrices through one process cannot grow the memo without bound.
-_ESTIMATE_MEMO_LIMIT: Optional[int] = None
 
 
 def clear_estimate_memo() -> None:
@@ -69,7 +61,7 @@ def clear_estimate_memo() -> None:
 
 
 def invalidate_estimates_for(fingerprint: str) -> int:
-    """Drop every memoized estimate keyed on one matrix fingerprint.
+    """Drop every estimate memo entry keyed on one matrix fingerprint.
 
     The targeted alternative to :func:`clear_estimate_memo` for dynamic
     graphs (``repro.sparse.delta``): when a matrix version is superseded,
@@ -88,48 +80,9 @@ def invalidate_estimates_for(fingerprint: str) -> int:
     return len(stale)
 
 
-def set_estimate_memo_limit(limit: Optional[int]) -> Optional[int]:
-    """Cap the estimate memo at ``limit`` entries, LRU-evicting beyond it
-    (``kernel.estimate_memo.evictions`` counts the drops); ``None``
-    removes the cap (the default).  Returns the previous limit so callers
-    can restore it.
-    """
-    global _ESTIMATE_MEMO_LIMIT
-    if limit is not None and limit < 1:
-        raise ValueError(f"limit must be a positive int or None, got {limit!r}")
-    with _ESTIMATE_MEMO_LOCK:
-        prev = _ESTIMATE_MEMO_LIMIT
-        _ESTIMATE_MEMO_LIMIT = limit
-        evicted = _trim_estimate_memo_locked()
-    if evicted:
-        obs.get_registry().counter("kernel.estimate_memo.evictions").inc(evicted)
-    return prev
-
-
-def get_estimate_memo_limit() -> Optional[int]:
-    """The current estimate-memo entry cap (None = unlimited)."""
-    with _ESTIMATE_MEMO_LOCK:
-        return _ESTIMATE_MEMO_LIMIT
-
-
-def _trim_estimate_memo_locked() -> int:
-    """Evict LRU entries down to the cap; caller holds the lock."""
-    evicted = 0
-    if _ESTIMATE_MEMO_LIMIT is not None:
-        while len(_ESTIMATE_MEMO) > _ESTIMATE_MEMO_LIMIT:
-            _ESTIMATE_MEMO.popitem(last=False)
-            evicted += 1
-    return evicted
-
-
 def _memo_put(key: tuple, timing: KernelTiming) -> None:
-    """Insert into the memo, LRU-trimming past the cap."""
     with _ESTIMATE_MEMO_LOCK:
         _ESTIMATE_MEMO[key] = timing
-        _ESTIMATE_MEMO.move_to_end(key)
-        evicted = _trim_estimate_memo_locked()
-    if evicted:
-        obs.get_registry().counter("kernel.estimate_memo.evictions").inc(evicted)
 
 
 def _disk_cache():
@@ -193,13 +146,25 @@ class SpMMKernel(ABC):
         params: Optional[TimingParams] = None,
     ) -> KernelTiming:
         """Simulated kernel time for ``A (MxK) @ B (KxN)`` on ``gpu``."""
+        return self._estimate(a, n, gpu, semiring, params)[0]
+
+    def _estimate(
+        self,
+        a: CSRMatrix,
+        n: int,
+        gpu: GPUSpec,
+        semiring: Semiring = PLUS_TIMES,
+        params: Optional[TimingParams] = None,
+    ) -> Tuple[KernelTiming, bool]:
+        """:meth:`estimate` plus whether this call ran :meth:`count`
+        (False: served from the memo or the disk cache).  The sweep
+        runner's hit/miss accounting reads the flag; kernels that adjust
+        the timing override this method so both paths see the change."""
         self.check_semiring(semiring)
         params = params or TimingParams()
         key = (self.cache_key(), a.fingerprint(), int(n), gpu.name, semiring.name, params)
         with _ESTIMATE_MEMO_LOCK:
             cached = _ESTIMATE_MEMO.get(key)
-            if cached is not None:
-                _ESTIMATE_MEMO.move_to_end(key)  # refresh LRU recency
         registry = obs.get_registry()
         if cached is not None:
             registry.counter(
@@ -208,7 +173,7 @@ class SpMMKernel(ABC):
             registry.counter(
                 "sim.kernel.estimates", kernel=self.name, gpu=gpu.name, cached=True
             ).inc()
-            return cached
+            return cached, False
         registry.counter(
             "kernel.estimate_memo.misses", kernel=self.name, gpu=gpu.name
         ).inc()
@@ -220,7 +185,7 @@ class SpMMKernel(ABC):
                 registry.counter(
                     "sim.kernel.estimates", kernel=self.name, gpu=gpu.name, cached=True
                 ).inc()
-                return timing
+                return timing, False
         registry.counter(
             "sim.kernel.estimates", kernel=self.name, gpu=gpu.name, cached=False
         ).inc()
@@ -233,13 +198,13 @@ class SpMMKernel(ABC):
         _memo_put(key, timing)
         if disk is not None:
             disk.put_timing(key, timing)
-        return timing
+        return timing, True
 
     # -- misc ------------------------------------------------------------
     def cache_key(self) -> tuple:
         """Hashable description of this kernel's configuration, stable
         across instances with equal config — the kernel component of the
-        sweep memoization key (``docs/PERFORMANCE.md``).  Covers the
+        estimate memo key (``docs/PERFORMANCE.md``).  Covers the
         class plus every public primitive attribute; kernels holding
         non-primitive config (e.g. an epilogue object) should extend it.
         """

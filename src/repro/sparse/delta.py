@@ -54,8 +54,7 @@ Because every cache key is content-addressed, the *new* matrix can never
 read the old matrix's entries — no invalidation is needed for
 correctness.  What a streaming workload does need is garbage collection:
 once a graph version is superseded, its entries in the process-wide
-estimate memo, the sweep-cell memo, and the on-disk cache are dead
-weight.  :func:`invalidate_matrix_caches` drops exactly those entries —
+estimate memo and the on-disk cache are dead weight.  :func:`invalidate_matrix_caches` drops exactly those entries —
 keyed on one fingerprint — and nothing else, so other matrices' cells
 keep replaying at 100% hit rate (CI asserts this).
 
@@ -483,16 +482,15 @@ def invalidate_matrix_caches(
     Targeted garbage collection for streaming updates: when a graph
     version is superseded by :func:`apply_delta`, call this with the
     *old* matrix (or its fingerprint) to reclaim its entries from the
-    process-wide kernel-estimate memo, the sweep-cell memo, and — when a
-    disk cache is active — the on-disk store.  Entries for every other
-    matrix are untouched, so their cells keep replaying at 100% hit rate
-    (the CI streaming-update check asserts exactly this).  Returns the
-    per-store drop counts; each is also counted under
+    process-wide kernel-estimate memo and — when a disk cache is active —
+    the on-disk store.  Entries for every other matrix are untouched, so
+    their cells keep replaying at 100% hit rate (the CI streaming-update
+    check asserts exactly this).  Returns the per-store drop counts
+    (``{"estimate_memo", "disk"}``); each is also counted under
     ``delta.invalidated`` with a ``store`` label.
     """
     from repro import obs
     from repro.bench.diskcache import get_disk_cache
-    from repro.bench.runner import invalidate_sweep_cells_for
     from repro.gpusim.kernel import invalidate_estimates_for
 
     fp = (
@@ -503,7 +501,6 @@ def invalidate_matrix_caches(
     disk = get_disk_cache()
     dropped = {
         "estimate_memo": invalidate_estimates_for(fp),
-        "sweep_memo": invalidate_sweep_cells_for(fp),
         "disk": disk.invalidate_matrix(fp) if disk is not None else 0,
     }
     registry = obs.get_registry()

@@ -31,6 +31,7 @@ from repro.bench.gate import (
     geomean_key,
     load_accepted_drift,
     load_bench_document,
+    measurement_key,
 )
 from repro.cli import main as cli_main
 from repro.core import GESpMM, SimpleSpMM
@@ -58,6 +59,17 @@ def _mutated(doc, **cell_updates):
 
 
 # -- document diffing -------------------------------------------------------
+
+
+def test_measurement_key_format(doc):
+    assert measurement_key("simple", "rand-a", 32, "GTX 1080Ti") == \
+        "simple|rand-a|N=32|GTX 1080Ti"
+    assert measurement_key("simple", "g", 32.0, "gpu") == "simple|g|N=32|gpu"
+    # Drift rows are keyed the same way, so annotations glob against it.
+    cell = doc["cells"][0]
+    cur = _mutated(doc, time_ms=cell["time_ms"] * 2)
+    key = measurement_key(cell["kernel"], cell["graph"], cell["n"], cell["gpu"])
+    assert [d.key for d in diff_documents(doc, cur).regressions] == [key]
 
 
 def test_identical_documents_pass(doc):

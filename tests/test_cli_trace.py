@@ -122,3 +122,25 @@ def test_unknown_graph_is_a_usage_error(command, capsys, tmp_path, monkeypatch):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and "nosuchgraph" in err[0]
     assert not (tmp_path / "trace.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--graphs", "1", "--n", "0"],
+    ["sweep", "--graphs", "1", "--n", "-8"],
+    ["sweep", "--graphs", "0"],
+    ["sweep", "--jobs", "0"],
+    ["gate", "--n", "128", "0"],
+    ["corpus", "--shards", "0"],
+    ["corpus", "--limit", "-3"],
+    ["corpus", "--shard-size", "0"],
+    ["profile", "--n", "0"],
+])
+def test_non_positive_count_is_a_usage_error(argv, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "must be a positive integer" in err.strip().splitlines()[-1]
+    assert list(tmp_path.iterdir()) == []

@@ -20,20 +20,11 @@ from repro.bench.corpus import (
     run_corpus_sweep,
 )
 from repro.bench.diskcache import CACHE_DIR_ENV, DiskCache, set_disk_cache
-from repro.bench.runner import (
-    clear_sweep_cache,
-    get_sweep_cache_limit,
-    set_sweep_cache_limit,
-)
 from repro.bench.telemetry import validate_corpus_rollup, write_corpus_rollup
 from repro.core import GESpMM, MergePathSpMM
 from repro.core.tuning import CorpusPriors, tune_cf
 from repro.gpusim.config import GTX_1080TI
-from repro.gpusim.kernel import (
-    clear_estimate_memo,
-    get_estimate_memo_limit,
-    set_estimate_memo_limit,
-)
+from repro.gpusim.kernel import clear_estimate_memo
 from repro.obs.metrics import MetricsRegistry, set_registry
 from repro.obs.report import render_corpus_markdown
 from repro.sparse import (
@@ -53,7 +44,6 @@ GPUS = [GTX_1080TI]
 def _isolated_caches():
     prev = set_disk_cache(None)
     env = os.environ.pop(CACHE_DIR_ENV, None)
-    clear_sweep_cache()
     clear_estimate_memo()
     try:
         yield
@@ -61,7 +51,6 @@ def _isolated_caches():
         set_disk_cache(prev)
         if env is not None:
             os.environ[CACHE_DIR_ENV] = env
-        clear_sweep_cache()
         clear_estimate_memo()
 
 
@@ -231,10 +220,10 @@ def test_corpus_sweep_rollup_is_valid_and_counts_add_up():
 def test_corpus_sweep_byte_identical_across_jobs_and_sharding():
     specs = _small_corpus(6)
     base = json.dumps(_sweep(specs, shard_size=2, jobs=1).rollup, sort_keys=True)
-    clear_sweep_cache(), clear_estimate_memo()
+    clear_estimate_memo()
     jobs2 = json.dumps(_sweep(specs, shard_size=2, jobs=2).rollup, sort_keys=True)
     assert jobs2 == base
-    clear_sweep_cache(), clear_estimate_memo()
+    clear_estimate_memo()
     # shard geometry doesn't change the roll-up (only "shards" does)
     fat = _sweep(specs, shard_size=6).rollup
     fat["corpus"]["shards"] = 3
@@ -256,7 +245,7 @@ def test_corpus_sweep_resume_byte_identical(tmp_path, registry):
     assert registry.counter("corpus.shards.restored").value == 2
     # uninterrupted (no cache): byte-identical roll-up
     set_disk_cache(None)
-    clear_sweep_cache(), clear_estimate_memo()
+    clear_estimate_memo()
     uninterrupted = _sweep(specs, shard_size=2)
     assert json.dumps(resumed.rollup, sort_keys=True) == json.dumps(
         uninterrupted.rollup, sort_keys=True
@@ -277,23 +266,14 @@ def test_corpus_sweep_no_resume_ignores_checkpoints(tmp_path):
     assert again.host.shards_computed == 2
 
 
-def test_corpus_sweep_restores_memo_limits_and_calls_progress():
-    prev_est = set_estimate_memo_limit(None)
-    prev_sweep = set_sweep_cache_limit(None)
-    try:
-        seen = []
-        _sweep(
-            _small_corpus(4),
-            shard_size=2,
-            memo_limit=8,
-            progress=lambda i, total, restored: seen.append((i, total, restored)),
-        )
-        assert seen == [(0, 2, False), (1, 2, False)]
-        assert get_estimate_memo_limit() is None  # restored on exit
-        assert get_sweep_cache_limit() is None
-    finally:
-        set_estimate_memo_limit(prev_est)
-        set_sweep_cache_limit(prev_sweep)
+def test_corpus_sweep_calls_progress():
+    seen = []
+    _sweep(
+        _small_corpus(4),
+        shard_size=2,
+        progress=lambda i, total, restored: seen.append((i, total, restored)),
+    )
+    assert seen == [(0, 2, False), (1, 2, False)]
 
 
 def test_corpus_sweep_rejects_empty_config():
@@ -323,50 +303,6 @@ def test_write_corpus_rollup_validates_and_roundtrips(tmp_path):
     assert validate_corpus_rollup(bad)
     with pytest.raises(ValueError):
         write_corpus_rollup(bad, tmp_path / "bad.json")
-
-
-# ----------------------------------------------------------------------
-# LRU memo caps (satellite: bounded in-process memos)
-# ----------------------------------------------------------------------
-
-
-def test_estimate_memo_lru_cap_and_eviction_counter(registry):
-    prev = set_estimate_memo_limit(2)
-    try:
-        k = GESpMM()
-        mats = [uniform_random(32, 128, seed=s) for s in range(4)]
-        for a in mats:
-            k.estimate(a, 16, GTX_1080TI)
-        assert registry.counter("kernel.estimate_memo.evictions").value == 2
-        # the oldest entries were evicted: re-estimating recomputes (hit
-        # counter stays put), the newest is still memoized
-        hit_ctr = registry.counter(
-            "kernel.estimate_memo.hits", kernel=k.name, gpu=GTX_1080TI.name
-        )
-        hits = hit_ctr.value
-        k.estimate(mats[-1], 16, GTX_1080TI)
-        assert hit_ctr.value == hits + 1
-    finally:
-        set_estimate_memo_limit(prev)
-
-
-def test_estimate_memo_limit_validates():
-    with pytest.raises(ValueError):
-        set_estimate_memo_limit(0)
-    with pytest.raises(ValueError):
-        set_sweep_cache_limit(-1)
-
-
-def test_sweep_memo_lru_cap_evicts(registry):
-    from repro.bench.runner import run_sweep
-
-    prev = set_sweep_cache_limit(2)
-    try:
-        graphs = {f"g{s}": uniform_random(32, 128, seed=s) for s in range(3)}
-        run_sweep([GESpMM()], graphs, [16], GPUS, quiet=True)
-        assert registry.counter("sweep.memo.evictions").value == 1
-    finally:
-        set_sweep_cache_limit(prev)
 
 
 def test_clear_derived_counter(registry):

@@ -5,7 +5,7 @@ The contract (docs/PERFORMANCE.md "Dynamic graphs"): a matrix built by
 the same edge set — identical raw arrays, identical derived arrays
 (including the seeded ones), identical incrementally-evolved
 :class:`AccessProfile` state, and identical content fingerprint, which
-makes the effective estimate/sweep memo keys byte-equal.  Hypothesis
+makes the effective estimate memo keys byte-equal.  Hypothesis
 drives random insert/delete/update batches against a from-scratch
 oracle; directed tests cover the documented failure modes (duplicate
 edges, missing edges, out-of-range indices, non-canonical rows) and the
@@ -345,7 +345,8 @@ def test_delta_built_matrix_shares_memo_with_scratch_build():
         obs.set_registry(prev)
 
 
-def test_invalidate_matrix_caches_is_targeted():
+def test_invalidate_matrix_caches_is_targeted(tmp_path):
+    from repro.bench import DiskCache, run_sweep_with_stats, use_disk_cache
     from repro.core.crc import CRCSpMM
 
     prev = obs.set_registry(MetricsRegistry())
@@ -354,17 +355,31 @@ def test_invalidate_matrix_caches_is_targeted():
         a = power_law(300, 1800, seed=5)
         b = power_law(300, 1800, seed=6)
         kernel = CRCSpMM()
-        kernel.estimate(a, 32, GTX_1080TI)
-        kernel.estimate(b, 32, GTX_1080TI)
-        dropped = invalidate_matrix_caches(a)
-        assert dropped["estimate_memo"] == 1
-        # b's entry survived: a re-estimate is a memo hit, not a rebuild.
-        kernel.estimate(b, 32, GTX_1080TI)
-        reg = obs.get_registry()
-        assert reg.counter(
-            "kernel.estimate_memo.hits", kernel=kernel.name, gpu=GTX_1080TI.name
-        ).value == 1
-        assert reg.counter("delta.invalidated", store="estimate_memo").value == 1
+        widths = [32, 64]
+        with use_disk_cache(DiskCache(tmp_path)) as cache:
+            for n in widths:
+                kernel.estimate(a, n, GTX_1080TI)
+                kernel.estimate(b, n, GTX_1080TI)
+            assert cache.stats()["kinds"]["timing"]["entries"] == 4
+            dropped = invalidate_matrix_caches(a)
+            assert dropped == {"estimate_memo": 2, "disk": 2}
+            assert cache.stats()["kinds"]["timing"]["entries"] == 2
+            # b's entry survived: a re-estimate is a memo hit, not a rebuild.
+            kernel.estimate(b, 32, GTX_1080TI)
+            reg = obs.get_registry()
+            assert reg.counter(
+                "kernel.estimate_memo.hits", kernel=kernel.name, gpu=GTX_1080TI.name
+            ).value == 1
+            assert reg.counter("delta.invalidated", store="estimate_memo").value == 2
+            assert reg.counter("delta.invalidated", store="disk").value == 2
+            # A fresh-memo sweep over the surviving matrix replays from disk.
+            clear_estimate_memo()
+            before = cache.counters()
+            _, stats = run_sweep_with_stats([kernel], {"b": b}, widths, [GTX_1080TI])
+            after = cache.counters()
+        assert stats.memo_misses == 0
+        assert after["misses"] == before["misses"]
+        assert after["hits"] - before["hits"] == len(widths)
     finally:
         clear_estimate_memo()
         obs.set_registry(prev)

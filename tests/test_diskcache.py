@@ -1,7 +1,8 @@
-"""Tests for repro.bench.diskcache: the cross-process estimate/cell cache."""
+"""Tests for repro.bench.diskcache: the cross-process estimate/shard cache."""
 
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
@@ -16,7 +17,6 @@ from repro.bench.diskcache import (
     timing_to_json,
     use_disk_cache,
 )
-from repro.bench.runner import clear_sweep_cache
 from repro.core import CRCSpMM, GESpMM, SimpleSpMM
 from repro.gpusim.config import GTX_1080TI, RTX_2080
 from repro.gpusim.kernel import clear_estimate_memo
@@ -28,7 +28,6 @@ def _isolated_caches():
     """No ambient disk cache, clean process memos, before and after."""
     prev = set_disk_cache(None)
     env = os.environ.pop(CACHE_DIR_ENV, None)
-    clear_sweep_cache()
     clear_estimate_memo()
     try:
         yield
@@ -36,7 +35,6 @@ def _isolated_caches():
         set_disk_cache(prev)
         if env is not None:
             os.environ[CACHE_DIR_ENV] = env
-        clear_sweep_cache()
         clear_estimate_memo()
 
 
@@ -44,6 +42,10 @@ def _timing(kernel=None, a=None, n=64, gpu=GTX_1080TI):
     kernel = kernel or GESpMM()
     a = a if a is not None else power_law(50, 400, seed=7)
     return kernel.estimate(a, n, gpu), kernel, a
+
+
+def _key(fp="fp", n=64):
+    return ("k", fp, n, "gpu", "plus_times", None)
 
 
 # ----------------------------------------------------------------------
@@ -71,38 +73,6 @@ def test_timing_cache_roundtrip(tmp_path):
     assert cache.counters() == {"hits": 1, "misses": 1, "invalidations": 0}
 
 
-def test_cell_roundtrip(tmp_path):
-    cache = DiskCache(tmp_path)
-    key = ("k", "fp", 32, "gpu")
-    assert cache.get_cell(key) is None
-    cache.put_cell(key, 1.25e-4, 317.5)
-    assert cache.get_cell(key) == (1.25e-4, 317.5, None)
-
-
-def test_cell_roundtrip_with_attribution(tmp_path):
-    cache = DiskCache(tmp_path)
-    key = ("k", "fp", 32, "gpu")
-    attr = {
-        "bound_by": "dram",
-        "breakdown_ms": {"dram": 0.12, "l2_link": 0.08},
-        "factors": {"f_width": 0.5, "f_ilp": 1.0, "f_occ": 1.0},
-    }
-    cache.put_cell(key, 1.25e-4, 317.5, attribution=attr)
-    assert cache.get_cell(key) == (1.25e-4, 317.5, attr)
-
-
-def test_cell_bad_attribution_invalidated(tmp_path):
-    cache = DiskCache(tmp_path)
-    key = ("k", "fp", 32, "gpu")
-    cache.put_cell(key, 1.0, 2.0, attribution={"bound_by": "dram"})
-    path = _sole_entry(cache.root)
-    doc = json.loads(path.read_text())
-    doc["payload"][2] = "dram"  # not a dict or null
-    path.write_text(json.dumps(doc))
-    assert cache.get_cell(key) is None
-    assert cache.counters()["invalidations"] == 1
-
-
 # ----------------------------------------------------------------------
 # Invalidation
 # ----------------------------------------------------------------------
@@ -116,44 +86,44 @@ def _sole_entry(root):
 
 def test_corrupt_entry_invalidated(tmp_path):
     cache = DiskCache(tmp_path)
-    key = ("k", "fp", 32, "gpu")
-    cache.put_cell(key, 1.0, 2.0)
+    key = _key()
+    cache.put_timing(key, _timing()[0])
     path = _sole_entry(cache.root)
     path.write_text("{ not json")
-    assert cache.get_cell(key) is None
+    assert cache.get_timing(key) is None
     assert cache.counters()["invalidations"] == 1
     assert not path.exists()  # removed best-effort
-    assert cache.get_cell(key) is None  # now a clean miss
+    assert cache.get_timing(key) is None  # now a clean miss
     assert cache.counters()["misses"] == 1
 
 
 def test_schema_mismatch_invalidated(tmp_path):
     cache = DiskCache(tmp_path)
-    key = ("k", "fp", 32, "gpu")
-    cache.put_cell(key, 1.0, 2.0)
+    key = _key()
+    cache.put_timing(key, _timing()[0])
     path = _sole_entry(cache.root)
     doc = json.loads(path.read_text())
     doc["schema"] = "repro/diskcache/v0"
     path.write_text(json.dumps(doc))
-    assert cache.get_cell(key) is None
+    assert cache.get_timing(key) is None
     assert cache.counters()["invalidations"] == 1
 
 
 def test_key_mismatch_invalidated(tmp_path):
     cache = DiskCache(tmp_path)
-    key = ("k", "fp", 32, "gpu")
-    cache.put_cell(key, 1.0, 2.0)
+    key = _key()
+    cache.put_timing(key, _timing()[0])
     path = _sole_entry(cache.root)
     doc = json.loads(path.read_text())
-    doc["key"] = repr((SCHEMA, "cell", ("other", "fp", 32, "gpu")))
+    doc["key"] = repr((SCHEMA, "timing", ("other",) + key[1:]))
     path.write_text(json.dumps(doc))
-    assert cache.get_cell(key) is None
+    assert cache.get_timing(key) is None
     assert cache.counters()["invalidations"] == 1
 
 
 def test_malformed_payload_invalidated(tmp_path):
     cache = DiskCache(tmp_path)
-    key = ("k", "fp", 64, "gpu", "plus_times", None)
+    key = _key()
     t, _, _ = _timing()
     cache.put_timing(key, t)
     path = _sole_entry(cache.root)
@@ -204,8 +174,7 @@ def test_sweep_byte_identical_across_simulated_processes(tmp_path):
     gpus = [GTX_1080TI]
     with use_disk_cache(DiskCache(tmp_path)) as cache:
         cold, host_cold = run_sweep_with_stats(kernels, graphs, widths, gpus)
-        clear_sweep_cache()
-        clear_estimate_memo()
+        clear_estimate_memo()  # simulate a fresh process
         warm, host_warm = run_sweep_with_stats(kernels, graphs, widths, gpus)
     assert warm == cold
     assert host_warm.memo_misses == 0  # zero recomputation
@@ -248,13 +217,14 @@ def test_explicit_activation_wins_over_env(tmp_path, monkeypatch):
 def test_stats_and_clear(tmp_path):
     cache = DiskCache(tmp_path)
     t, _, _ = _timing()
-    cache.put_timing(("k", "fp", 64, "g", "s", None), t)
-    cache.put_cell(("k", "fp", 64, "g"), 1.0, 2.0)
-    cache.put_cell(("k", "fp", 128, "g"), 3.0, 4.0)
+    cache.put_timing(_key(n=64), t)
+    cache.put_timing(_key(n=128), t)
+    cache.put_shard(("corpus-shard", (), (), (64,), ("g",)),
+                    {"cells": [], "stats": {}})
     s = cache.stats()
     assert s["entries"] == 3
-    assert s["kinds"]["cell"]["entries"] == 2
-    assert s["kinds"]["timing"]["entries"] == 1
+    assert s["kinds"]["timing"]["entries"] == 2
+    assert s["kinds"]["shard"]["entries"] == 1
     assert s["bytes"] > 0
     assert cache.clear() == 3
     assert cache.stats()["entries"] == 0
@@ -276,10 +246,10 @@ def test_cli_cache_stats_and_clear(tmp_path, capsys):
     from repro.cli import main
 
     cache = DiskCache(tmp_path)
-    cache.put_cell(("k", "fp", 64, "g"), 1.0, 2.0)
+    cache.put_timing(_key(), _timing()[0])
     assert main(["cache", "stats", "--cache-dir", str(tmp_path)]) == 0
     out = capsys.readouterr().out
-    assert "entries" in out and "cell" in out
+    assert "entries" in out and "timing" in out
     assert main(["cache", "clear", "--cache-dir", str(tmp_path)]) == 0
     assert "removed" in capsys.readouterr().out
     assert cache.stats()["entries"] == 0
@@ -295,7 +265,7 @@ def test_cli_cache_requires_dir(monkeypatch):
 def test_cli_cache_env_dir(tmp_path, monkeypatch, capsys):
     from repro.cli import main
 
-    DiskCache(tmp_path).put_cell(("k", "fp", 64, "g"), 1.0, 2.0)
+    DiskCache(tmp_path).put_timing(_key(), _timing()[0])
     monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
     assert main(["cache", "stats"]) == 0
     assert str(tmp_path) in capsys.readouterr().out
@@ -309,13 +279,12 @@ def test_cli_cache_env_dir(tmp_path, monkeypatch, capsys):
 def _race_writer(root: str, worker: int, n_keys: int) -> None:
     """Hammer the same keys from one process (module-level: picklable)."""
     cache = DiskCache(root)
+    t = _timing()[0]
     for rep in range(20):
         for i in range(n_keys):
-            # Both workers write identical payloads per key — the cell
-            # value is a pure function of its key, as in real sweeps.
-            cache.put_cell(("k", f"fp{i}", 64, "g"), float(i), float(2 * i),
-                           {"bound_by": "dram", "breakdown_ms": {"dram": 1.0},
-                            "factors": {}})
+            # Both workers write identical payloads per key — the timing
+            # is a pure function of its key, as in real sweeps.
+            cache.put_timing(_key(f"fp{i}"), replace(t, time_s=float(i)))
 
 
 def test_concurrent_writers_no_corruption(tmp_path):
@@ -334,13 +303,13 @@ def test_concurrent_writers_no_corruption(tmp_path):
     # Read concurrently while the writers race: every get is either a
     # miss (file not there yet) or the complete, valid payload.
     reader = DiskCache(tmp_path)
+    bound_by = _timing()[0].bound_by
     seen = 0
     while any(p.is_alive() for p in procs):
         for i in range(n_keys):
-            cell = reader.get_cell(("k", f"fp{i}", 64, "g"))
-            if cell is not None:
-                assert cell[0] == float(i) and cell[1] == float(2 * i)
-                assert cell[2]["bound_by"] == "dram"
+            t = reader.get_timing(_key(f"fp{i}"))
+            if t is not None:
+                assert t.time_s == float(i) and t.bound_by == bound_by
                 seen += 1
     for p in procs:
         p.join()
@@ -349,7 +318,7 @@ def test_concurrent_writers_no_corruption(tmp_path):
     # After the dust settles every key is present and intact.
     final = DiskCache(tmp_path)
     for i in range(n_keys):
-        assert final.get_cell(("k", f"fp{i}", 64, "g")) is not None
+        assert final.get_timing(_key(f"fp{i}")) is not None
     assert final.counters()["invalidations"] == 0
     # And no temp files were left behind by the atomic-replace protocol.
     leftovers = [f for f in tmp_path.rglob("*") if ".tmp." in f.name]
@@ -363,15 +332,16 @@ def test_concurrent_writers_no_corruption(tmp_path):
 
 def test_stats_groups_by_schema_version(tmp_path):
     cache = DiskCache(tmp_path)
-    cache.put_cell(("k", "fp", 64, "g"), 1.0, 2.0)
-    cache.put_cell(("k", "fp", 128, "g"), 3.0, 4.0)
+    t = _timing()[0]
+    cache.put_timing(_key(n=64), t)
+    cache.put_timing(_key(n=128), t)
     # Hand-craft a leftover entry from a previous schema version and a
     # corrupt file; stats must label both without touching them.
-    old = tmp_path / "cell" / "zz" / "deadbeef.json"
+    old = tmp_path / "timing" / "zz" / "deadbeef.json"
     old.parent.mkdir(parents=True)
-    old.write_text(json.dumps({"schema": "repro/diskcache/v1", "kind": "cell",
-                               "key": "old", "payload": [1.0, 2.0, None]}))
-    bad = tmp_path / "cell" / "zz" / "torn.json"
+    old.write_text(json.dumps({"schema": "repro/diskcache/v1", "kind": "timing",
+                               "key": "old", "payload": {}}))
+    bad = tmp_path / "timing" / "zz" / "torn.json"
     bad.write_text("{not json")
     s = cache.stats()
     assert s["entries"] == 4
@@ -385,7 +355,7 @@ def test_stats_groups_by_schema_version(tmp_path):
 def test_cli_cache_stats_shows_schemas(tmp_path, capsys):
     from repro.cli import main
 
-    DiskCache(tmp_path).put_cell(("k", "fp", 64, "g"), 1.0, 2.0)
+    DiskCache(tmp_path).put_timing(_key(), _timing()[0])
     assert main(["cache", "stats", "--cache-dir", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert "by schema version:" in out

@@ -1,30 +1,33 @@
 """Parallel + memoized sweep execution: determinism and cache contracts.
 
 ``run_sweep(jobs=N)`` must return *byte-identical* results for any N, and
-the content-addressed memo cache must be invisible in the output (same
-results on hit and miss) while being visible in telemetry.  These are
-the acceptance criteria of the batched-replay PR; see
-docs/PERFORMANCE.md.
+the content-addressed estimate memo the cells are derived from must be
+invisible in the output (same results on hit, miss, and disk replay)
+while being visible in telemetry.  See docs/PERFORMANCE.md.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.bench import (
+    DiskCache,
     SweepHostStats,
     bench_document,
     clear_sweep_cache,
-    csr_fingerprint,
     geomean,
     run_sweep,
     run_sweep_with_stats,
+    use_disk_cache,
 )
 from repro.core import CRCSpMM, CWMSpMM, SimpleSpMM
 from repro.gpusim import GTX_1080TI, RTX_2080
+from repro.gpusim.kernel import clear_estimate_memo
 from repro.obs.metrics import MetricsRegistry, set_registry
 from repro.sparse import uniform_random
 
@@ -52,10 +55,10 @@ def sweep_args():
 class TestJobsDeterminism:
     def test_any_jobs_value_is_byte_identical(self, sweep_args):
         kernels, graphs, widths, gpus = sweep_args
-        baseline = run_sweep(kernels, graphs, widths, gpus, memoize=False)
+        baseline = run_sweep(kernels, graphs, widths, gpus)
         for jobs in (2, 4, 7):
-            got = run_sweep(kernels, graphs, widths, gpus, jobs=jobs,
-                            memoize=False)
+            clear_estimate_memo()
+            got = run_sweep(kernels, graphs, widths, gpus, jobs=jobs)
             assert got == baseline, f"jobs={jobs} diverged from serial"
 
     def test_attribution_identical_across_jobs_and_memo(self, sweep_args):
@@ -127,8 +130,54 @@ class TestMemoization:
         a = uniform_random(50, 200, seed=3)
         b = uniform_random(50, 200, seed=3)  # same content, new identity
         c = uniform_random(50, 200, seed=4)
-        assert csr_fingerprint(a) == csr_fingerprint(b)
-        assert csr_fingerprint(a) != csr_fingerprint(c)
+        assert a.fingerprint() == b.fingerprint()
+        assert a.fingerprint() != c.fingerprint()
+
+
+@st.composite
+def small_graphs(draw):
+    graphs = {}
+    for i in range(draw(st.integers(1, 3))):
+        m = draw(st.integers(1, 40))
+        nnz = draw(st.integers(1, 5 * m))
+        graphs[f"h{i}"] = uniform_random(m, nnz, seed=draw(st.integers(0, 2**16)))
+    return graphs
+
+
+def _sweep_and_document(graphs, jobs):
+    results, stats = run_sweep_with_stats(
+        [SimpleSpMM(), CRCSpMM(), CWMSpMM(2)], graphs, [8, 32], [GTX_1080TI],
+        jobs=jobs,
+    )
+    doc = json.dumps(bench_document(results, target="crc"), sort_keys=True)
+    return results, stats, doc
+
+
+@settings(max_examples=12, deadline=None)
+@given(graphs=small_graphs())
+def test_results_identical_across_jobs_and_cache_state(graphs):
+    """Cold memo, warm memo, and a fresh-memo disk replay all yield the
+    same results and BENCH document for any ``jobs``; the warm and disk
+    runs compute nothing."""
+    runs = []
+    try:
+        with tempfile.TemporaryDirectory() as root, use_disk_cache(DiskCache(root)):
+            clear_estimate_memo()
+            base, _, base_doc = _sweep_and_document(graphs, 1)  # fills the disk
+            for jobs in (1, 3):
+                clear_estimate_memo()
+                with use_disk_cache(None):
+                    runs.append(("cold", _sweep_and_document(graphs, jobs)))
+                runs.append(("warm", _sweep_and_document(graphs, jobs)))
+                clear_estimate_memo()
+                runs.append(("disk", _sweep_and_document(graphs, jobs)))
+    finally:
+        clear_estimate_memo()
+    for label, (results, stats, doc) in runs:
+        assert results == base, label
+        assert doc == base_doc, label
+        if label != "cold":
+            assert stats.memo_misses == 0, label
 
 
 class TestHostStats:
