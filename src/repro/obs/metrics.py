@@ -149,7 +149,7 @@ class MetricsRegistry:
     A metric instance is identified by ``(name, kind, sorted labels)``;
     asking twice returns the same object, so call sites stay stateless::
 
-        get_registry().counter("sim.kernel.launches", gpu=gpu.name).inc()
+        get_registry().counter("sim.timing.launches", gpu=gpu.name).inc()
     """
 
     def __init__(self) -> None:

@@ -186,8 +186,8 @@ class CSRMatrix:
     def clear_derived(self) -> int:
         """Drop every lazily built derived artifact in one call: the
         derived arrays (``row_lengths``/``rowptr64``/``coo_rows``/
-        ``colind64``), the content fingerprint, and any cached access
-        profile.  Returns the number of artifacts dropped and bumps the
+        ``colind64``), the content fingerprint, the executor's slice
+        plan, and any cached access profile.  Returns the number of artifacts dropped and bumps the
         ``csr.derived_cache.cleared`` counter by the same amount.
 
         This is the shard-boundary eviction hook of corpus-scale sweeps

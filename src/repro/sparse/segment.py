@@ -1,40 +1,41 @@
 """Segmented-reduction host execution engine.
 
 Yang et al.'s *Design Principles for Sparse Matrix Multiplication on the
-GPU* frames row-split SpMM as gather + segmented reduce; this module
-brings the same structure to the host executor: contributions are
-gathered and reduced per CSR row with a single ``ufunc.reduceat`` call.
-It is the one host path for every built-in reduction —
-``reference_spmm_like``, ``CSRMatrix.row_normalized`` /
-``sym_normalized``, and ``gnn.aggregate`` all route through here.  The
-parity references it is tested against live in ``tests/references.py``.
-
-Empty rows never reach ``reduceat`` (whose semantics for empty segments
-are not a reduction): the output is pre-filled with the semiring
-identity and only non-empty rows are overwritten, so identities are
-exact by construction.
+GPU* frame row-split SpMM as gather + segmented reduce and name short
+segments as its weak spot: a row-by-row reduce costs one dispatch per
+(row, column), over 4-5 nonzeros on the citation graphs.  This module is
+the one host path for every built-in reduction (``reference_spmm_like``,
+``CSRMatrix.row_normalized``/``sym_normalized`` and ``gnn.aggregate``;
+the parity references live in ``tests/references.py``).  It reduces
+with a **sliced reduce** over the ``slice_plan`` derived artifact of a
+``CSRMatrix``, a jagged-diagonal layout: the nonempty rows sorted by
+length, longest first, with block ``k`` holding the ``k``-th nonzero of
+every row longer than ``k``.  Block 0 is the accumulator; each further
+block, taken while at least ``_SLICE_MIN_ROWS`` rows remain, folds in
+with one in-place ``ufunc(acc[:c_k], block_k)``.  The few heavy rows
+left keep the rest of their nonzeros in CSR order (their tails): one
+``ufunc.reduceat`` and one combine, however long the hubs.  Results
+scatter back to the output rows, and empty rows keep the pre-filled
+identity exactly.  Max and min are exact in any order; plus-times sums
+the head sequentially and each tail pairwise (as ``np.add.reduceat``
+does), within float32 rounding of any summation order.
 
 Column tiling (the host analogue of GE-SpMM's coarse-grained warp
-merging, which reuses each loaded sparse row across feature tiles): the
-dense operand is split into column tiles of width ``T``, and each tile
-is gathered, combined and reduced inside a preallocated ``(nnz, T)``
-workspace drawn from a per-process pool, so peak transient memory is
-O(nnz·T) instead of O(nnz·N) and the working set stays cache-resident on
-wide operands.  ``T`` adapts from a fixed LLC budget
-(:func:`tile_width_for`); the per-call ``tile_width=`` argument forces
-it.  Tiles never split a row's reduction, so the output is
-**bit-identical** for every tile width and every reduction.
-``segment_spmm_like_multi`` runs K same-graph operands through one
-traversal sharing the pooled workspace and cached gather indices, and
-``segment_max_with_argmax`` resolves the first maximizer of each tile
-while its contributions are still in the workspace.
+merging): each column tile of width ``T`` is gathered, combined and
+reduced inside a pooled ``(nnz, T)`` workspace, so peak transient memory
+is O(nnz·T).  ``T`` adapts from a fixed LLC budget
+(:func:`tile_width_for`); ``tile_width=`` forces it.  Every column is
+reduced in the same order whatever the tiling, so the output is
+**bit-identical** for every tile width.  ``segment_spmm_like_multi``
+runs K same-graph operands through one traversal, and
+``segment_max_with_argmax`` tracks first maximizers in the same loop.
 """
 
 from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -61,8 +62,14 @@ __all__ = [
 _LLC_BYTES = 32 * 1024 * 1024
 _WORKSPACE_BUDGET = _LLC_BYTES // 4
 
-#: Position of "no maximizer" in the argmax reduction: above every
-#: nonzero index, so ``minimum.reduceat`` keeps any real hit; mapped to -1.
+#: Fewest rows a jagged-diagonal block may hold (``R`` in the module
+#: docstring): longer rows keep their remaining nonzeros as CSR-order
+#: tails.  16, 32 and 64 time within 15% of each other on the cora and
+#: pubmed twins and on a 20k-row power-law graph.
+_SLICE_MIN_ROWS = 32
+
+#: In-row index of "no maximizer" in a tail's argmax reduction: above
+#: every index, so ``minimum.reduceat`` keeps any real hit.
 _NO_WINNER = np.iinfo(np.int32).max
 
 
@@ -86,7 +93,7 @@ class _WorkspacePool:
     """Per-process pool of flat float32 scratch buffers.
 
     The tiled executor draws its ``(nnz, T)`` gather workspace, the
-    ``(K, T)`` operand-tile buffer and the argmax position buffer from
+    ``(K, T)`` operand-tile buffer and the argmax winner buffers from
     here, so steady-state SpMM calls allocate nothing:
     ``segment.workspace.reuses`` counts pool hits, ``.allocs`` fresh
     buffers, and the ``segment.workspace.bytes_peak`` gauge tracks the
@@ -196,6 +203,108 @@ def reduce_ufunc(semiring: Semiring) -> Optional[np.ufunc]:
     return _REDUCE_UFUNCS.get(semiring.reduce)
 
 
+class _SlicePlan(NamedTuple):
+    """A matrix's jagged-diagonal layout (see the module docstring)."""
+
+    rows: np.ndarray  # intp[r]: the nonempty rows, longest first
+    blocks: Tuple[int, ...]  # rows per block, non-increasing; blocks[0] == r
+    tail_starts: np.ndarray  # intp[h]: reduceat starts of the first h rows' tails
+    cols: np.ndarray  # int32[nnz]: column indices in gather order
+    vals: np.ndarray  # float32[nnz]: values in gather order
+
+
+def _slice_layout(rowptr: np.ndarray):
+    """``(rows, blocks, tail_starts, order)`` of the jagged-diagonal
+    layout, where ``order`` (int32) lists the CSR position of every
+    nonzero in gather order.  One stable argsort over the rows, then
+    O(nnz) int32 work."""
+    lengths = np.diff(rowptr)
+    r = int(np.count_nonzero(lengths))
+    rows = np.argsort(-lengths, kind="stable")[:r]
+    # longer[k]: how many rows are longer than k.
+    longer = r - np.cumsum(np.bincount(lengths[rows], minlength=2))
+    n_blocks = 1 + int(np.count_nonzero(longer[1:] >= _SLICE_MIN_ROWS))
+    blocks = tuple(longer[:n_blocks].tolist())
+    h = int(longer[n_blocks])
+    starts = rowptr[rows].astype(np.int32)
+    order = np.empty(int(rowptr[-1]), dtype=np.int32)
+    off = 0
+    for k, c in enumerate(blocks):
+        np.add(starts[:c], k, out=order[off : off + c])
+        off += c
+    tail_lens = lengths[rows[:h]] - n_blocks
+    tail_starts = (np.cumsum(tail_lens) - tail_lens).astype(np.intp)
+    order[off:] = np.arange(order.size - off, dtype=np.int32) + np.repeat(
+        starts[:h] + n_blocks - tail_starts, tail_lens
+    )
+    return rows, blocks, tail_starts, order
+
+
+def _slice_plan(a: CSRMatrix) -> _SlicePlan:
+    """``a``'s cached ``slice_plan``: the layout with the column indices
+    and values permuted into gather order (the order itself is dropped)."""
+
+    def build() -> _SlicePlan:
+        rows, blocks, tail_starts, order = _slice_layout(a.rowptr)
+        return _SlicePlan(rows, blocks, tail_starts, a.colind[order], a.values[order])
+
+    return a._cached("slice_plan", build)
+
+
+def _sliced_reduce(
+    blocks: Sequence[int],
+    tail_starts: np.ndarray,
+    contrib: np.ndarray,
+    ufunc: np.ufunc,
+    track: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
+) -> np.ndarray:
+    """Reduce ``contrib`` (``(nnz, ...)`` in gather order) in place into
+    its first ``blocks[0]`` rows and return them.
+
+    ``track = (winner, step, compare)`` adds the argmax of a
+    ``np.maximum`` reduce: ``winner`` (zeros, unsigned ``(r, w)``, wide
+    enough for any in-row index) receives each cell's first maximizer,
+    ``step`` is scratch of its shape, and ``compare`` a flat bool buffer
+    of ``max(r, tail nonzeros) * w``.  A strict ``>`` keeps the earlier
+    nonzero on ties; NaN cells are the caller's to mask.
+    """
+    winner, step, compare = track or (None, None, None)
+    acc = contrib[: blocks[0]]
+    off = blocks[0]
+    for k, c in enumerate(blocks[1:], 1):
+        block = contrib[off : off + c]
+        if track:
+            gt = compare[: block.size].reshape(block.shape)
+            np.greater(block, acc[:c], out=gt)
+            # winner < k so far, so this sets k exactly where block k wins.
+            np.multiply(gt, winner.dtype.type(k), out=step[:c])
+            np.maximum(winner[:c], step[:c], out=winner[:c])
+        ufunc(acc[:c], block, out=acc[:c])
+        off += c
+    h = tail_starts.size
+    if h:
+        tails = contrib[off:]
+        reduced = ufunc.reduceat(tails, tail_starts, axis=0)
+        if track:
+            # Each tail's first maximizer, with no sort or scan: every hit
+            # writes its in-row index into an int32 view of the (now dead)
+            # tails, every other slot a sentinel above any index, and
+            # minimum.reduceat picks the lowest.
+            lens = np.diff(tail_starts, append=len(tails))
+            hits = compare[: tails.size].reshape(tails.shape)
+            np.equal(tails, np.repeat(reduced, lens, axis=0), out=hits)
+            in_row = np.arange(len(tails)) + np.repeat(len(blocks) - tail_starts, lens)
+            pos = tails.view(np.int32)
+            pos.fill(_NO_WINNER)
+            np.copyto(pos, in_row[:, None], where=hits, casting="unsafe")
+            first = np.minimum.reduceat(pos, tail_starts, axis=0)
+            gt = compare[: reduced.size].reshape(reduced.shape)
+            np.greater(reduced, acc[:h], out=gt)
+            np.copyto(winner[:h], first, where=gt, casting="unsafe")
+        ufunc(acc[:h], reduced, out=acc[:h])
+    return acc
+
+
 def segment_reduce(
     contributions: np.ndarray,
     rowptr: np.ndarray,
@@ -203,15 +312,10 @@ def segment_reduce(
     init: float,
     out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Reduce ``contributions`` per CSR row with one ``ufunc.reduceat``.
-
-    ``contributions`` is ``(nnz, ...)`` in row-major CSR order; row ``i``
-    owns the slice ``rowptr[i]:rowptr[i+1]``.  Rows with no elements
-    yield ``init`` exactly: only the non-empty rows' segment starts are
-    passed to ``reduceat`` (consecutive non-empty starts then delimit
-    exactly one row each), and the pre-filled output is left untouched
-    elsewhere.
-    """
+    """Reduce ``contributions`` (``(nnz, ...)`` in CSR order) per row of
+    ``rowptr`` with the sliced reduce; empty rows yield ``init`` exactly.
+    The layout is built per call (SpMM paths cache theirs as the
+    ``slice_plan`` of their ``CSRMatrix``)."""
     rowptr = np.asarray(rowptr, dtype=np.int64)
     contributions = np.asarray(contributions)
     m = rowptr.shape[0] - 1
@@ -220,10 +324,8 @@ def segment_reduce(
     obs.get_registry().counter("segment.reduce_calls", op=ufunc.__name__).inc()
     if m == 0 or contributions.shape[0] == 0:
         return out
-    starts = rowptr[:-1]
-    nonempty = rowptr[1:] > starts
-    if nonempty.any():
-        out[nonempty] = ufunc.reduceat(contributions, starts[nonempty], axis=0)
+    rows, blocks, tail_starts, order = _slice_layout(rowptr)
+    out[rows] = _sliced_reduce(blocks, tail_starts, contributions[order], ufunc)
     return out
 
 
@@ -258,15 +360,6 @@ def _prepare_out(
     return out
 
 
-def _nonempty_starts(a: CSRMatrix) -> Tuple[np.ndarray, np.ndarray]:
-    """(nonempty-row mask, their segment starts) — the shared traversal
-    state every tile of every operand reuses."""
-    rowptr = a.rowptr64()
-    starts = rowptr[:-1]
-    nonempty = rowptr[1:] > starts
-    return nonempty, starts[nonempty]
-
-
 def _run_tiled(
     a: CSRMatrix,
     bs: Sequence[np.ndarray],
@@ -274,34 +367,40 @@ def _run_tiled(
     ufunc: np.ufunc,
     outs: Sequence[np.ndarray],
     tile_width: Optional[int],
-    on_tile: Optional[Callable[[int, np.ndarray, np.ndarray], None]] = None,
+    argmax: Optional[np.ndarray] = None,
 ) -> None:
-    """Tiled gather + combine + reduceat of every operand into its output.
+    """Tiled gather + combine + sliced reduce of every operand into its
+    output.
 
-    All operands share the gather indices, the nonempty-row segment
-    starts, and one pooled workspace acquisition sized for the widest
-    operand: the ``(nnz, T)`` gather workspace plus, when ``T`` is
-    narrower than an operand, a contiguous ``(ncols, T)`` copy of its
-    column tile (a full-width tile gathers straight from the operand).
-    ``on_tile(first_column, contributions, out_slice)`` runs after each
-    tile's reduction, while the tile's ``(nnz, w)`` contributions are
-    still in the workspace.
+    All operands share the plan and one pooled workspace acquisition
+    sized for the widest operand: the ``(nnz, T)`` gather workspace plus,
+    when ``T`` is narrower than an operand, a contiguous ``(ncols, T)``
+    copy of its column tile (a full-width tile gathers straight from the
+    operand).  With ``argmax`` (one max-times operand) the reduce also
+    tracks first maximizers into it; a third pooled buffer holds the
+    winner and step arrays and the bool compare buffer.
     """
     nnz = a.nnz
     n_max = max(b.shape[1] for b in bs)
     if not (nnz and n_max):
         return
-    tile_max = (
-        tile_width_for(nnz, n_max)
-        if tile_width is None
-        else max(1, min(int(tile_width), n_max))
-    )
-    nonempty, ne_starts = _nonempty_starts(a)
-    idx = a.colind64()
-    vals = a.values[:, None]
+    tile_max = tile_width_for(nnz, n_max)
+    if tile_width is not None:
+        tile_max = max(1, min(int(tile_width), n_max))
+    plan = _slice_plan(a)
+    r = plan.blocks[0]
+    scratch = 0
+    if argmax is not None:
+        index_dtype = np.min_scalar_type(int(a.row_lengths().max()) - 1)  # any in-row index
+        span = r * tile_max * index_dtype.itemsize
+        # A compare byte per cell of the head or of the tails.
+        scratch = -(-(2 * span + max(r, nnz - sum(plan.blocks)) * tile_max) // 4)
+        row_starts = a.rowptr[plan.rows][:, None]
     reg = obs.get_registry()
     op = ufunc.__name__
-    with _pooled(nnz * tile_max, a.ncols * tile_max if tile_max < n_max else 0) as (ws, bt):
+    with _pooled(
+        nnz * tile_max, a.ncols * tile_max if tile_max < n_max else 0, scratch
+    ) as (ws, bt, buf):
         for b, out in zip(bs, outs):
             n = b.shape[1]
             if not n:
@@ -318,12 +417,21 @@ def _run_tiled(
                 wsv = ws[: nnz * w].reshape(nnz, w)
                 # mode="clip" keeps np.take unbuffered (indices are
                 # validated at construction, so clipping never fires).
-                np.take(src, idx, axis=0, out=wsv, mode="clip")
-                semiring.combine_into(vals, wsv, wsv)
-                out_slice = out[:, lo : lo + w]
-                out_slice[nonempty] = ufunc.reduceat(wsv, ne_starts, axis=0)
-                if on_tile is not None:
-                    on_tile(lo, wsv, out_slice)
+                np.take(src, plan.cols, axis=0, out=wsv, mode="clip")
+                semiring.combine_into(plan.vals[:, None], wsv, wsv)
+                track = None
+                if argmax is not None:
+                    raw = buf.view(np.uint8)
+                    pair = raw[: 2 * r * w * index_dtype.itemsize].view(index_dtype)
+                    winner, step = pair.reshape(2, r, w)
+                    winner.fill(0)
+                    track = (winner, step, raw[2 * span :].view(np.bool_))
+                acc = _sliced_reduce(plan.blocks, plan.tail_starts, wsv, ufunc, track)
+                out[plan.rows, lo : lo + w] = acc
+                if track:
+                    pos = winner + row_starts
+                    pos[np.isnan(acc)] = -1
+                    argmax[plan.rows, lo : lo + w] = pos
                 reg.counter("segment.tiles", op=op).inc()
 
 
@@ -362,11 +470,10 @@ def segment_spmm_like_multi(
     """K same-graph SpMM-like executions through one shared traversal.
 
     The feature-width-batching primitive for multi-tenant serving: all
-    operands share the cached gather indices, the nonempty-row segment
-    starts, and **one** pooled workspace acquisition (the tile loop
-    reuses the same buffers operand after operand), so coalescing K
-    requests costs one gather's worth of ``segment.workspace.allocs``
-    instead of K.  Operand widths may differ.  Each output is
+    operands share the cached slice plan and **one** pooled workspace
+    acquisition (the tile loop reuses the same buffers operand after
+    operand), so coalescing K requests costs one gather's worth of
+    ``segment.workspace.allocs`` instead of K.  Operand widths may differ.  Each output is
     byte-identical to the corresponding ``segment_spmm_like`` call.
     """
     ufunc = _require_ufunc(semiring)
@@ -396,45 +503,16 @@ def segment_max_with_argmax(
     (empty rows hold ``-inf``) and ``argmax`` the ``int32[M, N]``
     position in ``a.values``/``a.colind`` of the *first* nonzero that
     attains each cell's maximum (PyTorch ``scatter_max`` semantics).
-    Empty rows and cells whose maximum is NaN hold ``-1`` (NaN compares
-    unequal to itself, so nothing matches); consumers mask with
-    ``argmax >= 0``.
+    Empty rows and cells whose maximum is NaN hold ``-1``; consumers
+    mask with ``argmax >= 0``.
 
-    The argmax is one more segmented reduction per column tile, with no
-    sort or scan: while the tile's contributions are in the workspace,
-    each nonzero that equals its row's maximum writes its own position
-    into an int32 buffer (every other slot holds a sentinel above any
-    position), and ``minimum.reduceat`` over the same segment starts
-    picks the lowest.  The position buffer is an int32 view of a pooled
-    float32 buffer, and it first holds the row maxima gathered for the
-    comparison.  The full ``(nnz, N)`` contributions array is never
-    materialized, and ``tile_width`` does not change the result.
+    The argmax rides the sliced reduce: each block records its in-row
+    index ``k`` where it is strictly greater than the accumulator, and the
+    position is ``rowptr[row] + k``.  The winner and compare buffers come
+    from the workspace pool, and ``tile_width`` does not change the result.
     """
     b = _check_dense(a, b)
-    m, n = a.nrows, b.shape[1]
-    out = np.full((m, n), MAX_TIMES.init, dtype=VALUE_DTYPE)
-    argmax = np.full((m, n), -1, dtype=np.int32)
-    if not (a.nnz and n):
-        return out, argmax
-    nnz = a.nnz
-    tile = tile_width_for(nnz, n) if tile_width is None else max(1, min(int(tile_width), n))
-    nonempty, ne_starts = _nonempty_starts(a)
-    rows = a.coo_rows()
-    positions = np.arange(nnz, dtype=np.int32)[:, None]
-
-    with _pooled(nnz * tile) as (scratch,):
-
-        def first_maximizer(lo: int, wsv: np.ndarray, out_slice: np.ndarray) -> None:
-            w = wsv.shape[1]
-            row_max = scratch[: nnz * w].reshape(nnz, w)
-            np.take(out_slice, rows, axis=0, out=row_max, mode="clip")
-            hits = wsv == row_max
-            pos = row_max.view(np.int32)
-            pos.fill(_NO_WINNER)
-            np.copyto(pos, positions, where=hits)
-            first = np.minimum.reduceat(pos, ne_starts, axis=0)
-            first[first == _NO_WINNER] = -1
-            argmax[nonempty, lo : lo + w] = first
-
-        _run_tiled(a, [b], MAX_TIMES, np.maximum, [out], tile, first_maximizer)
+    out = _prepare_out(a, b.shape[1], MAX_TIMES.init, None)
+    argmax = np.full(out.shape, -1, dtype=np.int32)
+    _run_tiled(a, [b], MAX_TIMES, np.maximum, [out], tile_width, argmax)
     return out, argmax

@@ -3,8 +3,10 @@
 The engine must be bit-identical to the ``ufunc.at`` scatter references
 in ``tests/references.py`` for max/min reductions on any input and for
 plus/mean on exact (integer-valued) arithmetic, and within tight
-tolerances on arbitrary floats (where ``np.add.reduceat``'s pairing
-reassociates the sum).  Also covers the derived-array caches on
+tolerances on arbitrary floats (where the sliced reduce reassociates the
+sum).  Matrices come from the shared ``csr_strategies.csr_matrices``,
+which covers every shape of the jagged-diagonal slice plan, and the plan
+itself gets a structural test.  Also covers the derived-array caches on
 ``CSRMatrix``, ``to_dense`` and the normalizers, and the argmax
 semantics (first maximizer, empty rows, NaN) that ``aggregate_max``'s
 backward depends on.
@@ -15,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 import references as ref
+from csr_strategies import csr_matrices
 from hypothesis import given, settings, strategies as st
 
 from repro import obs
@@ -29,6 +32,7 @@ from repro.sparse import (
     uniform_random,
 )
 from repro.sparse.ops import reference_spmm_like
+from repro.sparse.segment import _SLICE_MIN_ROWS, _slice_layout, _slice_plan
 
 SEMIRINGS = {
     "plus": PLUS_TIMES,
@@ -37,26 +41,6 @@ SEMIRINGS = {
     "mean": MEAN_TIMES,
 }
 BITWISE_ALWAYS = {"max", "min"}
-
-
-@st.composite
-def csr_matrices(draw, max_m=30, max_k=25, max_nnz=150, integer_values=False):
-    """Random CSR with deliberate empty rows; optionally integer-valued
-    float32 entries so plus/mean accumulation is exact."""
-    m = draw(st.integers(1, max_m))
-    k = draw(st.integers(1, max_k))
-    nnz = draw(st.integers(0, min(max_nnz, m * k)))
-    seed = draw(st.integers(0, 2**20))
-    rng = np.random.default_rng(seed)
-    # Concentrate nonzeros on a subset of rows so some rows are empty.
-    active = max(1, m // 2)
-    rows = rng.integers(0, active, size=nnz)
-    cols = rng.integers(0, k, size=nnz)
-    if integer_values:
-        vals = rng.integers(-4, 5, size=nnz).astype(np.float32)
-    else:
-        vals = rng.standard_normal(nnz).astype(np.float32)
-    return csr_from_coo(rows, cols, vals, shape=(m, k), sum_duplicates=True)
 
 
 def _dense_operand(a, n, seed, integer_values=False):
@@ -78,7 +62,7 @@ def test_segment_vs_scatter_parity(name, n, a, seed):
     if name in BITWISE_ALWAYS:
         np.testing.assert_array_equal(got, want)
     else:
-        # reduceat reassociates the float32 sum; see the module docstring.
+        # The sliced reduce reassociates the float32 sum; see the module docstring.
         np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-4)
 
 
@@ -87,7 +71,7 @@ def test_segment_vs_scatter_parity(name, n, a, seed):
 @settings(max_examples=25, deadline=None)
 def test_plus_like_bitwise_on_exact_arithmetic(name, a, seed):
     """With integer-valued operands the accumulation is exact, so the
-    reduceat reassociation cannot surface: bit parity is required."""
+    sliced reduce's reassociation cannot surface: bit parity is required."""
     sr = SEMIRINGS[name]
     b = _dense_operand(a, 5, seed, integer_values=True)
     np.testing.assert_array_equal(
@@ -172,6 +156,76 @@ def test_segment_reduce_counter_increments():
         segment_spmm_like(a, b, PLUS_TIMES)
         counter = obs.get_registry().counter("segment.reduce_calls", op="add")
         assert counter.value >= 1
+    finally:
+        obs.set_registry(prev)
+
+
+# ----------------------------------------------------------------------
+# the sliced reduce's jagged-diagonal plan
+# ----------------------------------------------------------------------
+
+
+@given(a=csr_matrices())
+@settings(max_examples=60, deadline=None)
+def test_slice_plan_structure(a):
+    """The plan covers every nonempty row once, longest first; block
+    ``k`` holds the ``k``-th nonzero of every row longer than ``k`` and
+    is taken while at least ``_SLICE_MIN_ROWS`` rows remain; the heavy
+    rows' tails follow in CSR order; and the gather order is a
+    permutation of ``[0, nnz)``."""
+    lengths = np.diff(a.rowptr.astype(np.int64))
+    rows, blocks, tail_starts, order = _slice_layout(a.rowptr)
+    np.testing.assert_array_equal(np.sort(rows), np.flatnonzero(lengths))
+    np.testing.assert_array_equal(np.lexsort((rows, -lengths[rows])), np.arange(rows.size))
+    np.testing.assert_array_equal(np.sort(order), np.arange(a.nnz))
+    if not a.nnz:
+        return
+    assert blocks[0] == rows.size
+    assert list(blocks) == sorted(blocks, reverse=True)
+    assert min(blocks[1:], default=_SLICE_MIN_ROWS) >= _SLICE_MIN_ROWS
+    off = 0
+    for k, c in enumerate(blocks):
+        assert c == np.count_nonzero(lengths > k)
+        np.testing.assert_array_equal(order[off : off + c], a.rowptr[rows[:c]] + k)
+        off += c
+    n_blocks = len(blocks)
+    heavy = rows[: tail_starts.size]
+    assert heavy.size == np.count_nonzero(lengths > n_blocks) < _SLICE_MIN_ROWS
+    for row, tail in zip(heavy, np.split(order[off:], tail_starts[1:])):
+        want = np.arange(a.rowptr[row] + n_blocks, a.rowptr[row + 1])
+        np.testing.assert_array_equal(tail, want)
+    plan = _slice_plan(a)
+    assert plan.cols.dtype == np.int32 and plan.vals.dtype == np.float32
+    np.testing.assert_array_equal(plan.cols, a.colind[order])
+    np.testing.assert_array_equal(plan.vals, a.values[order])
+
+
+@pytest.mark.parametrize("long_rows", [_SLICE_MIN_ROWS, _SLICE_MIN_ROWS - 1])
+def test_slice_plan_takes_blocks_down_to_exactly_min_rows(long_rows):
+    """``long_rows`` rows of length 3 among 10 of length 1: blocks 1 and
+    2 are taken exactly when they hold at least ``_SLICE_MIN_ROWS`` rows;
+    otherwise those rows become heavy-row tails."""
+    lengths = np.array([3] * long_rows + [1] * 10)
+    rowptr = np.concatenate([[0], np.cumsum(lengths)])
+    _, blocks, tail_starts, _ = _slice_layout(rowptr)
+    if long_rows >= _SLICE_MIN_ROWS:
+        assert blocks == (long_rows + 10, long_rows, long_rows) and tail_starts.size == 0
+    else:
+        assert blocks == (long_rows + 10,)
+        np.testing.assert_array_equal(tail_starts, 2 * np.arange(long_rows))
+
+
+def test_slice_plan_is_a_counted_derived_artifact():
+    prev = obs.set_registry(MetricsRegistry())
+    try:
+        a = power_law(200, 3000, seed=2, weighted=True)
+        b = _dense_operand(a, 8, seed=3)
+        segment_spmm_like(a, b, PLUS_TIMES)
+        segment_max_with_argmax(a, b)
+        reg = obs.get_registry()
+        assert reg.counter("csr.derived_cache.misses", array="slice_plan").value == 1
+        assert reg.counter("csr.derived_cache.hits", array="slice_plan").value == 1
+        assert a.clear_derived() >= 1 and "slice_plan" not in a._derived
     finally:
         obs.set_registry(prev)
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 import references as ref
+from csr_strategies import csr_matrices
 from hypothesis import given, settings, strategies as st
 
 from repro import obs
@@ -38,7 +39,7 @@ from repro.sparse import (
     workspace_stats,
 )
 from repro.sparse.ops import reference_spmm_like_multi
-from repro.sparse.segment import _POOL
+from repro.sparse.segment import _POOL, _slice_plan
 
 SEMIRINGS = {
     "plus": PLUS_TIMES,
@@ -46,22 +47,6 @@ SEMIRINGS = {
     "min": MIN_TIMES,
     "mean": MEAN_TIMES,
 }
-
-
-@st.composite
-def csr_matrices(draw, max_m=30, max_k=25, max_nnz=150):
-    """Random CSR with deliberate empty rows (same shape family as
-    ``test_segment_engine.csr_matrices``)."""
-    m = draw(st.integers(1, max_m))
-    k = draw(st.integers(1, max_k))
-    nnz = draw(st.integers(0, min(max_nnz, m * k)))
-    seed = draw(st.integers(0, 2**20))
-    rng = np.random.default_rng(seed)
-    active = max(1, m // 2)
-    rows = rng.integers(0, active, size=nnz)
-    cols = rng.integers(0, k, size=nnz)
-    vals = rng.standard_normal(nnz).astype(np.float32)
-    return csr_from_coo(rows, cols, vals, shape=(m, k), sum_duplicates=True)
 
 
 def _dense_operand(a, n, seed):
@@ -190,6 +175,31 @@ def test_workspace_pool_free_list_capped():
         clear_workspace_pool()
 
 
+@pytest.mark.parametrize("call", ["max_with_argmax", "spmm_like"])
+def test_warm_calls_allocate_nothing(call):
+    """Every buffer a traversal needs, including the argmax's winner and
+    compare buffers, comes from the pool: a warm call allocates none."""
+    a = power_law(300, 5000, seed=6, weighted=True)
+    assert _slice_plan(a).tail_starts.size  # heavy-row tails are in play
+    b = _dense_operand(a, 40, seed=1)
+    run = {
+        "max_with_argmax": lambda: segment_max_with_argmax(a, b, tile_width=16),
+        "spmm_like": lambda: segment_spmm_like(a, b, PLUS_TIMES, tile_width=16),
+    }[call]
+    clear_workspace_pool()
+    prev = obs.set_registry(MetricsRegistry())
+    try:
+        run()
+        obs.set_registry(MetricsRegistry())
+        run()
+        reg = obs.get_registry()
+        assert reg.counter("segment.workspace.allocs").value == 0
+        assert reg.counter("segment.workspace.reuses").value >= 1
+    finally:
+        clear_workspace_pool()
+        obs.set_registry(prev)
+
+
 # ----------------------------------------------------------------------
 # multi-operand batching
 # ----------------------------------------------------------------------
@@ -309,6 +319,37 @@ def test_max_with_argmax_matches_untiled_two_pass(a, n, data):
     if data.draw(st.booleans()):
         a = a.with_values(np.ones(a.nnz, np.float32))  # ties across a row
     _assert_max_argmax_matches_reference(a, data.draw(max_operands(a, n)))
+
+
+@given(a=csr_matrices(), n=st.integers(1, 12), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_every_reduction_matches_reference_at_every_tile_width(a, n, data):
+    """Every built-in reduction, the batched traversal and max + argmax
+    at tile widths {1, 3, 8, N, N+5} against the tests/ references, over
+    every plan shape (multi-block heads, heavy-row tails, tail-only,
+    uniform, all-empty and single-row matrices)."""
+    if data.draw(st.booleans()):
+        a = a.with_values(np.ones(a.nnz, np.float32))  # ties across a row
+    b = data.draw(max_operands(a, n))
+    b2 = _dense_operand(a, n + 3, seed=n)
+    want_out, want_am = ref.max_with_argmax(a, b)
+    for name, sr in sorted(SEMIRINGS.items()):
+        wants = [ref.scatter_spmm_like(a, x, sr) for x in (b, b2)]
+        for tile in ARGMAX_TILES:
+            t = _width(tile, n)
+            got = [segment_spmm_like(a, b, sr, tile_width=t)]
+            got += segment_spmm_like_multi(a, [b, b2], sr, tile_width=t)
+            for g, w in zip(got, [wants[0]] + wants):
+                if name in ("max", "min"):
+                    np.testing.assert_array_equal(g, w, err_msg=f"{name} tile={tile}")
+                else:
+                    np.testing.assert_allclose(
+                        g, w, rtol=1e-5, atol=1e-4, err_msg=f"{name} tile={tile}"
+                    )
+    for tile in ARGMAX_TILES:
+        out, am = segment_max_with_argmax(a, b, tile_width=_width(tile, n))
+        np.testing.assert_array_equal(out, want_out, err_msg=f"tile={tile}")
+        np.testing.assert_array_equal(am, want_am, err_msg=f"tile={tile}")
 
 
 def test_max_with_argmax_ties_nan_neg_inf_and_empty_rows():
