@@ -322,6 +322,18 @@ class CSRMatrix:
         )
 
 
+def _index_array(idx: Iterable[int], what: str) -> np.ndarray:
+    """``idx`` as ``int64``.  Integer input is cast without a scan; any
+    other non-empty input must hold finite whole numbers, so ``0.7`` is
+    rejected rather than truncated to row 0."""
+    arr = np.asarray(idx)
+    if arr.dtype.kind not in "iub" and arr.size:
+        f = arr.astype(np.float64)
+        if not np.all(np.isfinite(f) & (f == np.trunc(f))):
+            raise ValueError(f"{what} indices must be finite integers")
+    return arr.astype(np.int64, copy=False)
+
+
 def csr_from_coo(
     rows: Iterable[int],
     cols: Iterable[int],
@@ -337,8 +349,11 @@ def csr_from_coo(
     coordinates are accumulated; otherwise duplicates are kept verbatim
     (CSR permits them, and SpMM sums them naturally).
     """
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
+    m, k = int(shape[0]), int(shape[1])
+    if m < 0 or k < 0:
+        raise ValueError(f"negative dimensions {(m, k)!r}")
+    rows = _index_array(rows, "row")
+    cols = _index_array(cols, "column")
     if rows.shape != cols.shape or rows.ndim != 1:
         raise ValueError("rows and cols must be equal-length 1-D arrays")
     if values is None:
@@ -346,7 +361,6 @@ def csr_from_coo(
     values = np.asarray(values, dtype=VALUE_DTYPE)
     if values.shape != rows.shape:
         raise ValueError("values must match rows/cols length")
-    m, k = int(shape[0]), int(shape[1])
     if rows.size:
         if rows.min() < 0 or rows.max() >= m:
             raise ValueError("row index out of range")

@@ -163,6 +163,13 @@ def banded_random(
 # row, producing the clustered column locality that tiling kernels
 # exploit.  All are deterministic given ``seed`` and hit the requested
 # sparsity exactly (up to integer rounding of the kept-entry count).
+#
+# Magnitude and structured pruning pick their kept set by a linear
+# threshold top-k, not a sort (ties at the threshold go to the lowest
+# flat index, which is what a stable descending argsort would keep),
+# and all three write the CSR straight from the ascending row-major
+# keys.  Only the threshold value is taken from ``np.partition``, so the
+# result does not depend on how a NumPy version orders the partition.
 # ----------------------------------------------------------------------
 
 
@@ -176,9 +183,27 @@ def _kept_count(total: int, sparsity: float) -> int:
     return total - int(round(sparsity * total))
 
 
+def _top_k(score: np.ndarray, keep: int) -> np.ndarray:
+    """Ascending indices of the ``keep`` largest scores, ties to the
+    lowest index: ``np.sort(np.argsort(-score, kind="stable")[:keep])``
+    in linear time."""
+    if keep == 0:
+        return np.empty(0, dtype=np.intp)
+    t = np.partition(score, score.size - keep)[score.size - keep]
+    mask = score > t
+    mask[np.flatnonzero(score == t)[: keep - np.count_nonzero(mask)]] = True
+    return np.flatnonzero(mask)
+
+
 def _csr_from_flat(flat: np.ndarray, values: np.ndarray, m: int, k: int) -> CSRMatrix:
-    rows, cols = np.divmod(flat.astype(np.int64), k)
-    return csr_from_coo(rows, cols, values, shape=(m, k))
+    """CSR straight from strictly ascending row-major keys ``row * k + col``."""
+    flat = np.asarray(flat, dtype=np.int64)
+    if np.any(np.diff(flat) <= 0):
+        raise ValueError("flat indices must be strictly ascending")
+    rows, cols = np.divmod(flat, k)
+    rowptr = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=m), out=rowptr[1:])
+    return CSRMatrix((m, k), rowptr, cols, values)
 
 
 def pruned_magnitude(m: int, k: int, sparsity: float, *, seed: int = 0) -> CSRMatrix:
@@ -193,13 +218,7 @@ def pruned_magnitude(m: int, k: int, sparsity: float, *, seed: int = 0) -> CSRMa
     sparsity = _check_sparsity(sparsity)
     rng = np.random.default_rng(seed)
     w = rng.standard_normal(m * k).astype(np.float32)
-    keep = _kept_count(m * k, sparsity)
-    if keep == 0:
-        return csr_from_coo([], [], [], shape=(m, k))
-    # Stable argsort (not argpartition) so tie order — and therefore the
-    # matrix fingerprint — is deterministic across NumPy versions.
-    order = np.argsort(-np.abs(w), kind="stable")
-    flat = np.sort(order[:keep])
+    flat = _top_k(np.abs(w), _kept_count(m * k, sparsity))
     return _csr_from_flat(flat, w[flat], m, k)
 
 
@@ -210,8 +229,6 @@ def pruned_random(m: int, k: int, sparsity: float, *, seed: int = 0) -> CSRMatri
     sparsity = _check_sparsity(sparsity)
     rng = np.random.default_rng(seed)
     keep = _kept_count(m * k, sparsity)
-    if keep == 0:
-        return csr_from_coo([], [], [], shape=(m, k))
     flat = np.sort(rng.choice(m * k, size=keep, replace=False))
     values = rng.standard_normal(keep).astype(np.float32)
     return _csr_from_flat(flat, values, m, k)
@@ -238,17 +255,13 @@ def pruned_structured(
     padded = np.zeros((m, n_blocks * block), dtype=np.float64)
     padded[:, :k] = w
     norms = np.sqrt((padded.reshape(m, n_blocks, block) ** 2).sum(axis=2)).ravel()
-    keep_units = _kept_count(m * n_blocks, sparsity)
-    if keep_units == 0:
-        return csr_from_coo([], [], [], shape=(m, k))
-    order = np.argsort(-norms, kind="stable")
-    units = np.sort(order[:keep_units]).astype(np.int64)
+    units = _top_k(norms, _kept_count(m * n_blocks, sparsity))
     rows = np.repeat(units // n_blocks, block)
     cols = (units % n_blocks)[:, None] * block + np.arange(block, dtype=np.int64)
     cols = cols.ravel()
     in_range = cols < k  # drop the padding tail of the last block
     rows, cols = rows[in_range], cols[in_range]
-    return csr_from_coo(rows, cols, w[rows, cols], shape=(m, k))
+    return _csr_from_flat(rows * k + cols, w[rows, cols], m, k)
 
 
 def erdos_renyi_nnz(m: int, k: int, nnz: int, *, seed: int = 0) -> CSRMatrix:

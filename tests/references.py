@@ -4,8 +4,9 @@ One straightforward implementation per invariant the production code in
 ``src/`` must reproduce: the ``ufunc.at`` scatter SpMM and segment
 reduction, the accumulating ``to_dense``, the per-row first-maximizer
 argmax and the ``aggregate_max`` gradient it routes, and the
-array-expansion access counters behind ``repro.core._counting``.  They
-are written for clarity, not speed, and nothing in ``src/`` calls them.
+array-expansion access counters behind ``repro.core._counting``, and
+the stable-argsort top-k behind the DLMC pruned generators.  They are
+written for clarity, not speed, and nothing in ``src/`` calls them.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 from repro.core.access_profile import ELEMS_PER_SECTOR, AccessTotals, dense_segments
 from repro.gpusim.memory import segment_sectors
 from repro.semiring import Semiring
-from repro.sparse.csr import CSRMatrix, VALUE_DTYPE
+from repro.sparse.csr import CSRMatrix, VALUE_DTYPE, csr_from_coo
 
 _SCATTER_UFUNCS = {
     np.add.reduce: np.add,
@@ -171,3 +172,41 @@ COUNTERS = (
     "unique_b_columns",
     "occupied_rows",
 )
+
+
+# ----------------------------------------------------------------------
+# DLMC pruned generators (comparison-sort top-k)
+# ----------------------------------------------------------------------
+def top_k_reference(score: np.ndarray, keep: int) -> np.ndarray:
+    """Ascending indices of the ``keep`` largest scores by a stable
+    descending argsort, so ties go to the lowest index."""
+    return np.sort(np.argsort(-score, kind="stable")[:keep])
+
+
+def pruned_magnitude_reference(m: int, k: int, sparsity: float, *, seed: int = 0) -> CSRMatrix:
+    """``repro.sparse.pruned_magnitude`` by argsort and ``csr_from_coo``."""
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal(m * k).astype(np.float32)
+    keep = m * k - int(round(sparsity * m * k))
+    flat = top_k_reference(np.abs(w), keep)
+    rows, cols = np.divmod(flat.astype(np.int64), k)
+    return csr_from_coo(rows, cols, w[flat], shape=(m, k))
+
+
+def pruned_structured_reference(
+    m: int, k: int, sparsity: float, *, block: int = 4, seed: int = 0
+) -> CSRMatrix:
+    """``repro.sparse.pruned_structured`` by argsort and ``csr_from_coo``."""
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal((m, k)).astype(np.float32)
+    n_blocks = (k + block - 1) // block
+    padded = np.zeros((m, n_blocks * block), dtype=np.float64)
+    padded[:, :k] = w
+    norms = np.sqrt((padded.reshape(m, n_blocks, block) ** 2).sum(axis=2)).ravel()
+    keep = m * n_blocks - int(round(sparsity * m * n_blocks))
+    units = top_k_reference(norms, keep).astype(np.int64)
+    rows = np.repeat(units // n_blocks, block)
+    cols = ((units % n_blocks)[:, None] * block + np.arange(block, dtype=np.int64)).ravel()
+    in_range = cols < k
+    rows, cols = rows[in_range], cols[in_range]
+    return csr_from_coo(rows, cols, w[rows, cols], shape=(m, k))

@@ -82,3 +82,26 @@ class TestDefensiveInterfaces:
         a = uniform_random(10, 50, seed=5)
         with pytest.raises(Exception):
             a.shape = (1, 1)
+
+
+class TestCooInputValidation:
+    @pytest.mark.parametrize("rows,cols", [
+        ([0.7], [1.2]),
+        ([0], [1.5]),
+        ([np.nan], [0]),
+        ([0], [np.inf]),
+    ])
+    def test_non_integer_coordinates_rejected(self, rows, cols):
+        with pytest.raises(ValueError, match="finite integers"):
+            csr_from_coo(rows, cols, [1.0], shape=(2, 2))
+
+    def test_empty_and_integer_valued_coordinates_accepted(self):
+        assert csr_from_coo([], [], [], shape=(2, 2)).nnz == 0
+        a = csr_from_coo(np.array([1.0, 0.0]), [1.0, 1.0], [2.0, 3.0], shape=(2, 2))
+        np.testing.assert_array_equal(a.rowptr, [0, 1, 2])
+        np.testing.assert_array_equal(a.colind, [1, 1])
+        np.testing.assert_array_equal(a.values, [3.0, 2.0])
+
+    def test_negative_shape_reported_before_indices(self):
+        with pytest.raises(ValueError, match="negative dimensions"):
+            csr_from_coo([0], [1], [1.0], shape=(2, -3))
