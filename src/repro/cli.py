@@ -571,8 +571,9 @@ def build_parser() -> argparse.ArgumentParser:
     def add_graph_opts(sp):
         sp.add_argument("--graph", default="random",
                         help="'random', a citation graph, or a SNAP matrix name")
-        sp.add_argument("--m", type=int, default=65_536, help="rows for --graph random")
-        sp.add_argument("--nnz", type=int, default=650_000, help="nonzeros for --graph random")
+        sp.add_argument("--m", type=_positive_int, default=65_536, help="rows for --graph random")
+        sp.add_argument("--nnz", type=_positive_int, default=650_000,
+                        help="nonzeros for --graph random")
         sp.add_argument("--seed", type=int, default=42)
         sp.add_argument("--max-nnz", type=int, default=300_000,
                         help="scaling cap for SNAP twins")
@@ -619,8 +620,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--model", default="gcn", choices=["gcn", "sage-gcn", "sage-pool"])
     sp.add_argument("--backend", default="dgl", choices=["dgl", "pyg"])
     sp.add_argument("--gespmm", action="store_true", help="swap in GE-SpMM")
-    sp.add_argument("--epochs", type=int, default=20)
-    sp.add_argument("--hidden", type=int, default=16)
+    sp.add_argument("--epochs", type=_positive_int, default=20)
+    sp.add_argument("--hidden", type=_positive_int, default=16)
     sp.add_argument("--layers", type=int, default=1)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--gpu", default=GTX_1080TI.name, choices=sorted(KNOWN_GPUS))
@@ -629,8 +630,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("scenario", help="inference / sampled-training amortization")
     add_graph_opts(sp)
-    sp.add_argument("--feature-dim", type=int, default=128)
-    sp.add_argument("--batches", type=int, default=4)
+    sp.add_argument("--feature-dim", type=_positive_int, default=128)
+    sp.add_argument("--batches", type=_positive_int, default=4)
     sp.set_defaults(fn=cmd_scenario)
 
     sp = sub.add_parser("roofline", help="roofline placement of kernels")

@@ -1,8 +1,8 @@
 """GNN framework substrate: autograd, layers, models, and the DGL/PyG
 aggregation backends GE-SpMM plugs into."""
 
-from repro.gnn.aggregate import GraphPair, aggregate_max, aggregate_sum, aggregate_sum_multi
-from repro.gnn.device import OpProfile, SimDevice
+from repro.gnn.aggregate import GraphPair, aggregate_max, aggregate_sum
+from repro.gnn.device import Op, OpProfile, SimDevice
 from repro.gnn.inference import (
     ScenarioResult,
     amortization_crossover,
@@ -20,8 +20,8 @@ from repro.gnn.training import Adam, TrainResult, evaluate_accuracy, train
 __all__ = [
     "GraphPair",
     "aggregate_sum",
-    "aggregate_sum_multi",
     "aggregate_max",
+    "Op",
     "SimDevice",
     "OpProfile",
     "AggregationBackend",

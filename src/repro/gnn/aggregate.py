@@ -17,26 +17,27 @@ in PyTorch [that] represents an aggregation step on the graph".
   ``(M, N)`` int32 argmax, not the full ``(nnz, N)`` contributions
   array.
 
-Numeric execution is vectorized NumPy; the simulated kernel cost of both
-directions is charged to the device ledger by the caller-supplied
-``forward_cost`` / ``backward_cost`` callables, which is where the
-framework backends (DGL-style fused kernels, PyG-style message passing,
-GE-SpMM swap-ins) differ.
+Numeric execution is vectorized NumPy and the same under every
+backend.  Each direction hands one shape-level :class:`~repro.gnn.device.Op`
+(``"sum"``/``"sum.bwd"``, ``"max"``/``"max.bwd"``) to the caller's
+``charge``; pricing it is the framework backend's job (DGL-style fused
+kernels, PyG-style message passing, GE-SpMM swap-ins).
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
+from repro.gnn.device import Op
 from repro.gnn.tensor import Tensor
 from repro.semiring import PLUS_TIMES
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.ops import reference_spmm_like, reference_spmm_like_multi
+from repro.sparse.ops import reference_spmm_like
 from repro.sparse.segment import segment_max_with_argmax
 
-__all__ = ["GraphPair", "aggregate_sum", "aggregate_sum_multi", "aggregate_max"]
+__all__ = ["GraphPair", "aggregate_sum", "aggregate_max"]
 
 
 class GraphPair:
@@ -70,76 +71,25 @@ class GraphPair:
         return self.adj.nnz
 
 
-CostFn = Callable[[CSRMatrix, int], float]
-
-
-def aggregate_sum(
-    g: GraphPair,
-    x: Tensor,
-    forward_cost: CostFn,
-    backward_cost: CostFn,
-    record: Callable[[str, float], None],
-    label: str = "SpMM",
-) -> Tensor:
+def aggregate_sum(g: GraphPair, x: Tensor, charge: Callable[[Op], None]) -> Tensor:
     """Sum aggregation ``C = A @ X`` with SpMM-costed backward."""
     n = x.data.shape[1]
-    record(label, forward_cost(g.adj, n))
+    charge(Op("sum", (n,), g.adj))
     out = reference_spmm_like(g.adj, x.data, PLUS_TIMES)
 
     def backward(grad: np.ndarray) -> None:
-        record(label, backward_cost(g.adj_t, n))
+        charge(Op("sum.bwd", (n,), g.adj_t))
         if x.requires_grad:
             x.accumulate_grad(reference_spmm_like(g.adj_t, grad, PLUS_TIMES))
 
-    return Tensor(out, x.requires_grad, [x], backward if x.requires_grad else None, name=label)
+    return Tensor(out, x.requires_grad, [x], backward if x.requires_grad else None, name="SpMM")
 
 
-def aggregate_sum_multi(
-    g: GraphPair,
-    xs: Sequence[Tensor],
-    forward_cost: CostFn,
-    backward_cost: CostFn,
-    record: Callable[[str, float], None],
-    label: str = "SpMM",
-) -> List[Tensor]:
-    """K same-graph sum aggregations through one batched SpMM traversal.
-
-    The coalescing primitive for a multi-tenant serving layer: concurrent
-    requests against the same graph share the gather index work and the
-    pooled workspace (``segment_spmm_like_multi``), while each request
-    keeps its own autograd closure and its own simulated-kernel charge.
-    Outputs are byte-identical to per-request :func:`aggregate_sum`
-    calls.
-    """
-    outs = reference_spmm_like_multi(g.adj, [x.data for x in xs], PLUS_TIMES)
-    tensors: List[Tensor] = []
-    for x, out in zip(xs, outs):
-        n = x.data.shape[1]
-        record(label, forward_cost(g.adj, n))
-
-        def backward(grad: np.ndarray, x: Tensor = x, n: int = n) -> None:
-            record(label, backward_cost(g.adj_t, n))
-            if x.requires_grad:
-                x.accumulate_grad(reference_spmm_like(g.adj_t, grad, PLUS_TIMES))
-
-        tensors.append(
-            Tensor(out, x.requires_grad, [x], backward if x.requires_grad else None, name=label)
-        )
-    return tensors
-
-
-def aggregate_max(
-    g: GraphPair,
-    x: Tensor,
-    forward_cost: CostFn,
-    backward_cost: CostFn,
-    record: Callable[[str, float], None],
-    label: str = "SpMM-like",
-) -> Tensor:
+def aggregate_max(g: GraphPair, x: Tensor, charge: Callable[[Op], None]) -> Tensor:
     """Max aggregation (SpMM-like) with argmax-routed backward."""
     n = x.data.shape[1]
     adj = g.adj
-    record(label, forward_cost(adj, n))
+    charge(Op("max", (n,), adj))
     # One tiled traversal: gather + scale + reduce + argmax per column
     # tile inside the pooled O(nnz·T) workspace — the full (nnz, N)
     # contributions array is never materialized, and the (M, N) int32
@@ -152,7 +102,7 @@ def aggregate_max(
     k = x.data.shape[0]
 
     def backward(grad: np.ndarray) -> None:
-        record(label, backward_cost(g.adj_t, n))
+        charge(Op("max.bwd", (n,), g.adj_t))
         if not x.requires_grad:
             return
         # Winner-takes-all: the whole gradient goes to the first nonzero
@@ -167,5 +117,5 @@ def aggregate_max(
         x.accumulate_grad(dx.reshape(k, n).astype(x.data.dtype))
 
     return Tensor(
-        out, x.requires_grad, [x], backward if x.requires_grad else None, name=label
+        out, x.requires_grad, [x], backward if x.requires_grad else None, name="SpMM-like"
     )

@@ -1,23 +1,45 @@
-"""Simulated device clock and operator-time ledger.
+"""Simulated device clock, operator-time ledger and op log.
 
 The paper's end-to-end numbers are "CUDA time reported by the PyTorch
 profiler" broken down per operator (Table I: SpMM share of GCN training;
-Figs 13/14: total CUDA time; Tables II/IX: per-operator comparisons).
-:class:`SimDevice` reproduces that instrument: every simulated GNN
-operator records its kernel-model time under an operator label, and
-:meth:`profile` renders the per-operator totals and shares.
+Figs 13/14: total CUDA time; Tables II/IX: per-operator comparisons),
+all attributed from one profiled run.  :class:`SimDevice` reproduces
+that instrument: every simulated GNN operator records its kernel-model
+time under an operator label, and :meth:`~SimDevice.profile` renders
+the per-operator totals and shares.
+
+Each launch is also logged as a shape-level :class:`Op`.  The kernel
+models read only shapes and sparsity structure, so a logged run can be
+priced again under any GPU or framework backend without re-executing it
+(``AggregationBackend.replay``).  This module owns the log format.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro import obs
 from repro.gpusim.config import GPUSpec, GTX_1080TI
+from repro.sparse.csr import CSRMatrix
 
-__all__ = ["SimDevice", "OpProfile"]
+__all__ = ["Op", "SimDevice", "OpProfile"]
+
+
+class Op(NamedTuple):
+    """One simulated kernel launch, recorded at shape level.
+
+    * ``"GEMM"``: ``dims=(m, k, n)``
+    * ``"elementwise"``: ``dims=(n_elements, n_arrays)``
+    * ``"sum"``, ``"max"``: ``dims=(n,)``, ``adj`` the aggregated CSR
+    * ``"sum.bwd"``, ``"max.bwd"``: ``dims=(n,)``, ``adj`` its transpose
+      (``GraphPair.adj_t``)
+    """
+
+    kind: str
+    dims: Tuple[int, ...]
+    adj: Optional[CSRMatrix] = None
 
 
 @dataclass
@@ -59,29 +81,35 @@ class OpProfile:
 
 
 class SimDevice:
-    """A simulated GPU with an operator-time ledger.
+    """A simulated GPU with an operator-time ledger and an op log.
 
     All GNN operators route their simulated kernel times through
     :meth:`record`; :meth:`reset` starts a fresh measurement window
-    (e.g. to exclude warm-up epochs, as profilers do).
+    (e.g. to exclude warm-up epochs, as profilers do).  ``log`` holds
+    the :class:`Op` of every launch recorded with one, in order.
     """
 
     def __init__(self, gpu: GPUSpec = GTX_1080TI):
         self.gpu = gpu
+        self.log: List[Op] = []
         self._totals: Dict[str, float] = defaultdict(float)
         self._calls: Dict[str, int] = defaultdict(int)
 
-    def record(self, op: str, seconds: float) -> None:
+    def record(self, label: str, seconds: float, op: Optional[Op] = None) -> None:
+        """Charge ``seconds`` to ``label``; log ``op`` when given."""
         if seconds < 0:
             raise ValueError("negative simulated time")
-        self._totals[op] += seconds
-        self._calls[op] += 1
+        self._totals[label] += seconds
+        self._calls[label] += 1
+        if op is not None:
+            self.log.append(op)
         # The ledger is the ground truth for simulated device time, so it
         # is also where spans get their sim-time attribution.
         obs.add_sim_time(seconds)
-        obs.get_registry().counter("gnn.op.calls", op=op, gpu=self.gpu.name).inc()
+        obs.get_registry().counter("gnn.op.calls", op=label, gpu=self.gpu.name).inc()
 
     def reset(self) -> None:
+        self.log.clear()
         self._totals.clear()
         self._calls.clear()
 

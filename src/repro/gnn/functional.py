@@ -1,19 +1,20 @@
 """Differentiable operators for the GNN substrate.
 
-Each op computes in NumPy and charges simulated device time (forward and
-backward) to the :class:`SimDevice` ledger under the operator labels the
-benchmark tables aggregate over: ``GEMM`` for dense matmuls,
-``elementwise`` for maps/reductions.  Sparse aggregation lives in
-:mod:`repro.gnn.aggregate` under the ``SpMM``/``SpMM-like`` labels.
+Each op computes in NumPy and hands the shape-level
+:class:`~repro.gnn.device.Op` of every launch (forward and backward) to
+``charge`` — a backend's ``charge``, which prices it with the device
+rooflines under the labels the benchmark tables aggregate over:
+``GEMM`` for dense matmuls, ``elementwise`` for maps/reductions.
+Sparse aggregation lives in :mod:`repro.gnn.aggregate`.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from repro.gnn.device import SimDevice
+from repro.gnn.device import Op
 from repro.gnn.tensor import Tensor
 
 __all__ = [
@@ -27,18 +28,18 @@ __all__ = [
 ]
 
 
-def matmul(x: Tensor, w: Tensor, device: SimDevice) -> Tensor:
+def matmul(x: Tensor, w: Tensor, charge: Callable[[Op], None]) -> Tensor:
     """Dense ``x @ w`` with cuBLAS-modelled timing."""
     m, k = x.data.shape
     k2, n = w.data.shape
     if k != k2:
         raise ValueError(f"matmul shape mismatch {x.data.shape} @ {w.data.shape}")
-    device.record("GEMM", device.gemm_time(m, k, n))
+    charge(Op("GEMM", (m, k, n)))
     out_data = x.data @ w.data
 
     def backward(g: np.ndarray) -> None:
-        device.record("GEMM", device.gemm_time(m, n, k))  # dX = g @ W^T
-        device.record("GEMM", device.gemm_time(k, m, n))  # dW = X^T @ g
+        charge(Op("GEMM", (m, n, k)))  # dX = g @ W^T
+        charge(Op("GEMM", (k, m, n)))  # dW = X^T @ g
         if x.requires_grad:
             x.accumulate_grad(g @ w.data.T)
         if w.requires_grad:
@@ -48,13 +49,13 @@ def matmul(x: Tensor, w: Tensor, device: SimDevice) -> Tensor:
     return Tensor(out_data, req, [x, w], backward if req else None, name="matmul")
 
 
-def add_bias(x: Tensor, b: Tensor, device: SimDevice) -> Tensor:
+def add_bias(x: Tensor, b: Tensor, charge: Callable[[Op], None]) -> Tensor:
     """Row-broadcast bias addition."""
-    device.record("elementwise", device.elementwise_time(x.size))
+    charge(Op("elementwise", (x.size, 2)))
     out = x.data + b.data[None, :]
 
     def backward(g: np.ndarray) -> None:
-        device.record("elementwise", device.elementwise_time(x.size))
+        charge(Op("elementwise", (x.size, 2)))
         if x.requires_grad:
             x.accumulate_grad(g)
         if b.requires_grad:
@@ -64,13 +65,13 @@ def add_bias(x: Tensor, b: Tensor, device: SimDevice) -> Tensor:
     return Tensor(out, req, [x, b], backward if req else None, name="add_bias")
 
 
-def relu(x: Tensor, device: SimDevice) -> Tensor:
-    device.record("elementwise", device.elementwise_time(x.size))
+def relu(x: Tensor, charge: Callable[[Op], None]) -> Tensor:
+    charge(Op("elementwise", (x.size, 2)))
     mask = x.data > 0
     out = x.data * mask
 
     def backward(g: np.ndarray) -> None:
-        device.record("elementwise", device.elementwise_time(x.size))
+        charge(Op("elementwise", (x.size, 2)))
         if x.requires_grad:
             x.accumulate_grad(g * mask)
 
@@ -78,34 +79,34 @@ def relu(x: Tensor, device: SimDevice) -> Tensor:
 
 
 def dropout(
-    x: Tensor, p: float, device: SimDevice, training: bool, rng: np.random.Generator
+    x: Tensor, p: float, charge: Callable[[Op], None], training: bool, rng: np.random.Generator
 ) -> Tensor:
     """Inverted dropout; identity when not training."""
     if not training or p <= 0:
         return x
     if not 0 <= p < 1:
         raise ValueError("dropout probability must be in [0, 1)")
-    device.record("elementwise", device.elementwise_time(x.size))
+    charge(Op("elementwise", (x.size, 2)))
     keep = (rng.random(x.data.shape) >= p).astype(np.float32) / (1.0 - p)
     out = x.data * keep
 
     def backward(g: np.ndarray) -> None:
-        device.record("elementwise", device.elementwise_time(x.size))
+        charge(Op("elementwise", (x.size, 2)))
         if x.requires_grad:
             x.accumulate_grad(g * keep)
 
     return Tensor(out, x.requires_grad, [x], backward if x.requires_grad else None, name="dropout")
 
 
-def log_softmax(x: Tensor, device: SimDevice) -> Tensor:
+def log_softmax(x: Tensor, charge: Callable[[Op], None]) -> Tensor:
     """Row-wise log-softmax (numerically stabilized)."""
-    device.record("elementwise", device.elementwise_time(x.size, n_arrays=3))
+    charge(Op("elementwise", (x.size, 3)))
     shifted = x.data - x.data.max(axis=1, keepdims=True)
     logsum = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     out = shifted - logsum
 
     def backward(g: np.ndarray) -> None:
-        device.record("elementwise", device.elementwise_time(x.size, n_arrays=3))
+        charge(Op("elementwise", (x.size, 3)))
         if x.requires_grad:
             softmax = np.exp(out)
             x.accumulate_grad(g - softmax * g.sum(axis=1, keepdims=True))
@@ -114,19 +115,22 @@ def log_softmax(x: Tensor, device: SimDevice) -> Tensor:
 
 
 def nll_loss(
-    log_probs: Tensor, labels: np.ndarray, device: SimDevice, mask: Optional[np.ndarray] = None
+    log_probs: Tensor,
+    labels: np.ndarray,
+    charge: Callable[[Op], None],
+    mask: Optional[np.ndarray] = None,
 ) -> Tensor:
     """Masked negative log-likelihood averaged over selected rows."""
     labels = np.asarray(labels, dtype=np.int64)
     idx = np.nonzero(mask)[0] if mask is not None else np.arange(labels.shape[0])
     if idx.size == 0:
         raise ValueError("empty mask in nll_loss")
-    device.record("elementwise", device.elementwise_time(log_probs.size))
+    charge(Op("elementwise", (log_probs.size, 2)))
     picked = log_probs.data[idx, labels[idx]]
     out = np.array(-picked.mean(), dtype=np.float32)
 
     def backward(g: np.ndarray) -> None:
-        device.record("elementwise", device.elementwise_time(log_probs.size))
+        charge(Op("elementwise", (log_probs.size, 2)))
         if log_probs.requires_grad:
             grad = np.zeros_like(log_probs.data)
             grad[idx, labels[idx]] = -float(g) / idx.size
@@ -138,16 +142,16 @@ def nll_loss(
     )
 
 
-def concat(a: Tensor, b: Tensor, device: SimDevice) -> Tensor:
+def concat(a: Tensor, b: Tensor, charge: Callable[[Op], None]) -> Tensor:
     """Column-wise concatenation (GraphSAGE's [self, neighborhood])."""
     if a.data.shape[0] != b.data.shape[0]:
         raise ValueError("concat row mismatch")
-    device.record("elementwise", device.elementwise_time(a.size + b.size))
+    charge(Op("elementwise", (a.size + b.size, 2)))
     out = np.concatenate([a.data, b.data], axis=1)
     na = a.data.shape[1]
 
     def backward(g: np.ndarray) -> None:
-        device.record("elementwise", device.elementwise_time(a.size + b.size))
+        charge(Op("elementwise", (a.size + b.size, 2)))
         if a.requires_grad:
             a.accumulate_grad(g[:, :na])
         if b.requires_grad:

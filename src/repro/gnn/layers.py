@@ -52,7 +52,7 @@ class GCNLayer(_Layer):
         self.activation = activation
 
     def __call__(self, backend: AggregationBackend, g: GraphPair, x: Tensor) -> Tensor:
-        device = backend.device
+        charge = backend.charge
         in_dim, out_dim = self.w.data.shape
         # A_hat (X W) == (A_hat X) W: order the projection so the SpMM
         # always runs at the narrower of the two widths.  Project first
@@ -60,13 +60,13 @@ class GCNLayer(_Layer):
         # after aggregating when out_dim > in_dim (decoder-style layers),
         # so the wider width is never charged to the aggregation kernel.
         if out_dim <= in_dim:
-            h = F.matmul(x, self.w, device)
+            h = F.matmul(x, self.w, charge)
             h = backend.aggregate(g.sym_normalized_with_loops(), h, op="sum")
         else:
             h = backend.aggregate(g.sym_normalized_with_loops(), x, op="sum")
-            h = F.matmul(h, self.w, device)
-        h = F.add_bias(h, self.b, device)
-        return F.relu(h, device) if self.activation else h
+            h = F.matmul(h, self.w, charge)
+        h = F.add_bias(h, self.b, charge)
+        return F.relu(h, charge) if self.activation else h
 
 
 class SAGEGcnLayer(_Layer):
@@ -79,12 +79,12 @@ class SAGEGcnLayer(_Layer):
         self.activation = activation
 
     def __call__(self, backend: AggregationBackend, g: GraphPair, x: Tensor) -> Tensor:
-        device = backend.device
+        charge = backend.charge
         # Mean over the neighborhood expressed as sum on D^-1 A.
         h = backend.aggregate(g.row_normalized(), x, op="sum")
-        h = F.matmul(h, self.w, device)
-        h = F.add_bias(h, self.b, device)
-        return F.relu(h, device) if self.activation else h
+        h = F.matmul(h, self.w, charge)
+        h = F.add_bias(h, self.b, charge)
+        return F.relu(h, charge) if self.activation else h
 
 
 class SAGEPoolLayer(_Layer):
@@ -99,10 +99,10 @@ class SAGEPoolLayer(_Layer):
         self.activation = activation
 
     def __call__(self, backend: AggregationBackend, g: GraphPair, x: Tensor) -> Tensor:
-        device = backend.device
-        msg = F.relu(F.add_bias(F.matmul(x, self.w_pool, device), self.b_pool, device), device)
+        charge = backend.charge
+        msg = F.relu(F.add_bias(F.matmul(x, self.w_pool, charge), self.b_pool, charge), charge)
         pooled = backend.aggregate(g, msg, op="max")  # the SpMM-like step
-        h = F.concat(x, pooled, device)
-        h = F.matmul(h, self.w, device)
-        h = F.add_bias(h, self.b, device)
-        return F.relu(h, device) if self.activation else h
+        h = F.concat(x, pooled, charge)
+        h = F.matmul(h, self.w, charge)
+        h = F.add_bias(h, self.b, charge)
+        return F.relu(h, charge) if self.activation else h

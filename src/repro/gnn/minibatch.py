@@ -50,15 +50,15 @@ class MinibatchSAGE:
 
     def __call__(self, backend: AggregationBackend, block: CSRMatrix,
                  x_inputs: Tensor) -> Tensor:
-        device = backend.device
+        charge = backend.charge
         # Mean aggregation over sampled neighbors = sum on the
         # row-normalized block.
         agg = backend.aggregate(GraphPair(block).row_normalized(), x_inputs, op="sum")
         x_seed = Tensor(x_inputs.data[: block.nrows])
-        h = F.concat(x_seed, agg, device)
-        h = F.relu(F.add_bias(F.matmul(h, self.w_enc, device), self.b_enc, device), device)
-        logits = F.add_bias(F.matmul(h, self.w_out, device), self.b_out, device)
-        return F.log_softmax(logits, device)
+        h = F.concat(x_seed, agg, charge)
+        h = F.relu(F.add_bias(F.matmul(h, self.w_enc, charge), self.b_enc, charge), charge)
+        logits = F.add_bias(F.matmul(h, self.w_out, charge), self.b_out, charge)
+        return F.log_softmax(logits, charge)
 
 
 @dataclass
@@ -105,7 +105,7 @@ def train_minibatch(
         optimizer.zero_grad()
         log_probs = model(backend, batch.block, x_inputs)
         labels = dataset.labels[batch.seeds]
-        loss = F.nll_loss(log_probs, labels, device)
+        loss = F.nll_loss(log_probs, labels, backend.charge)
         loss.backward()
         optimizer.step()
         losses.append(float(loss.data))

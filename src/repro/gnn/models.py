@@ -89,9 +89,9 @@ class GCN(_Model):
         h = x
         for i, layer in enumerate(self.layers):
             if i > 0:
-                h = F.dropout(h, self.dropout, backend.device, self.training, rng)
+                h = F.dropout(h, self.dropout, backend.charge, self.training, rng)
             h = _run_layer(backend, g, h, layer, i)
-        return F.log_softmax(h, backend.device)
+        return F.log_softmax(h, backend.charge)
 
 
 class GraphSAGE(_Model):
@@ -125,6 +125,6 @@ class GraphSAGE(_Model):
         h = x
         for i, layer in enumerate(self.layers):
             if i > 0:
-                h = F.dropout(h, self.dropout, backend.device, self.training, rng)
+                h = F.dropout(h, self.dropout, backend.charge, self.training, rng)
             h = _run_layer(backend, g, h, layer, i)
-        return F.log_softmax(h, backend.device)
+        return F.log_softmax(h, backend.charge)

@@ -3,7 +3,9 @@
 ``train`` runs full-batch node-classification training the way DGL's
 example scripts do (Adam, dropout, masked NLL loss) while the device
 ledger accumulates per-operator simulated CUDA time — the measurement the
-paper's Tables I/II/IX and Figs 13/14 are built from.
+paper's Tables I/II/IX and Figs 13/14 are built from.  The run's op log
+(:attr:`TrainResult.log`) prices the same run under any other backend or
+GPU through ``AggregationBackend.replay``, without training again.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 from repro import obs
 from repro.gnn import functional as F
 from repro.gnn.aggregate import GraphPair
-from repro.gnn.device import OpProfile, SimDevice
+from repro.gnn.device import Op, OpProfile
 from repro.gnn.frameworks import AggregationBackend
 from repro.gnn.tensor import Parameter, Tensor
 
@@ -58,6 +60,8 @@ class TrainResult:
 
     profile: OpProfile
     losses: List[float] = field(default_factory=list)
+    #: shape-level ops of the measured epochs, in launch order
+    log: List[Op] = field(default_factory=list)
     train_accuracy: float = 0.0
     test_accuracy: float = 0.0
     epochs: int = 0
@@ -111,7 +115,7 @@ def train(
                       backend=backend.name, dataset=getattr(dataset, "name", "?")) as s:
             optimizer.zero_grad()
             log_probs = model(backend, g, x, rng=rng)
-            loss = F.nll_loss(log_probs, dataset.labels, device, mask=dataset.train_mask)
+            loss = F.nll_loss(log_probs, dataset.labels, backend.charge, mask=dataset.train_mask)
             loss.backward()
             optimizer.step()
             if s is not None:
@@ -123,7 +127,7 @@ def train(
             registry.counter("train.epochs", backend=backend.name,
                              gpu=device.gpu.name).inc()
 
-    profile = device.profile()  # capture before the (unprofiled) eval pass
+    profile, log = device.profile(), list(device.log)  # before the (unprofiled) eval pass
     model.eval()
     logits = model(backend, g, x, rng=rng)
     train_acc = evaluate_accuracy(logits.data, dataset.labels, dataset.train_mask)
@@ -131,6 +135,7 @@ def train(
     return TrainResult(
         profile=profile,
         losses=losses,
+        log=log,
         train_accuracy=train_acc,
         test_accuracy=test_acc,
         epochs=epochs,

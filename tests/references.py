@@ -187,7 +187,8 @@ def pruned_magnitude_reference(m: int, k: int, sparsity: float, *, seed: int = 0
     """``repro.sparse.pruned_magnitude`` by argsort and ``csr_from_coo``."""
     rng = np.random.default_rng(seed)
     w = rng.standard_normal(m * k).astype(np.float32)
-    keep = m * k - int(round(sparsity * m * k))
+    total = m * k  # multiplied first: sparsity * m * k can round the other way
+    keep = total - int(round(sparsity * total))
     flat = top_k_reference(np.abs(w), keep)
     rows, cols = np.divmod(flat.astype(np.int64), k)
     return csr_from_coo(rows, cols, w[flat], shape=(m, k))
@@ -203,7 +204,8 @@ def pruned_structured_reference(
     padded = np.zeros((m, n_blocks * block), dtype=np.float64)
     padded[:, :k] = w
     norms = np.sqrt((padded.reshape(m, n_blocks, block) ** 2).sum(axis=2)).ravel()
-    keep = m * n_blocks - int(round(sparsity * m * n_blocks))
+    total = m * n_blocks
+    keep = total - int(round(sparsity * total))
     units = top_k_reference(norms, keep).astype(np.int64)
     rows = np.repeat(units // n_blocks, block)
     cols = ((units % n_blocks)[:, None] * block + np.arange(block, dtype=np.int64)).ravel()

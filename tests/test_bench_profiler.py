@@ -16,7 +16,7 @@ from repro.bench import (
     speedup_series,
 )
 from repro.core import CRCSpMM, SimpleSpMM
-from repro.gnn import OpProfile, SimDevice
+from repro.gnn import Op, OpProfile, SimDevice
 from repro.gpusim import GTX_1080TI, format_metric_table, profile_kernel
 from repro.sparse import uniform_random
 
@@ -123,8 +123,11 @@ class TestSimDevice:
     def test_reset(self):
         dev = SimDevice(GTX_1080TI)
         dev.record("x", 1.0)
+        dev.record("GEMM", 1.0, Op("GEMM", (2, 3, 4)))
+        assert dev.log == [Op("GEMM", (2, 3, 4))]  # raw records stay unlogged
         dev.reset()
         assert dev.profile().total_time == 0
+        assert dev.log == []
 
     def test_format_and_rows_sorted(self):
         prof = OpProfile({"a": 1.0, "b": 3.0}, {"a": 1, "b": 2})

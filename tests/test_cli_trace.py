@@ -134,6 +134,13 @@ def test_unknown_graph_is_a_usage_error(command, capsys, tmp_path, monkeypatch):
     ["corpus", "--limit", "-3"],
     ["corpus", "--shard-size", "0"],
     ["profile", "--n", "0"],
+    ["profile", "--graph", "random", "--m", "0"],
+    ["profile", "--graph", "random", "--nnz", "-5"],
+    ["train", "--epochs", "0"],
+    ["train", "--epochs", "-3"],
+    ["train", "--model", "sage-pool", "--hidden", "0"],
+    ["scenario", "--batches", "-2"],
+    ["scenario", "--feature-dim", "0"],
 ])
 def test_non_positive_count_is_a_usage_error(argv, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)

@@ -128,6 +128,7 @@ class TestPrunedParity:
     @example(m=1, k=1, sparsity=0.0, block=1, seed=0)  # keep everything
     @example(m=1, k=1, sparsity=0.6, block=4, seed=0)  # keep rounds to 0
     @example(m=3, k=10, sparsity=0.5, block=7, seed=5)  # k % block != 0
+    @example(m=21, k=29, sparsity=0.9, block=7, seed=0)  # 0.9 * 21 * 5 rounds up, 0.9 * 105 down
     def test_matches_argsort_reference(self, m, k, sparsity, block, seed):
         self._assert_bytes_equal(
             pruned_magnitude(m, k, sparsity, seed=seed),

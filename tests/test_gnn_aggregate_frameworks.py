@@ -147,47 +147,3 @@ class TestBackendAccounting:
                 outs.append(backend.aggregate(graph, x, op="sum").data)
         for o in outs[1:]:
             np.testing.assert_allclose(o, outs[0], rtol=1e-6)
-
-
-class TestAggregateSumMulti:
-    """The batched entry point: K same-graph sums through one traversal,
-    byte-identical to per-request aggregate_sum with per-request costs
-    and autograd."""
-
-    def _multi(self, g, xs, device):
-        from repro.gnn.aggregate import aggregate_sum_multi
-
-        cost = lambda adj, n: float(n)  # charge = width, easy to audit
-        return aggregate_sum_multi(g, xs, cost, cost, device.record)
-
-    def test_outputs_and_grads_match_per_request_calls(self, graph, rng):
-        from repro.gnn.aggregate import aggregate_sum
-
-        widths = (3, 12, 20)
-        datas = [rng.standard_normal((graph.adj.ncols, n)).astype(np.float32)
-                 for n in widths]
-        grads = [rng.standard_normal((graph.adj.nrows, n)).astype(np.float32)
-                 for n in widths]
-
-        xs = [Tensor(d.copy(), requires_grad=True) for d in datas]
-        outs = self._multi(graph, xs, SimDevice(GTX_1080TI))
-        cost = lambda adj, n: float(n)
-        for data, grad, out, x in zip(datas, grads, outs, xs):
-            single_x = Tensor(data.copy(), requires_grad=True)
-            single = aggregate_sum(
-                graph, single_x, cost, cost, SimDevice(GTX_1080TI).record
-            )
-            assert out.data.tobytes() == single.data.tobytes()
-            out.backward(grad)
-            single.backward(grad)
-            np.testing.assert_array_equal(x.grad, single_x.grad)
-
-    def test_each_request_charged_at_its_own_width(self, graph, rng):
-        widths = (4, 16)
-        xs = [Tensor(rng.standard_normal((graph.adj.ncols, n)).astype(np.float32))
-              for n in widths]
-        dev = SimDevice(GTX_1080TI)
-        self._multi(graph, xs, dev)
-        prof = dev.profile()
-        assert prof.calls["SpMM"] == len(widths)
-        assert prof.time("SpMM") == float(sum(widths))

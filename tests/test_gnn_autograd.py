@@ -3,15 +3,20 @@
 import numpy as np
 import pytest
 
-from repro.gnn import SimDevice, Tensor
+from repro.gnn import DGLBackend, SimDevice, Tensor
 from repro.gnn import functional as F
 from repro.gnn.tensor import Parameter, glorot
 from repro.gpusim import GTX_1080TI
 
 
 @pytest.fixture
-def device():
-    return SimDevice(GTX_1080TI)
+def backend():
+    return DGLBackend(SimDevice(GTX_1080TI))
+
+
+@pytest.fixture
+def charge(backend):
+    return backend.charge
 
 
 def numerical_grad(fn, x, eps=1e-3):
@@ -70,81 +75,81 @@ class TestTensorBasics:
         assert np.abs(w).max() <= limit
         assert w.dtype == np.float32
 
-    def test_diamond_graph_single_backward(self, device):
+    def test_diamond_graph_single_backward(self, charge):
         # y = relu(x) used twice: gradient must accumulate once per use,
         # and each node's backward must run exactly once (topological).
         x = Tensor(np.array([[1.0, -1.0]]), requires_grad=True)
-        h = F.relu(x, device)
-        s = F.add_bias(h, Tensor(np.zeros(2), requires_grad=False), device)
-        total = F.concat(h, s, device)
-        loss = F.nll_loss(F.log_softmax(total, device), np.array([0]), device)
+        h = F.relu(x, charge)
+        s = F.add_bias(h, Tensor(np.zeros(2), requires_grad=False), charge)
+        total = F.concat(h, s, charge)
+        loss = F.nll_loss(F.log_softmax(total, charge), np.array([0]), charge)
         loss.backward()
         assert x.grad is not None and np.isfinite(x.grad).all()
 
 
 class TestOperatorGradients:
-    def test_matmul_grads(self, device, rng):
+    def test_matmul_grads(self, charge, rng):
         x = Tensor(rng.standard_normal((4, 5)).astype(np.float32), requires_grad=True)
         w = Tensor(rng.standard_normal((5, 3)).astype(np.float32), requires_grad=True)
-        out = F.matmul(x, w, device)
+        out = F.matmul(x, w, charge)
         g = rng.standard_normal(out.shape).astype(np.float32)
         out.backward(g)
         np.testing.assert_allclose(x.grad, g @ w.data.T, rtol=1e-4)
         np.testing.assert_allclose(w.grad, x.data.T @ g, rtol=1e-4)
 
-    def test_matmul_shape_check(self, device):
+    def test_matmul_shape_check(self, charge):
         with pytest.raises(ValueError):
-            F.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))), device)
+            F.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))), charge)
 
     @pytest.mark.parametrize("op_name", ["relu", "log_softmax"])
-    def test_elementwise_numerical_grad(self, device, rng, op_name):
+    def test_elementwise_numerical_grad(self, charge, rng, op_name):
         data = rng.standard_normal((3, 4)).astype(np.float32) + 0.1
         op = getattr(F, op_name)
         g_out = rng.standard_normal((3, 4)).astype(np.float32)
 
         def forward_scalar():
             t = Tensor(data)
-            return float((op(t, device).data * g_out).sum())
+            return float((op(t, charge).data * g_out).sum())
 
         t = Tensor(data.copy(), requires_grad=True)
-        out = op(t, device)
+        out = op(t, charge)
         out.backward(g_out)
         num = numerical_grad(forward_scalar, data)
         np.testing.assert_allclose(t.grad, num, rtol=2e-2, atol=2e-3)
 
-    def test_bias_grads(self, device, rng):
+    def test_bias_grads(self, charge, rng):
         x = Tensor(rng.standard_normal((4, 3)).astype(np.float32), requires_grad=True)
         b = Tensor(rng.standard_normal(3).astype(np.float32), requires_grad=True)
-        out = F.add_bias(x, b, device)
+        out = F.add_bias(x, b, charge)
         g = rng.standard_normal((4, 3)).astype(np.float32)
         out.backward(g)
         np.testing.assert_allclose(x.grad, g)
         np.testing.assert_allclose(b.grad, g.sum(axis=0), rtol=1e-5)
 
-    def test_nll_loss_grad(self, device, rng):
+    def test_nll_loss_grad(self, charge, rng):
         data = rng.standard_normal((5, 3)).astype(np.float32)
         labels = np.array([0, 2, 1, 0, 2])
         mask = np.array([True, True, False, True, False])
 
         def forward_scalar():
             t = Tensor(data)
-            lp = F.log_softmax(t, device)
-            return float(F.nll_loss(lp, labels, device, mask=mask).data)
+            lp = F.log_softmax(t, charge)
+            return float(F.nll_loss(lp, labels, charge, mask=mask).data)
 
         t = Tensor(data.copy(), requires_grad=True)
-        loss = F.nll_loss(F.log_softmax(t, device), labels, device, mask=mask)
+        loss = F.nll_loss(F.log_softmax(t, charge), labels, charge, mask=mask)
         loss.backward()
         num = numerical_grad(forward_scalar, data)
         np.testing.assert_allclose(t.grad, num, rtol=2e-2, atol=2e-3)
 
-    def test_nll_empty_mask_rejected(self, device):
+    def test_nll_empty_mask_rejected(self, charge):
         lp = Tensor(np.zeros((2, 2)))
         with pytest.raises(ValueError):
-            F.nll_loss(lp, np.array([0, 1]), device, mask=np.zeros(2, dtype=bool))
+            F.nll_loss(lp, np.array([0, 1]), charge, mask=np.zeros(2, dtype=bool))
 
-    def test_dropout_training_scaling(self, device, rng):
+    def test_dropout_training_scaling(self, charge, rng):
         x = Tensor(np.ones((200, 50), dtype=np.float32), requires_grad=True)
-        out = F.dropout(x, 0.4, device, training=True, rng=rng)
+        out = F.dropout(x, 0.4, charge, training=True, rng=rng)
         kept = out.data != 0
         assert 0.5 < kept.mean() < 0.7  # ~60% kept
         np.testing.assert_allclose(out.data[kept], 1 / 0.6, rtol=1e-5)
@@ -152,29 +157,30 @@ class TestOperatorGradients:
         np.testing.assert_allclose(x.grad[kept], 1 / 0.6, rtol=1e-5)
         assert np.all(x.grad[~kept] == 0)
 
-    def test_dropout_eval_identity(self, device, rng):
+    def test_dropout_eval_identity(self, charge, rng):
         x = Tensor(np.ones((4, 4), dtype=np.float32))
-        out = F.dropout(x, 0.9, device, training=False, rng=rng)
+        out = F.dropout(x, 0.9, charge, training=False, rng=rng)
         assert out is x
 
-    def test_dropout_invalid_p(self, device, rng):
+    def test_dropout_invalid_p(self, charge, rng):
         with pytest.raises(ValueError):
-            F.dropout(Tensor(np.ones(2)), 1.5, device, training=True, rng=rng)
+            F.dropout(Tensor(np.ones(2)), 1.5, charge, training=True, rng=rng)
 
-    def test_concat_grads(self, device, rng):
+    def test_concat_grads(self, charge, rng):
         a = Tensor(rng.standard_normal((3, 2)).astype(np.float32), requires_grad=True)
         b = Tensor(rng.standard_normal((3, 4)).astype(np.float32), requires_grad=True)
-        out = F.concat(a, b, device)
+        out = F.concat(a, b, charge)
         assert out.shape == (3, 6)
         g = rng.standard_normal((3, 6)).astype(np.float32)
         out.backward(g)
         np.testing.assert_allclose(a.grad, g[:, :2])
         np.testing.assert_allclose(b.grad, g[:, 2:])
 
-    def test_device_time_recorded_both_directions(self, device, rng):
+    def test_device_time_recorded_both_directions(self, backend, rng):
         x = Tensor(rng.standard_normal((8, 8)).astype(np.float32), requires_grad=True)
         w = Tensor(rng.standard_normal((8, 8)).astype(np.float32), requires_grad=True)
-        out = F.matmul(x, w, device)
+        out = F.matmul(x, w, backend.charge)
+        device = backend.device
         fwd_calls = device.profile().calls.get("GEMM", 0)
         out.backward(np.ones_like(out.data))
         assert device.profile().calls["GEMM"] == fwd_calls + 2  # dX and dW

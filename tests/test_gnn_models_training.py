@@ -18,7 +18,7 @@ from repro.gnn import (
     train,
 )
 from repro.gnn.layers import GCNLayer, SAGEGcnLayer, SAGEPoolLayer
-from repro.gpusim import GTX_1080TI
+from repro.gpusim import GTX_1080TI, RTX_2080
 from repro.sparse import csr_from_coo
 
 
@@ -124,7 +124,7 @@ class TestLayers:
         dev_wide = SimDevice(GTX_1080TI)
         wide_backend = DGLBackend(dev_wide, use_gespmm=True)
         h = wide_backend.aggregate(g.sym_normalized_with_loops(), Tensor(tiny.features))
-        F.matmul(h, layer.w, dev_wide)
+        F.matmul(h, layer.w, wide_backend.charge)
 
         assert dev_layer.profile().time("SpMM") < dev_wide.profile().time("SpMM")
 
@@ -221,6 +221,46 @@ class TestTraining:
                         tiny, epochs=5, seed=0)
             losses.append(res.losses)
         np.testing.assert_allclose(losses[0], losses[1], rtol=1e-5)
+
+
+class TestReplay:
+    """Execute once, price many: pricing one run's op log under another
+    backend equals training under that backend, float for float."""
+
+    @staticmethod
+    def _model(kind, tiny):
+        rng = np.random.default_rng(0)
+        if kind == "gcn":
+            return GCN(tiny.feature_dim, 8, tiny.n_classes, n_layers=2, rng=rng)
+        return GraphSAGE(tiny.feature_dim, 8, tiny.n_classes, n_layers=2,
+                         aggregator=kind.split("-", 1)[1], rng=rng)
+
+    @pytest.mark.parametrize("kind", ["gcn", "sage-gcn", "sage-pool"])
+    def test_replay_equals_direct_training(self, tiny, kind):
+        once = train(self._model(kind, tiny), DGLBackend(SimDevice(GTX_1080TI)), tiny,
+                     epochs=3, warmup=1)
+        for backend_cls in (DGLBackend, PyGBackend):
+            for use_ge in (False, True):
+                for gpu in (GTX_1080TI, RTX_2080):
+                    direct = train(self._model(kind, tiny),
+                                   backend_cls(SimDevice(gpu), use_gespmm=use_ge), tiny,
+                                   epochs=3, warmup=1)
+                    replayed = backend_cls(SimDevice(gpu), use_gespmm=use_ge).replay(once.log)
+                    assert replayed.totals == direct.profile.totals
+                    # total_time sums totals.values() in insertion order.
+                    assert list(replayed.totals) == list(direct.profile.totals)
+                    assert replayed.total_time == direct.total_time
+                    assert replayed.calls == direct.profile.calls
+                    assert direct.losses == once.losses
+
+    def test_log_holds_measured_epochs_only(self, tiny):
+        def run(warmup):
+            model = self._model("sage-pool", tiny)
+            return train(model, DGLBackend(SimDevice(GTX_1080TI)), tiny, epochs=2, warmup=warmup)
+
+        res = run(warmup=1)
+        assert len(res.log) == sum(res.profile.calls.values())
+        assert len(res.log) == len(run(warmup=0).log)
 
 
 class TestCitationIntegration:
