@@ -32,17 +32,16 @@ examples:
 
 # Regenerate the machine-readable perf trajectory (see docs/OBSERVABILITY.md).
 # Deterministic: rerunning on an unchanged tree reproduces the file exactly
-# for any JOBS value (see docs/PERFORMANCE.md).
-JOBS ?= 4
+# (see docs/PERFORMANCE.md).
 telemetry:
-	PYTHONPATH=src python -m repro.cli sweep --graphs 6 --n 128 512 --jobs $(JOBS) --bench-json BENCH_spmm.json
+	PYTHONPATH=src python -m repro.cli sweep --graphs 6 --n 128 512 --bench-json BENCH_spmm.json
 
 # Benchmark regression gate: regenerate the telemetry sweep in-process
 # and diff it against the committed BENCH_spmm.json.  Exits 1 on any
 # cell/geomean drift without an entry in BENCH_accepted_drift.json;
 # see docs/OBSERVABILITY.md for the workflow.
 gate:
-	PYTHONPATH=src python -m repro.cli gate --baseline BENCH_spmm.json --graphs 6 --n 128 512 --jobs $(JOBS)
+	PYTHONPATH=src python -m repro.cli gate --baseline BENCH_spmm.json --graphs 6 --n 128 512
 
 # Performance report from the committed BENCH document (see
 # docs/OBSERVABILITY.md "Reports & attribution").  Pure function of
@@ -55,7 +54,7 @@ report:
 # docs/PERFORMANCE.md "Corpus sweeps").  The roll-up is deterministic.
 corpus:
 	PYTHONPATH=src python -m repro.cli corpus --preset mixed --limit 128 \
-	  --shards 8 --jobs $(JOBS) --cache-dir .corpus-cache \
+	  --shards 8 --cache-dir .corpus-cache \
 	  --rollup-json corpus_rollup.json
 
 # The two artifact files DESIGN/EXPERIMENTS reference.

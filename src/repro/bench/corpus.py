@@ -426,7 +426,6 @@ def _run_shard(
     kernels: Sequence[SpMMKernel],
     widths: Sequence[int],
     gpus: Sequence[GPUSpec],
-    jobs: int,
 ) -> Dict[str, Any]:
     """Build the shard's matrices, sweep them, and return the checkpoint
     payload — run-ordered cell rows plus per-matrix stats.  Matrices and
@@ -435,9 +434,7 @@ def _run_shard(
     graphs: Dict[str, CSRMatrix] = {s.name: s.build() for s in shard}
     try:
         stats = {name: _matrix_stats(a) for name, a in graphs.items()}
-        results, _ = run_sweep_with_stats(
-            kernels, graphs, widths, gpus, jobs=jobs, quiet=True
-        )
+        results, _ = run_sweep_with_stats(kernels, graphs, widths, gpus, quiet=True)
         cells = [
             [r.kernel, r.graph, int(r.n), r.gpu, r.time_s, r.gflops]
             for r in results
@@ -457,6 +454,7 @@ def run_corpus_sweep(
     *,
     shards: Optional[int] = None,
     shard_size: Optional[int] = 32,
+    # Kept only for perfbench's ``jobs=1`` call; the sweep is single-threaded.
     jobs: int = 1,
     resume: bool = True,
     max_shards: Optional[int] = None,
@@ -480,6 +478,8 @@ def run_corpus_sweep(
     ``progress`` is called after each shard as ``progress(index,
     total_shards, restored)``.
     """
+    if jobs != 1:
+        raise ValueError(f"jobs must be 1 (the sweep is single-threaded), got {jobs!r}")
     t0 = time.perf_counter()
     kernels = list(kernels)
     widths = [int(n) for n in widths]
@@ -503,7 +503,7 @@ def run_corpus_sweep(
         restored = payload is not None
         if payload is None:
             with obs.span("corpus.shard", index=idx, matrices=len(shard)):
-                payload = _run_shard(shard, kernels, widths, gpus, jobs)
+                payload = _run_shard(shard, kernels, widths, gpus)
             if cache is not None:
                 cache.put_shard(key, payload)
             host.shards_computed += 1

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -86,7 +85,6 @@ class SweepHostStats:
 
     wall_s: float
     cells: int
-    jobs: int
     memo_hits: int
     memo_misses: int
 
@@ -101,7 +99,6 @@ class SweepHostStats:
             "wall_s": self.wall_s,
             "cells": self.cells,
             "cells_per_s": self.cells_per_s,
-            "jobs": self.jobs,
             "memo_hits": self.memo_hits,
             "memo_misses": self.memo_misses,
         }
@@ -133,54 +130,21 @@ def run_sweep_with_stats(
     gpus: Sequence[GPUSpec],
     progress: Optional[Callable[[str], None]] = None,
     quiet: bool = True,
-    jobs: int = 1,
 ) -> Tuple[List[KernelResult], SweepHostStats]:
     """:func:`run_sweep` plus host-side throughput statistics.
 
-    ``jobs > 1`` fans the cell computations out over a thread pool.  The
-    result list is byte-identical to the serial one for any ``jobs``:
-    cells are indexed up front in serial order, computed in any order,
-    and re-assembled by index; each computation is a deterministic pure
-    function of ``(kernel config, graph, n, gpu)``.  The tracer is
-    detached during the parallel phase (``Tracer`` is not thread-safe)
-    and every span/gauge/event is then emitted serially in exactly the
-    serial order, from the computed values.
-
-    Each cell is derived from :meth:`SpMMKernel.estimate`'s memo (and its
-    disk entries), so repeated cells (gate regeneration, repeated
-    benchmark scripts) hit memory instead of recomputing; the
+    Cells run one at a time on the calling thread, each inside its own
+    ``sweep.cell`` span, so every span the estimate opens nests under
+    its cell.  Each cell is derived from :meth:`SpMMKernel.estimate`'s
+    memo (and its disk entries), so repeated cells (gate regeneration,
+    repeated benchmark scripts) hit memory instead of recomputing; the
     ``memo_hits``/``memo_misses`` stats count cells served versus
     computed.  See ``docs/PERFORMANCE.md``.
     """
     t0 = time.perf_counter()
     registry = obs.get_registry()
-    jobs = max(int(jobs), 1)
-
-    # Cell work-list in serial emission order.
-    cells = [
-        (kernel, graph, n, gpu)
-        for gpu in gpus
-        for graph in graphs.values()
-        for n in widths
-        for kernel in kernels
-    ]
-
-    values: List[Tuple[float, float, Optional[Dict[str, Any]], bool]] = (
-        [None] * len(cells)  # type: ignore[list-item]
-    )
-    if jobs > 1 and len(cells) > 1:
-        prev = obs.set_tracer(None)
-        try:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                futures = [pool.submit(_cell_values, *cell) for cell in cells]
-                for i, fut in enumerate(futures):
-                    values[i] = fut.result()
-        finally:
-            obs.set_tracer(prev)
-
     out: List[KernelResult] = []
     hits = misses = 0
-    i = 0
     for gpu in gpus:
         for gname, graph in graphs.items():
             with obs.span("sweep.graph", graph=gname, gpu=gpu.name):
@@ -188,10 +152,8 @@ def run_sweep_with_stats(
                     for kernel in kernels:
                         with obs.span("sweep.cell", kernel=kernel.name, graph=gname,
                                       n=int(n), gpu=gpu.name) as cell:
-                            if values[i] is None:
-                                values[i] = _cell_values(kernel, graph, n, gpu)
-                            time_s, gflops, attribution, was_hit = values[i]
-                            i += 1
+                            time_s, gflops, attribution, was_hit = _cell_values(
+                                kernel, graph, n, gpu)
                             obs.add_sim_time(time_s)
                             if cell is not None:
                                 cell.attrs["time_ms"] = time_s * 1e3
@@ -224,8 +186,7 @@ def run_sweep_with_stats(
     registry.counter("sweep.memo.misses").inc(misses)
     stats = SweepHostStats(
         wall_s=time.perf_counter() - t0,
-        cells=len(cells),
-        jobs=jobs,
+        cells=len(out),
         memo_hits=hits,
         memo_misses=misses,
     )
@@ -239,7 +200,6 @@ def run_sweep(
     gpus: Sequence[GPUSpec],
     progress: Optional[Callable[[str], None]] = None,
     quiet: bool = True,
-    jobs: int = 1,
 ) -> List[KernelResult]:
     """Estimate every kernel on every (graph, N, GPU) combination.
 
@@ -252,14 +212,13 @@ def run_sweep(
     per-graph progress on stderr.  The default is silent, keeping
     benchmark scripts' stdout byte-identical.
 
-    ``jobs`` parallelizes the cell computations (deterministic result
-    order for any value) and the estimate memo reuses previously computed
-    cells across calls; see :func:`run_sweep_with_stats` for details and
-    for host-side throughput reporting.
+    The estimate memo reuses previously computed cells across calls; see
+    :func:`run_sweep_with_stats` for details and for host-side throughput
+    reporting.
     """
     results, _ = run_sweep_with_stats(
         kernels, graphs, widths, gpus,
-        progress=progress, quiet=quiet, jobs=jobs,
+        progress=progress, quiet=quiet,
     )
     return results
 

@@ -11,7 +11,7 @@ simulated times are deterministic and no wall-clock timestamp is
 embedded — so regenerating it on an unchanged tree produces identical
 cells and geomeans, and any diff there is a real model or kernel change.
 The one deliberate exception is the optional ``run.host`` block
-(host wall-clock, cells/sec, worker count, memo hit/miss counts) written
+(host wall-clock, cells/sec, memo hit/miss counts) written
 by ``repro-bench sweep``: it describes the machine that produced the
 file, varies run to run, and is ignored by ``repro.bench.gate`` — the
 gate diffs only cells and geomeans (see docs/PERFORMANCE.md).

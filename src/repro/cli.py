@@ -159,8 +159,7 @@ def cmd_sweep(args) -> int:
     try:
         profile0 = {k: _counter_value(f"access_profile.{k}") for k in ("hits", "misses")}
         disk0 = cache.counters() if cache is not None else {}
-        results, host = run_sweep_with_stats(kernels, suite, args.n, [gpu],
-                                             jobs=args.jobs)
+        results, host = run_sweep_with_stats(kernels, suite, args.n, [gpu])
         host_meta = host.as_run_meta()
         host_meta["access_profile"] = {
             k: _counter_value(f"access_profile.{k}") - profile0[k]
@@ -172,7 +171,7 @@ def cmd_sweep(args) -> int:
     finally:
         restore()
     print(f"[sweep] {host.cells} cells in {host.wall_s:.3f}s "
-          f"({host.cells_per_s:.0f} cells/s, jobs={host.jobs}, "
+          f"({host.cells_per_s:.0f} cells/s, "
           f"memo {host.memo_hits} hit / {host.memo_misses} miss)",
           file=sys.stderr)
     if cache is not None:
@@ -327,8 +326,7 @@ def _regenerate_document(args):
     suite = load_suite(max_nnz=args.max_nnz, names=names)
     gpu = _gpu_arg(args.gpu)
     kernels = [GraphBlastRowSplit(), CusparseCsrmm2(), MergePathSpMM(), GESpMM()]
-    results = run_sweep(kernels, suite, args.n, [gpu],
-                        jobs=getattr(args, "jobs", 1))
+    results = run_sweep(kernels, suite, args.n, [gpu])
     return bench_document(
         results,
         extra_run_meta={
@@ -491,7 +489,6 @@ def cmd_corpus(args) -> int:
             [gpu],
             shards=args.shards,
             shard_size=None if args.shards else args.shard_size,
-            jobs=args.jobs,
             resume=args.resume,
             max_shards=args.max_shards,
                 progress=(
@@ -604,9 +601,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=_positive_int, nargs="+", default=[128, 512])
     sp.add_argument("--bench-json", default=None, metavar="PATH",
                     help="write machine-readable sweep telemetry (BENCH_spmm.json)")
-    sp.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
-                    help="parallel sweep workers (results are byte-identical "
-                         "to serial for any N; see docs/PERFORMANCE.md)")
     sp.add_argument("--cache-dir", default=None, metavar="DIR",
                     help="persist kernel estimates (which sweep cells are "
                          "derived from) across processes in a content-addressed cache at DIR "
@@ -673,9 +667,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=_positive_int, nargs="+", default=[128, 512])
     sp.add_argument("--max-nnz", type=int, default=300_000)
     sp.add_argument("--gpu", default=GTX_1080TI.name, choices=sorted(KNOWN_GPUS))
-    sp.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
-                    help="parallel workers for in-process regeneration "
-                         "(deterministic for any N)")
     sp.add_argument("--cache-dir", default=None, metavar="DIR",
                     help="disk cache for the in-process regeneration sweep "
                          "(same semantics as `sweep --cache-dir`)")
@@ -704,7 +695,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "(requires --trace)")
     sp.add_argument("--folded-weight", default="wall", choices=["wall", "sim"],
                     help="weight folded stacks by wall or simulated time")
-    sp.add_argument("--top", type=int, default=3, metavar="N",
+    sp.add_argument("--top", type=_positive_int, default=3, metavar="N",
                     help="cells listed per ceiling in 'Slowest cells'")
     sp.set_defaults(fn=cmd_report)
 
@@ -743,9 +734,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--gpu", default=GTX_1080TI.name, choices=sorted(KNOWN_GPUS))
     sp.add_argument("--kernels", nargs="+", default=["gespmm", "mergepath"],
                     choices=sorted(ALL_KERNELS))
-    sp.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
-                    help="parallel workers inside each shard (byte-identical "
-                         "for any N)")
     sp.add_argument("--cache-dir", default=None, metavar="DIR",
                     help="checkpoint completed shards (and estimates) "
                          "here; a killed run resumes with zero recomputation")

@@ -50,7 +50,9 @@ KernelCounts = Tuple[KernelStats, LaunchConfig, ExecHints]
 #: share entries, and GC id reuse can never alias two different matrices.
 #: Unbounded: corpus sweeps clear it at every shard boundary.
 _ESTIMATE_MEMO: Dict[tuple, KernelTiming] = {}
-#: estimates run inside run_sweep's thread pool, so guard the dict.
+#: ``repro`` starts no threads; the lock is for embedding callers that
+#: estimate from their own threads (the obs registry and tracer they feed
+#: are process-global and not thread-safe).
 _ESTIMATE_MEMO_LOCK = threading.Lock()
 
 

@@ -11,6 +11,13 @@ Nothing here imports the rest of ``repro`` (so every module can safely
 import it) and nothing is emitted unless a sink is asked for: with no
 tracer installed and nobody calling ``to_jsonl``, instrumented code paths
 produce byte-identical stdout to an uninstrumented build.
+
+Threads: ``repro`` starts none.  The active :class:`Tracer` and
+:class:`MetricsRegistry` are process-global and **not thread-safe** (one
+span stack, unlocked counter updates).  The locks elsewhere in the
+package (estimate memo, host workspace pool, ``DiskCache``) exist for
+embedding callers that run ``repro`` from threads of their own: their
+caches stay intact, but span nesting and counter totals are not guaranteed.
 """
 
 from repro.obs.metrics import (

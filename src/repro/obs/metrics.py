@@ -19,6 +19,9 @@ stdout); *emission* only happens when a caller asks for
 :meth:`MetricsRegistry.to_jsonl` — e.g. via ``--metrics-out`` on the
 CLI.  That keeps existing scripts byte-identical while letting any run
 dump its telemetry after the fact.
+
+The registry is process-global and not thread-safe (get-or-create and
+``Counter.inc`` take no lock); ``repro`` starts no threads of its own.
 """
 
 from __future__ import annotations

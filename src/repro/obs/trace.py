@@ -25,6 +25,9 @@ Simulated time flows in from the instrumented hot paths (kernel
 ``estimate``, the :class:`~repro.gnn.device.SimDevice` ledger) and is
 attributed to **every** open span, so an epoch span sees the total of its
 layers and a layer span the total of its kernels.
+
+The installed tracer is process-global with one span stack, so it is not
+thread-safe; ``repro`` starts no threads of its own.
 """
 
 from __future__ import annotations

@@ -97,9 +97,11 @@ class _WorkspacePool:
     here, so steady-state SpMM calls allocate nothing:
     ``segment.workspace.reuses`` counts pool hits, ``.allocs`` fresh
     buffers, and the ``segment.workspace.bytes_peak`` gauge tracks the
-    high-water mark of pool-owned bytes.  Thread-safe (sweep workers
-    share the process pool); the free list is capped so a one-off giant
-    operand cannot pin memory forever.
+    high-water mark of pool-owned bytes.  ``repro`` itself starts no
+    threads; the lock is there for embedding callers that run SpMM from
+    their own threads (the ``repro.obs`` tracer and registry it reports
+    to are process-global and not thread-safe).  The free list is capped
+    so a one-off giant operand cannot pin memory forever.
     """
 
     _MAX_FREE = 4

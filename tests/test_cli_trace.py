@@ -128,7 +128,6 @@ def test_unknown_graph_is_a_usage_error(command, capsys, tmp_path, monkeypatch):
     ["sweep", "--graphs", "1", "--n", "0"],
     ["sweep", "--graphs", "1", "--n", "-8"],
     ["sweep", "--graphs", "0"],
-    ["sweep", "--jobs", "0"],
     ["gate", "--n", "128", "0"],
     ["corpus", "--shards", "0"],
     ["corpus", "--limit", "-3"],
@@ -141,6 +140,8 @@ def test_unknown_graph_is_a_usage_error(command, capsys, tmp_path, monkeypatch):
     ["train", "--model", "sage-pool", "--hidden", "0"],
     ["scenario", "--batches", "-2"],
     ["scenario", "--feature-dim", "0"],
+    ["report", "--top", "0"],
+    ["report", "--top", "-1"],
 ])
 def test_non_positive_count_is_a_usage_error(argv, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -151,3 +152,12 @@ def test_non_positive_count_is_a_usage_error(argv, capsys, tmp_path, monkeypatch
     assert "Traceback" not in err
     assert "must be a positive integer" in err.strip().splitlines()[-1]
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["sweep", "gate", "corpus"])
+def test_jobs_option_is_gone(command, capsys):
+    """Sweeps are single-threaded; ``--jobs`` is an unknown option."""
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--jobs", "4"])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err.strip().splitlines()[-1]

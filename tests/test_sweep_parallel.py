@@ -1,9 +1,9 @@
-"""Parallel + memoized sweep execution: determinism and cache contracts.
+"""Memoized sweep execution: determinism, cache and tracing contracts.
 
-``run_sweep(jobs=N)`` must return *byte-identical* results for any N, and
-the content-addressed estimate memo the cells are derived from must be
+The content-addressed estimate memo the cells are derived from must be
 invisible in the output (same results on hit, miss, and disk replay)
-while being visible in telemetry.  See docs/PERFORMANCE.md.
+while being visible in telemetry, and a traced sweep must nest every
+estimate span under its cell.  See docs/PERFORMANCE.md.
 """
 
 from __future__ import annotations
@@ -14,6 +14,8 @@ import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
+
+from repro import obs
 
 from repro.bench import (
     DiskCache,
@@ -40,31 +42,27 @@ def registry():
     set_registry(prev)
 
 
-@pytest.fixture
-def sweep_args():
-    clear_sweep_cache()
-    graphs = {
+def _graphs():
+    return {
         "g1": uniform_random(200, 2000, seed=1),
         "g2": uniform_random(300, 1500, seed=2),
     }
+
+
+@pytest.fixture
+def sweep_args():
+    clear_sweep_cache()
+    graphs = _graphs()
     kernels = [SimpleSpMM(), CRCSpMM(), CWMSpMM(2)]
     yield kernels, graphs, [32, 64], [GTX_1080TI, RTX_2080]
     clear_sweep_cache()
 
 
-class TestJobsDeterminism:
-    def test_any_jobs_value_is_byte_identical(self, sweep_args):
-        kernels, graphs, widths, gpus = sweep_args
-        baseline = run_sweep(kernels, graphs, widths, gpus)
-        for jobs in (2, 4, 7):
-            clear_estimate_memo()
-            got = run_sweep(kernels, graphs, widths, gpus, jobs=jobs)
-            assert got == baseline, f"jobs={jobs} diverged from serial"
-
-    def test_attribution_identical_across_jobs_and_memo(self, sweep_args):
+class TestSweepDeterminism:
+    def test_attribution_identical_across_memo_states(self, sweep_args):
         kernels, graphs, widths, gpus = sweep_args
         cold = run_sweep(kernels, graphs, widths, gpus)  # fills the memo
-        warm = run_sweep(kernels, graphs, widths, gpus, jobs=4)  # all hits
+        warm = run_sweep(kernels, graphs, widths, gpus)  # all hits
         for a, b in zip(cold, warm):
             assert a.attribution is not None
             assert a.attribution == b.attribution
@@ -78,7 +76,7 @@ class TestJobsDeterminism:
 
     def test_result_order_is_serial_emission_order(self, sweep_args):
         kernels, graphs, widths, gpus = sweep_args
-        results = run_sweep(kernels, graphs, widths, gpus, jobs=4)
+        results = run_sweep(kernels, graphs, widths, gpus)
         expected = [
             (k.name, gname, n, gpu.name)
             for gpu in gpus
@@ -87,6 +85,45 @@ class TestJobsDeterminism:
             for k in kernels
         ]
         assert [(r.kernel, r.graph, r.n, r.gpu) for r in results] == expected
+
+
+class TestTracedSweep:
+    """Every estimate a traced sweep computes stays visible: one
+    ``kernel.estimate`` span per memo miss, nested under its cell."""
+
+    def _traced_cold_sweep(self, sweep_args):
+        kernels, _, widths, gpus = sweep_args
+        graphs = _graphs()  # fresh derived caches: the same cold state each call
+        clear_estimate_memo()
+        fresh = MetricsRegistry()
+        prev = set_registry(fresh)
+        try:
+            with use_disk_cache(None), obs.tracing() as tracer:
+                _, stats = run_sweep_with_stats(kernels, graphs, widths, gpus)
+        finally:
+            set_registry(prev)
+        return tracer.records, stats, fresh
+
+    def test_one_estimate_span_per_miss_under_its_cell(self, sweep_args):
+        records, stats, _ = self._traced_cold_sweep(sweep_args)
+        estimates = [r for r in records if r.name == "kernel.estimate"]
+        assert stats.memo_misses == stats.cells > 0
+        assert len(estimates) == stats.memo_misses
+        for span in estimates:
+            cell = records[span.parent]
+            assert cell.name == "sweep.cell"
+            assert (cell.attrs["kernel"], cell.attrs["n"], cell.attrs["gpu"]) == (
+                span.attrs["kernel"], span.attrs["n"], span.attrs["gpu"])
+        assert len({span.parent for span in estimates}) == len(estimates)
+
+    def test_counter_snapshots_equal_across_runs(self, sweep_args):
+        def counters(registry):
+            return [row for row in registry.snapshot() if row["type"] == "counter"]
+
+        _, _, first = self._traced_cold_sweep(sweep_args)
+        _, _, second = self._traced_cold_sweep(sweep_args)
+        assert counters(first)
+        assert counters(first) == counters(second)
 
 
 class TestMemoization:
@@ -144,10 +181,9 @@ def small_graphs(draw):
     return graphs
 
 
-def _sweep_and_document(graphs, jobs):
+def _sweep_and_document(graphs):
     results, stats = run_sweep_with_stats(
         [SimpleSpMM(), CRCSpMM(), CWMSpMM(2)], graphs, [8, 32], [GTX_1080TI],
-        jobs=jobs,
     )
     doc = json.dumps(bench_document(results, target="crc"), sort_keys=True)
     return results, stats, doc
@@ -155,22 +191,21 @@ def _sweep_and_document(graphs, jobs):
 
 @settings(max_examples=12, deadline=None)
 @given(graphs=small_graphs())
-def test_results_identical_across_jobs_and_cache_state(graphs):
+def test_results_identical_across_cache_states(graphs):
     """Cold memo, warm memo, and a fresh-memo disk replay all yield the
-    same results and BENCH document for any ``jobs``; the warm and disk
-    runs compute nothing."""
+    same results and BENCH document; the warm and disk runs compute
+    nothing."""
     runs = []
     try:
         with tempfile.TemporaryDirectory() as root, use_disk_cache(DiskCache(root)):
             clear_estimate_memo()
-            base, _, base_doc = _sweep_and_document(graphs, 1)  # fills the disk
-            for jobs in (1, 3):
-                clear_estimate_memo()
-                with use_disk_cache(None):
-                    runs.append(("cold", _sweep_and_document(graphs, jobs)))
-                runs.append(("warm", _sweep_and_document(graphs, jobs)))
-                clear_estimate_memo()
-                runs.append(("disk", _sweep_and_document(graphs, jobs)))
+            base, _, base_doc = _sweep_and_document(graphs)  # fills the disk
+            clear_estimate_memo()
+            with use_disk_cache(None):
+                runs.append(("cold", _sweep_and_document(graphs)))
+            runs.append(("warm", _sweep_and_document(graphs)))
+            clear_estimate_memo()
+            runs.append(("disk", _sweep_and_document(graphs)))
     finally:
         clear_estimate_memo()
     for label, (results, stats, doc) in runs:
@@ -183,16 +218,14 @@ def test_results_identical_across_jobs_and_cache_state(graphs):
 class TestHostStats:
     def test_fields_and_run_meta(self, sweep_args):
         kernels, graphs, widths, gpus = sweep_args
-        _, stats = run_sweep_with_stats(kernels, graphs, widths, gpus, jobs=2)
+        _, stats = run_sweep_with_stats(kernels, graphs, widths, gpus)
         assert isinstance(stats, SweepHostStats)
         assert stats.cells == len(kernels) * len(graphs) * 2 * len(gpus)
-        assert stats.jobs == 2
         assert stats.wall_s > 0
         assert stats.cells_per_s == pytest.approx(stats.cells / stats.wall_s)
         meta = stats.as_run_meta()
         assert meta["cells"] == stats.cells
-        assert meta["jobs"] == 2
-        assert set(meta) == {"wall_s", "cells", "cells_per_s", "jobs",
+        assert set(meta) == {"wall_s", "cells", "cells_per_s",
                              "memo_hits", "memo_misses"}
         json.dumps(meta)  # must be JSON-serializable for run.host
 
