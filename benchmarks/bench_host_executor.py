@@ -15,9 +15,10 @@ itself is measured by ``perfbench/run.py``):
   the per-shard ``tracemalloc`` peak stays **flat** (later shards within
   2x of the first) — the bounded-memory contract of
   ``repro.bench.corpus.run_corpus_sweep``,
-* the tiled executor's transient peak memory at N=64 vs. N=1024,
-  asserted **flat** (wide within 2x of narrow).  The strict
-  subprocess-isolated version of this floor is ``bench_tiled_memory.py``'s.
+* the transient peak memory of both SpMM paths (plus-times row chunks,
+  max-times tiles) at N=64 vs. N=1024, asserted **flat** (wide within 2x
+  of narrow).  The strict subprocess-isolated version of this floor is
+  ``bench_tiled_memory.py``'s.
 
 Results are written to ``benchmarks/results/`` and recorded in
 ``BENCH_spmm.json`` under ``run.host.microbench``, a block the
@@ -44,8 +45,8 @@ MIN_DELTA_APPLY_GUARD = 3.0
 #: shards within 2x of the first (typical ~1.1-1.3x from registry/label
 #: growth; a matrix or memo leak across shards pushes it well past 2).
 MAX_CORPUS_PEAK_RATIO = 2.0
-#: Tiled transient peak at N=1024 vs. N=64 must stay flat (typical
-#: ~1.0x: the workspace is O(nnz*T) regardless of N).
+#: Each path's transient peak at N=1024 vs. N=64 must stay flat (typical
+#: ~1.0-1.2x: row chunks and tiles are bounded regardless of N).
 MAX_TILED_PEAK_RATIO = 2.0
 
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_spmm.json"
@@ -87,10 +88,14 @@ def test_host_executor_microbench(benchmark, emit):
         f"incremental delta apply speedup {da['speedup']:.2f}x below the "
         f"{MIN_DELTA_APPLY_GUARD}x regression guard"
     )
-    # Column-tiled executor: flat peak memory.
+    # Both SpMM paths: flat peak memory.
     tp = results["tiled_peak"]
-    assert tp["peak_ratio"] <= MAX_TILED_PEAK_RATIO, (
-        f"tiled SpMM transient peak grew {tp['peak_ratio']:.2f}x "
-        f"from N={tp['narrow_n']} to N={tp['wide_n']} (cap "
-        f"{MAX_TILED_PEAK_RATIO}x) — the workspace is no longer O(nnz*T)"
-    )
+    assert set(tp["paths"]) == {"plus_times", "max_argmax"}, tp
+    for path, r in tp["paths"].items():
+        assert r["narrow_peak_bytes"] > 0, (path, r)
+        assert r["peak_ratio"] <= MAX_TILED_PEAK_RATIO, (
+            f"{path} SpMM transient peak grew {r['peak_ratio']:.2f}x "
+            f"from N={tp['narrow_n']} to N={tp['wide_n']} (cap "
+            f"{MAX_TILED_PEAK_RATIO}x) — its transient memory is no longer "
+            f"flat in N"
+        )

@@ -18,8 +18,6 @@ format construction.
 
 from __future__ import annotations
 
-from typing import Dict
-
 import numpy as np
 
 from repro.core import _counting as cnt
@@ -53,17 +51,11 @@ class ASpTSpMM(SpMMKernel):
     #: fraction of a dense tile's B traffic saved by shared-memory reuse.
     dense_tile_saving = 0.5
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._formats: Dict[int, ASpTFormat] = {}
-
     def preprocess(self, a: CSRMatrix) -> ASpTFormat:
         """Build (and cache) the tiled format for ``a``."""
-        fmt = self._formats.get(id(a))
-        if fmt is None:
-            fmt = to_aspt(a)
-            self._formats[id(a)] = fmt
-        return fmt
+        # Cached on the matrix, so the format dies with it (an ``id(a)``
+        # key would hand a freed matrix's format to a new one).
+        return a._cached("aspt", lambda: to_aspt(a))
 
     def preprocess_time(self, a: CSRMatrix, gpu: GPUSpec) -> float:
         """Simulated preprocessing time: three bandwidth-bound passes over
@@ -103,7 +95,7 @@ class ASpTSpMM(SpMMKernel):
         stats.shared_load.instructions += reused
         stats.shared_load.transactions += reused
         stats.shared_load.requested_bytes += b_loads.requested_bytes - b_req
-        stats.block_syncs += (fmt.base.nrows // max(fmt.panel_height, 1)) * wpr
+        stats.block_syncs += (fmt.shape[0] // max(fmt.panel_height, 1)) * wpr
 
         tiles = cnt.count_tile_loads(a, _TILE)
         stats.global_load.instructions += 2 * wpr * tiles.instructions

@@ -18,8 +18,6 @@ it and why the paper dismisses fixed-format approaches for GNNs.
 
 from __future__ import annotations
 
-from typing import Dict
-
 import numpy as np
 
 from repro.core import _counting as cnt
@@ -51,16 +49,10 @@ class FastSpMM(SpMMKernel):
     #: fully regular slab walk: deep unrolling, independent streams.
     mlp = 3.0
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._formats: Dict[int, EllpackR] = {}
-
     def preprocess(self, a: CSRMatrix) -> EllpackR:
-        fmt = self._formats.get(id(a))
-        if fmt is None:
-            fmt = to_ellpack_r(a)
-            self._formats[id(a)] = fmt
-        return fmt
+        # Cached on the matrix, so the format dies with it (an ``id(a)``
+        # key would hand a freed matrix's format to a new one).
+        return a._cached("ellpack_r", lambda: to_ellpack_r(a))
 
     def preprocess_time(self, a: CSRMatrix, gpu: GPUSpec) -> float:
         return csr_to_ellpack_time(a, gpu)

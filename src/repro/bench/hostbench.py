@@ -8,7 +8,8 @@ pure cache replay, or a memory footprint that must stay flat:
 * a cold-then-warm disk-cached sweep (the warm run must be a pure
   replay, byte for byte),
 * a 1000-matrix corpus stream whose per-shard peak memory must stay flat,
-* the tiled SpMM's transient peak memory, which must stay flat in N.
+* the transient peak memory of both SpMM paths (plus-times row chunks,
+  max-times tiles), which must stay flat in N.
 
 Host wall time itself is measured end to end by ``perfbench/run.py``.
 
@@ -267,9 +268,10 @@ def bench_corpus_stream(n_specs: int = 1000, shards: int = 10) -> Dict[str, Any]
     }
 
 
-#: Peak-memory benchmark graph + widths: the tiled executor's transient
-#: footprint is O(nnz*T) regardless of N, so the wide/narrow peak ratio
-#: must stay near 1.
+#: Peak-memory benchmark graph + widths: both executor paths keep their
+#: transient footprint flat in N (plus-times row chunks are
+#: O(_ROW_CHUNK_BYTES), the max-times tiles O(nnz*T)), so each path's
+#: wide/narrow peak ratio must stay near 1.
 _PEAK_M, _PEAK_NNZ = 10_000, 100_000
 _PEAK_NARROW, _PEAK_WIDE = 64, 1024
 
@@ -280,18 +282,27 @@ def bench_tiled_peak(
     narrow: int = _PEAK_NARROW,
     wide: int = _PEAK_WIDE,
 ) -> Dict[str, Any]:
-    """Transient peak memory of one tiled SpMM at a narrow vs. a wide N.
+    """Transient peak memory of one SpMM at a narrow vs. a wide N, for
+    each host executor path.
 
-    ``tracemalloc`` traces only the call itself: the operand and the
-    output are preallocated outside the traced window (the serving-layer
-    steady state ``segment_spmm_like``'s ``out=`` exists for), and the
-    workspace pool is cleared before each measurement so every width pays
-    its own workspace allocation.  Tiled peaks are O(nnz*T) — flat in N —
-    so ``peak_ratio`` stays near 1.
+    ``plus_times`` is ``segment_spmm_like`` under ``PLUS_TIMES`` (the
+    row-chunk path) and ``max_argmax`` is ``segment_max_with_argmax`` (the
+    tiled sliced reduce).  ``tracemalloc`` traces only the call itself:
+    each call runs once untraced first, so process-lived state (the
+    ``slice_plan``, the lazily imported ``scipy.sparse``) stays out of the
+    window; the operand and the plus-times output are preallocated, the
+    two ``(M, N)`` arrays ``segment_max_with_argmax`` returns are
+    subtracted from its peak, and the workspace pool is cleared before
+    each measurement so every width pays its own workspace allocation.
+    Both paths are flat in N, so each ``peak_ratio`` stays near 1.
     """
     import tracemalloc
 
-    from repro.sparse.segment import clear_workspace_pool, segment_spmm_like
+    from repro.sparse.segment import (
+        clear_workspace_pool,
+        segment_max_with_argmax,
+        segment_spmm_like,
+    )
 
     a = _bench_graph(m, nnz, seed=6)
     # Derived arrays (colind64, rowptr64, row_lengths) are process-lived
@@ -306,30 +317,43 @@ def bench_tiled_peak(
         for n in (narrow, wide)
     }
 
-    def peak_bytes(n: int) -> int:
-        b, out = operands[n]
+    # Each path returns the bytes of the outputs it hands back.
+    def plus_times(b: np.ndarray, out: np.ndarray) -> int:
+        segment_spmm_like(a, b, PLUS_TIMES, out=out)
+        return 0
+
+    def max_argmax(b: np.ndarray, _out: np.ndarray) -> int:
+        return sum(r.nbytes for r in segment_max_with_argmax(a, b))
+
+    def peak_bytes(run: Callable[[np.ndarray, np.ndarray], int], n: int) -> int:
         clear_workspace_pool()
         started = not tracemalloc.is_tracing()
         if started:
             tracemalloc.start()
         try:
             tracemalloc.reset_peak()
-            segment_spmm_like(a, b, PLUS_TIMES, out=out)
+            kept = run(*operands[n])
             _cur, peak = tracemalloc.get_traced_memory()
         finally:
             if started:
                 tracemalloc.stop()
         clear_workspace_pool()
-        return peak
+        return peak - kept
 
-    lo, hi = peak_bytes(narrow), peak_bytes(wide)
+    results: Dict[str, Any] = {}
+    for name, run in (("plus_times", plus_times), ("max_argmax", max_argmax)):
+        run(*operands[narrow])
+        lo, hi = peak_bytes(run, narrow), peak_bytes(run, wide)
+        results[name] = {
+            "narrow_peak_bytes": lo,
+            "wide_peak_bytes": hi,
+            "peak_ratio": hi / lo if lo else float("inf"),
+        }
     return {
         "graph": {"kind": "power_law", "m": m, "nnz": int(a.nnz)},
         "narrow_n": narrow,
         "wide_n": wide,
-        "narrow_peak_bytes": lo,
-        "wide_peak_bytes": hi,
-        "peak_ratio": hi / lo if lo else float("inf"),
+        "paths": results,
     }
 
 
@@ -396,8 +420,9 @@ def main() -> int:  # pragma: no cover - convenience entry point
           f"warm {dc['warm_s'] * 1e3:8.2f} ms   "
           f"misses {dc['warm_memo_misses']}  identical {dc['byte_identical']}")
     tp = results["tiled_peak"]
-    print(f"tiled_peak      N {tp['narrow_n']}->{tp['wide_n']}   "
-          f"peak ratio {tp['peak_ratio']:.2f}x")
+    for path, r in tp["paths"].items():
+        print(f"tiled_peak      {path:10s} N {tp['narrow_n']}->{tp['wide_n']}   "
+              f"peak ratio {r['peak_ratio']:.2f}x")
     cs = results["corpus_stream"]
     print(f"corpus_stream   {cs['matrices']} matrices / {cs['shards']} shards "
           f"in {cs['wall_s']:.2f}s   peak ratio {cs['peak_ratio']:.2f} "

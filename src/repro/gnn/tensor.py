@@ -74,18 +74,22 @@ class Tensor:
             grad = np.ones_like(self.data)
         self.accumulate_grad(grad)
 
+        # Post-order DFS with an explicit stack, in the order a recursive
+        # visit takes.  No self-referencing closure: the graph is freed by
+        # reference counting once the caller drops the output.
         topo: List[Tensor] = []
-        seen: Set[int] = set()
-
-        def visit(t: "Tensor") -> None:
-            if id(t) in seen:
-                return
-            seen.add(id(t))
-            for p in t._parents:
-                visit(p)
-            topo.append(t)
-
-        visit(self)
+        seen: Set[int] = {id(self)}
+        stack = [(self, iter(self._parents))]
+        while stack:
+            t, parents = stack[-1]
+            for p in parents:
+                if id(p) not in seen:
+                    seen.add(id(p))
+                    stack.append((p, iter(p._parents)))
+                    break
+            else:
+                stack.pop()
+                topo.append(t)
         for t in reversed(topo):
             if t._backward is not None and t.grad is not None:
                 t._backward(t.grad)

@@ -66,6 +66,12 @@ class Semiring:
         (cuSPARSE csrmm2) support."""
         return self.name == "plus_times"
 
+    @property
+    def multiplies(self) -> bool:
+        """True when ``combine`` is the shared multiply every built-in
+        semiring uses (user-defined combines are opaque callables)."""
+        return self.combine is _mul
+
     def combine_into(
         self, a_vals: np.ndarray, b_rows: np.ndarray, out: np.ndarray
     ) -> np.ndarray:
@@ -77,7 +83,7 @@ class Semiring:
         ``np.multiply`` with no temporary.  User-defined combines fall
         back to an allocate-then-copy, which stays O(workspace).
         """
-        if self.combine is _mul:
+        if self.multiplies:
             return np.multiply(a_vals, b_rows, out=out)
         res = self.combine(a_vals, b_rows)
         if res is not out:

@@ -80,22 +80,19 @@ class ASpTFormat:
 
     The real ASpT reorders columns inside row-panels so that columns with
     many nonzeros form dense tiles processed with shared-memory reuse of
-    the *dense* matrix; the sparse remainder runs like plain CSR.  We keep
-    the CSR arrays and record, per row-panel, the fraction of nonzeros
-    falling in dense tiles — the quantity that drives its kernel model's
-    dense-matrix traffic savings.
+    the *dense* matrix; the sparse remainder runs like plain CSR.  The
+    CSR arrays stay the matrix's own (the format holds no reference to
+    it, so it can be cached on the matrix); we record, per row-panel, the
+    fraction of nonzeros falling in dense tiles — the quantity that
+    drives its kernel model's dense-matrix traffic savings.
     """
 
-    base: CSRMatrix
+    shape: Tuple[int, int]
     panel_height: int
     tile_width: int
     dense_threshold: int
     dense_fraction: float  # nnz fraction inside locally-dense tiles
     preprocess_elements: int  # structure-analysis + reorder work
-
-    @property
-    def shape(self) -> Tuple[int, int]:
-        return self.base.shape
 
 
 def to_aspt(
@@ -114,7 +111,7 @@ def to_aspt(
     if dense_threshold is None:
         dense_threshold = max(panel_height // 2, 1)
     if a.nnz == 0:
-        return ASpTFormat(a, panel_height, tile_width, dense_threshold, 0.0, a.nrows)
+        return ASpTFormat(a.shape, panel_height, tile_width, dense_threshold, 0.0, a.nrows)
 
     rows = np.repeat(np.arange(a.nrows, dtype=np.int64), a.row_lengths())
     panels = rows // panel_height
@@ -131,4 +128,6 @@ def to_aspt(
     # (gather + scatter of colind/values) and panel bookkeeping.  Three
     # passes over nnz is what ASpT's published preprocessing does.
     preprocess = 3 * a.nnz + a.nrows
-    return ASpTFormat(a, panel_height, tile_width, dense_threshold, dense_fraction, preprocess)
+    return ASpTFormat(
+        a.shape, panel_height, tile_width, dense_threshold, dense_fraction, preprocess
+    )

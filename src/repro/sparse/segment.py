@@ -1,13 +1,32 @@
 """Segmented-reduction host execution engine.
 
+This module is the one host path for every built-in reduction
+(``reference_spmm_like``, ``CSRMatrix.row_normalized``/``sym_normalized``
+and ``gnn.aggregate``; the parity references live in
+``tests/references.py``).  Each SpMM-like call takes one of two paths,
+chosen by its semiring:
+
+* **Plus-times and mean-times** (the shared multiply with an ``np.add``
+  reduce) run **one pass per CSR row**, the host form of GE-SpMM's
+  coarse-grained row caching: each nonzero is read once and its scaled
+  operand row is added into the whole output row.  The rows go through
+  in chunks of a fixed output byte budget (``_ROW_CHUNK_BYTES``); each
+  chunk wraps its slices of the CSR arrays as a
+  ``scipy.sparse.csr_matrix`` and writes ``chunk @ b`` into its output
+  rows, so transient memory is O(budget) whatever the width.  Every row
+  is summed sequentially in CSR order in float32, so the output is
+  **bit-identical** to a sequential accumulation
+  (``tests/references.py::scatter_spmm_like``) and to
+  ``a.to_scipy() @ b``.  Mean-times then scales each row by its length.
+* **Max and min** (with ``segment_max_with_argmax``'s first-maximizer
+  argmax), and user semirings with an add/max/min reduce and their own
+  combine, run a **column-tiled sliced reduce**.
+
 Yang et al.'s *Design Principles for Sparse Matrix Multiplication on the
 GPU* frame row-split SpMM as gather + segmented reduce and name short
 segments as its weak spot: a row-by-row reduce costs one dispatch per
-(row, column), over 4-5 nonzeros on the citation graphs.  This module is
-the one host path for every built-in reduction (``reference_spmm_like``,
-``CSRMatrix.row_normalized``/``sym_normalized`` and ``gnn.aggregate``;
-the parity references live in ``tests/references.py``).  It reduces
-with a **sliced reduce** over the ``slice_plan`` derived artifact of a
+(row, column), over 4-5 nonzeros on the citation graphs.  The sliced
+reduce avoids that over the ``slice_plan`` derived artifact of a
 ``CSRMatrix``, a jagged-diagonal layout: the nonempty rows sorted by
 length, longest first, with block ``k`` holding the ``k``-th nonzero of
 every row longer than ``k``.  Block 0 is the accumulator; each further
@@ -16,19 +35,18 @@ with one in-place ``ufunc(acc[:c_k], block_k)``.  The few heavy rows
 left keep the rest of their nonzeros in CSR order (their tails): one
 ``ufunc.reduceat`` and one combine, however long the hubs.  Results
 scatter back to the output rows, and empty rows keep the pre-filled
-identity exactly.  Max and min are exact in any order; plus-times sums
-the head sequentially and each tail pairwise (as ``np.add.reduceat``
-does), within float32 rounding of any summation order.
+identity exactly.  Max and min are exact in any order.
 
 Column tiling (the host analogue of GE-SpMM's coarse-grained warp
 merging): each column tile of width ``T`` is gathered, combined and
 reduced inside a pooled ``(nnz, T)`` workspace, so peak transient memory
 is O(nnz·T).  ``T`` adapts from a fixed LLC budget
-(:func:`tile_width_for`); ``tile_width=`` forces it.  Every column is
-reduced in the same order whatever the tiling, so the output is
-**bit-identical** for every tile width.  ``segment_spmm_like_multi``
-runs K same-graph operands through one traversal, and
-``segment_max_with_argmax`` tracks first maximizers in the same loop.
+(:func:`tile_width_for`); ``tile_width=`` forces it and is ignored on the
+plus-times path.  Every column is reduced in the same order whatever the
+tiling, so max/min output is **bit-identical** for every tile width.
+``segment_spmm_like_multi`` runs K same-graph operands through one
+traversal, and ``segment_max_with_argmax`` tracks first maximizers in
+the same loop.
 """
 
 from __future__ import annotations
@@ -72,6 +90,10 @@ _SLICE_MIN_ROWS = 32
 #: every index, so ``minimum.reduceat`` keeps any real hit.
 _NO_WINNER = np.iinfo(np.int32).max
 
+#: Output bytes of one row chunk on the plus-times path: the most a
+#: chunk's ``chunk @ b`` product holds before it is copied into ``out``.
+_ROW_CHUNK_BYTES = 1 << 20
+
 
 def tile_width_for(nnz: int, n: int) -> int:
     """Adaptive tile width for an ``(nnz, n)`` contributions matrix.
@@ -94,7 +116,8 @@ class _WorkspacePool:
 
     The tiled executor draws its ``(nnz, T)`` gather workspace, the
     ``(K, T)`` operand-tile buffer and the argmax winner buffers from
-    here, so steady-state SpMM calls allocate nothing:
+    here, so steady-state tiled calls allocate nothing (the plus-times
+    row pass uses no pool buffer):
     ``segment.workspace.reuses`` counts pool hits, ``.allocs`` fresh
     buffers, and the ``segment.workspace.bytes_peak`` gauge tracks the
     high-water mark of pool-owned bytes.  ``repro`` itself starts no
@@ -349,17 +372,55 @@ def _require_ufunc(semiring: Semiring) -> np.ufunc:
 
 
 def _prepare_out(
-    a: CSRMatrix, n: int, init: float, out: Optional[np.ndarray]
+    a: CSRMatrix, n: int, init: Optional[float], out: Optional[np.ndarray]
 ) -> np.ndarray:
+    """Validate or allocate a float32 ``(M, n)`` output, filled with
+    ``init`` (left as is for None: the caller writes every cell)."""
     if out is None:
+        if init is None:
+            return np.empty((a.nrows, n), dtype=VALUE_DTYPE)
         return np.full((a.nrows, n), init, dtype=VALUE_DTYPE)
     if out.shape != (a.nrows, n) or out.dtype != VALUE_DTYPE:
         raise ValueError(
             f"out buffer must be float32[{a.nrows}, {n}], "
             f"got {out.dtype}[{out.shape}]"
         )
-    out.fill(init)
+    if init is not None:
+        out.fill(init)
     return out
+
+
+def _run_row_chunks(
+    a: CSRMatrix, bs: Sequence[np.ndarray], outs: Sequence[np.ndarray]
+) -> None:
+    """Plus-times SpMM of every operand into every row of its output,
+    one pass per CSR row, in row chunks of ``_ROW_CHUNK_BYTES`` output.
+
+    Each chunk wraps its slices of ``a.rowptr``/``a.colind``/``a.values``
+    as a ``scipy.sparse.csr_matrix``, whose row loop adds each scaled
+    operand row into the output row in CSR order.  Empty rows come out
+    as 0.0.  SciPy copies a chunk's ``colind``/``values`` slices when
+    they hold under half of the matrix's nonzeros: 8 bytes per nonzero,
+    never O(nnz·N).
+    """
+    import scipy.sparse as sp  # lazy: most processes never run a host SpMM
+
+    reg = obs.get_registry()
+    for b, out in zip(bs, outs):
+        n = b.shape[1]
+        if not n:
+            continue
+        reg.counter("segment.reduce_calls", op="add").inc()
+        step = max(1, _ROW_CHUNK_BYTES // (out.itemsize * n))
+        for lo in range(0, a.nrows, step):
+            hi = min(lo + step, a.nrows)
+            p0, p1 = a.rowptr[lo], a.rowptr[hi]
+            chunk = sp.csr_matrix(
+                (a.values[p0:p1], a.colind[p0:p1], a.rowptr[lo : hi + 1] - p0),
+                shape=(hi - lo, a.ncols),
+            )
+            out[lo:hi] = chunk @ b
+            reg.counter("segment.tiles", op="add").inc()
 
 
 def _run_tiled(
@@ -372,7 +433,7 @@ def _run_tiled(
     argmax: Optional[np.ndarray] = None,
 ) -> None:
     """Tiled gather + combine + sliced reduce of every operand into its
-    output.
+    output (every semiring but plus-times and mean-times).
 
     All operands share the plan and one pooled workspace acquisition
     sized for the widest operand: the ``(nnz, T)`` gather workspace plus,
@@ -437,6 +498,28 @@ def _run_tiled(
                 reg.counter("segment.tiles", op=op).inc()
 
 
+def _execute(
+    a: CSRMatrix,
+    bs: Sequence[np.ndarray],
+    semiring: Semiring,
+    ufunc: np.ufunc,
+    outs: Sequence[Optional[np.ndarray]],
+    tile_width: Optional[int],
+) -> List[np.ndarray]:
+    """Run every operand into its output (None: allocate one) on the
+    semiring's path, then apply the mean scaling."""
+    row_pass = ufunc is np.add and semiring.multiplies
+    init = None if row_pass else semiring.init
+    results = [_prepare_out(a, b.shape[1], init, o) for b, o in zip(bs, outs)]
+    if row_pass:
+        _run_row_chunks(a, bs, results)
+    else:
+        _run_tiled(a, bs, semiring, ufunc, results, tile_width)
+    for out in results:
+        semiring.finalize_into(out, a.row_lengths())
+    return results
+
+
 def segment_spmm_like(
     a: CSRMatrix,
     b: np.ndarray,
@@ -444,12 +527,16 @@ def segment_spmm_like(
     out: Optional[np.ndarray] = None,
     tile_width: Optional[int] = None,
 ) -> np.ndarray:
-    """SpMM-like execution as a column-tiled gather + segmented reduce.
+    """SpMM-like execution: one pass per CSR row for plus-times and
+    mean-times, a column-tiled gather + sliced reduce for the rest.
 
-    Peak transient memory is O(nnz·T); ``tile_width`` forces ``T`` for
-    this call (the result does not depend on it).  ``out`` (a float32
-    ``(M, N)`` buffer) lets callers reuse output storage across calls —
-    the serving layer's steady state.
+    Plus-times output is bit-identical to sequential CSR-order float32
+    accumulation, and its transient memory is O(``_ROW_CHUNK_BYTES``).
+    On the tiled path peak transient memory is O(nnz·T); ``tile_width``
+    forces ``T`` there (the result does not depend on it) and is ignored
+    on the plus-times path.  ``out`` (a float32 ``(M, N)`` buffer) lets
+    callers reuse output storage across calls — the serving layer's
+    steady state.
 
     Requires a semiring whose ``reduce`` maps to a ufunc
     (:func:`reduce_ufunc`); ``reference_spmm_like`` also runs
@@ -457,9 +544,7 @@ def segment_spmm_like(
     """
     ufunc = _require_ufunc(semiring)
     b = _check_dense(a, b)
-    out = _prepare_out(a, b.shape[1], semiring.init, out)
-    _run_tiled(a, [b], semiring, ufunc, [out], tile_width)
-    return semiring.finalize_into(out, a.row_lengths())
+    return _execute(a, [b], semiring, ufunc, [out], tile_width)[0]
 
 
 def segment_spmm_like_multi(
@@ -471,12 +556,14 @@ def segment_spmm_like_multi(
 ) -> List[np.ndarray]:
     """K same-graph SpMM-like executions through one shared traversal.
 
-    The feature-width-batching primitive for multi-tenant serving: all
-    operands share the cached slice plan and **one** pooled workspace
-    acquisition (the tile loop reuses the same buffers operand after
-    operand), so coalescing K requests costs one gather's worth of
-    ``segment.workspace.allocs`` instead of K.  Operand widths may differ.  Each output is
-    byte-identical to the corresponding ``segment_spmm_like`` call.
+    The feature-width-batching primitive for multi-tenant serving.  On
+    the tiled path all operands share the cached slice plan and **one**
+    pooled workspace acquisition (the tile loop reuses the same buffers
+    operand after operand), so coalescing K requests costs one gather's
+    worth of ``segment.workspace.allocs`` instead of K; the plus-times
+    path acquires no pool buffer at all.  Operand widths may differ.
+    Each output is byte-identical to the corresponding
+    ``segment_spmm_like`` call.
     """
     ufunc = _require_ufunc(semiring)
     bs = [_check_dense(a, b) for b in bs]
@@ -484,16 +571,10 @@ def segment_spmm_like_multi(
         outs = [None] * len(bs)
     if len(outs) != len(bs):
         raise ValueError(f"{len(bs)} operands but {len(outs)} output buffers")
-    results = [
-        _prepare_out(a, b.shape[1], semiring.init, o) for b, o in zip(bs, outs)
-    ]
     if not bs:
-        return results
+        return []
     obs.get_registry().counter("segment.multi_calls", operands=len(bs)).inc()
-    _run_tiled(a, bs, semiring, ufunc, results, tile_width)
-    for out in results:
-        semiring.finalize_into(out, a.row_lengths())
-    return results
+    return _execute(a, bs, semiring, ufunc, outs, tile_width)
 
 
 def segment_max_with_argmax(

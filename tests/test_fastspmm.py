@@ -1,9 +1,11 @@
 """Tests for the Fastspmm (ELLPACK-R) baseline."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.baselines import FastSpMM
+from repro.baselines import ASpTSpMM, FastSpMM
 from repro.core import GESpMM
 from repro.gpusim import GTX_1080TI
 from repro.semiring import MAX_TIMES
@@ -11,6 +13,7 @@ from repro.sparse import (
     banded_random,
     power_law,
     reference_spmm,
+    to_aspt,
     to_ellpack_r,
     uniform_random,
 )
@@ -59,3 +62,26 @@ class TestFastSpMM:
         per_nnz_reg = s_reg.traffic("B").sectors / g_reg.nnz
         per_nnz_skew = s_skew.traffic("B").sectors / g_skew.nnz
         assert per_nnz_skew == pytest.approx(per_nnz_reg, rel=1e-6)
+
+
+def _same_format(got, want) -> bool:
+    return all(
+        np.array_equal(getattr(got, f.name), getattr(want, f.name))
+        for f in dataclasses.fields(want)
+    )
+
+
+@pytest.mark.parametrize("kernel_cls, build", [(FastSpMM, to_ellpack_r), (ASpTSpMM, to_aspt)])
+def test_format_cache_survives_id_reuse(kernel_cls, build):
+    """Matrices of varying shape are built and freed one after another: a
+    matrix that reuses a freed one's ``id`` still gets its own format, and
+    the kernel keeps no freed matrix alive (so ids do get reused)."""
+    kernel = kernel_cls()
+    seen, reused = set(), 0
+    for i in range(60):
+        a = uniform_random(40 + 11 * (i % 13), 400 + 37 * i, seed=i, weighted=True)
+        assert _same_format(kernel.preprocess(a), build(a)), f"stale format at step {i}"
+        reused += id(a) in seen
+        seen.add(id(a))
+        del a
+    assert reused, "no id was reused: the kernel keeps freed matrices alive"

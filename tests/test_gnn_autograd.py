@@ -1,5 +1,8 @@
 """Autograd engine tests: numerical gradient checks for every operator."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -85,6 +88,27 @@ class TestTensorBasics:
         loss = F.nll_loss(F.log_softmax(total, charge), np.array([0]), charge)
         loss.backward()
         assert x.grad is not None and np.isfinite(x.grad).all()
+
+    def test_backward_frees_the_graph_without_the_cyclic_gc(self, charge, rng):
+        """Once ``backward()`` returns and the loss is dropped, reference
+        counting alone frees every intermediate (``Tensor`` has no weakref
+        slot, so the probes watch the arrays only the graph holds)."""
+        x = Parameter(rng.standard_normal((6, 4)).astype(np.float32))
+        w = Parameter(rng.standard_normal((4, 3)).astype(np.float32))
+        gc.disable()
+        try:
+            h = F.relu(F.matmul(x, w, charge), charge)
+            logits = F.concat(h, F.add_bias(h, Tensor(np.zeros(3)), charge), charge)
+            loss = F.nll_loss(F.log_softmax(logits, charge), np.arange(6) % 3, charge)
+            probes = [weakref.ref(h.data), weakref.ref(logits.data)]
+            del h, logits
+            assert all(p() is not None for p in probes)  # the loss holds the graph
+            loss.backward()
+            del loss
+            assert all(p() is None for p in probes)
+        finally:
+            gc.enable()
+        assert x.grad is not None and w.grad is not None
 
 
 class TestOperatorGradients:

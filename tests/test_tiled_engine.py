@@ -1,22 +1,26 @@
-"""Parity and contract suite for the column-tiled, workspace-pooled
-executor.
+"""Parity and contract suite for the host executor's two paths: the
+plus-times row pass and the column-tiled, workspace-pooled sliced reduce.
 
-Locks the tiling contract in ``repro.sparse.segment``'s docstring: the
-output must not depend on the tile width — **bit for bit** — for every
-tile geometry (T=1, N % T != 0, T > N), every reduceat-capable reduction
-(add / maximum / minimum, plus mean's finalize), and every edge shape
-(empty rows, empty matrices, zero-width operands): tiles never split a
-row's reduction, so even float32 addition associates identically.  The
-untiled geometry (``tile_width=N``, one tile) is the reference.  Also
-covers the workspace pool (reuse/alloc counters, free-list cap,
-clearing), the multi-operand batching primitive (byte parity with
-per-operand calls, one gather's worth of allocations), and the fused
+Locks the contracts in ``repro.sparse.segment``'s docstring: plus-times
+and mean-times are bit-identical to sequential CSR-order accumulation
+whatever ``tile_width`` says, and acquire no pool buffer; max/min output
+must not depend on the tile width — **bit for bit** — for every tile
+geometry (T=1, N % T != 0, T > N) and every edge shape (empty rows,
+empty matrices, zero-width operands).  The untiled geometry
+(``tile_width=N``, one tile) is the reference.  Also covers the
+workspace pool (reuse/alloc counters, free-list cap, clearing), the
+multi-operand batching primitive (byte parity with per-operand calls,
+one gather's worth of allocations), and the fused
 ``segment_max_with_argmax`` traversal ``aggregate_max`` runs on, whose
 sort-free argmax is checked against the per-row loop in
 ``tests/references.py``.
 """
 
 from __future__ import annotations
+
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -39,6 +43,7 @@ from repro.sparse import (
     workspace_stats,
 )
 from repro.sparse.ops import reference_spmm_like_multi
+from repro.sparse import segment
 from repro.sparse.segment import _POOL, _slice_plan
 
 SEMIRINGS = {
@@ -134,6 +139,104 @@ def test_tile_width_heuristic_shape():
 
 
 # ----------------------------------------------------------------------
+# plus-times row pass
+# ----------------------------------------------------------------------
+
+
+def _plus_like_graphs():
+    """A hub-heavy power-law graph (rows long enough to have sliced-reduce
+    tails) and one with a third of its rows empty."""
+    hubs = power_law(2000, 30000, seed=5, weighted=True)
+    assert _slice_plan(hubs).tail_starts.size  # the hubs are in play
+    rng = np.random.default_rng(11)
+    rows = rng.choice(np.arange(0, 300, 3), size=2000) + rng.integers(1, 3, size=2000)
+    cols = rng.integers(0, 250, size=2000)
+    vals = rng.standard_normal(2000).astype(np.float32)
+    gappy = csr_from_coo(rows, cols, vals, shape=(302, 250), sum_duplicates=True)
+    assert np.count_nonzero(gappy.row_lengths() == 0) >= 100
+    return [hubs, gappy]
+
+
+def _bits(x):
+    return x.view(np.uint32)
+
+
+@pytest.mark.parametrize("name", ["plus", "mean"])
+@pytest.mark.parametrize("n", [1, 3, 16, 64])
+def test_plus_like_bit_identical_to_sequential_accumulation(name, n):
+    """Plus- and mean-times sum every row sequentially in CSR order, so
+    they match the scatter reference bit for bit, hub rows included, and
+    ``tile_width`` is accepted and ignored."""
+    sr = SEMIRINGS[name]
+    for a in _plus_like_graphs():
+        b = _dense_operand(a, n, seed=n)
+        b2 = _dense_operand(a, n + 5, seed=n + 1)
+        want = ref.scatter_spmm_like(a, b, sr)
+        want2 = ref.scatter_spmm_like(a, b2, sr)
+        if name == "plus":
+            np.testing.assert_array_equal(_bits(want), _bits(a.to_scipy() @ b))
+        for tile in (None, 1, 8, n + 5):
+            got = segment_spmm_like(a, b, sr, tile_width=tile)
+            np.testing.assert_array_equal(_bits(got), _bits(want), err_msg=f"tile={tile}")
+            multi = segment_spmm_like_multi(a, [b, b2], sr, tile_width=tile)
+            np.testing.assert_array_equal(_bits(multi[0]), _bits(want))
+            np.testing.assert_array_equal(_bits(multi[1]), _bits(want2))
+        out = np.full((a.nrows, n), np.nan, np.float32)  # every cell is written
+        assert segment_spmm_like(a, b, sr, out=out) is out
+        np.testing.assert_array_equal(_bits(out), _bits(want))
+
+
+@pytest.mark.parametrize("rows_per_chunk", [1, 7, 300])
+def test_plus_like_row_chunks_split_anywhere(monkeypatch, rows_per_chunk):
+    """Chunk boundaries do not change a bit, and each chunk counts as one
+    ``segment.tiles`` step."""
+    a = _plus_like_graphs()[1]
+    b = _dense_operand(a, 5, seed=2)
+    want = ref.scatter_spmm_like(a, b, PLUS_TIMES)
+    monkeypatch.setattr(segment, "_ROW_CHUNK_BYTES", 4 * 5 * rows_per_chunk)
+    prev = obs.set_registry(MetricsRegistry())
+    try:
+        got = segment_spmm_like(a, b, PLUS_TIMES)
+        tiles = obs.get_registry().counter("segment.tiles", op="add").value
+    finally:
+        obs.set_registry(prev)
+    np.testing.assert_array_equal(_bits(got), _bits(want))
+    assert tiles == -(-a.nrows // rows_per_chunk)
+
+
+def test_plus_like_acquires_no_pool_buffer():
+    a = _plus_like_graphs()[0]
+    bs = [_dense_operand(a, n, seed=n) for n in (8, 40)]
+    clear_workspace_pool()
+    prev = obs.set_registry(MetricsRegistry())
+    try:
+        for sr in (PLUS_TIMES, MEAN_TIMES):
+            segment_spmm_like(a, bs[1], sr, tile_width=8)
+            segment_spmm_like_multi(a, bs, sr, tile_width=8)
+        reg = obs.get_registry()
+        assert reg.counter("segment.workspace.allocs").value == 0
+        assert reg.counter("segment.workspace.reuses").value == 0
+        assert reg.counter("segment.reduce_calls", op="add").value == 6
+        assert workspace_stats()["free_buffers"] == 0
+    finally:
+        clear_workspace_pool()
+        obs.set_registry(prev)
+
+
+def test_segment_import_leaves_scipy_unloaded():
+    """``scipy.sparse`` loads on the first plus-times call, not at import:
+    processes that never run a host SpMM do not pay its memory."""
+    import repro
+
+    code = (
+        f"import sys; sys.path.insert(0, {os.path.dirname(os.path.dirname(repro.__file__))!r})\n"
+        "import repro, repro.sparse.segment, repro.bench.corpus\n"
+        "assert 'scipy.sparse' not in sys.modules, 'scipy.sparse imported'\n"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True)
+
+
+# ----------------------------------------------------------------------
 # workspace pool
 # ----------------------------------------------------------------------
 
@@ -144,12 +247,12 @@ def test_workspace_pool_reuse_and_counters():
     try:
         a = power_law(200, 3000, seed=4, weighted=True)
         b = _dense_operand(a, 64, seed=5)
-        segment_spmm_like(a, b, PLUS_TIMES, tile_width=8)
+        segment_spmm_like(a, b, MAX_TIMES, tile_width=8)
         reg = obs.get_registry()
         allocs_first = reg.counter("segment.workspace.allocs").value
         assert allocs_first >= 1
         assert reg.gauge("segment.workspace.bytes_peak").value > 0
-        segment_spmm_like(a, b, PLUS_TIMES, tile_width=8)  # steady state: pool hits only
+        segment_spmm_like(a, b, MAX_TIMES, tile_width=8)  # steady state: pool hits only
         assert reg.counter("segment.workspace.allocs").value == allocs_first
         assert reg.counter("segment.workspace.reuses").value >= 1
         stats = workspace_stats()
@@ -184,7 +287,7 @@ def test_warm_calls_allocate_nothing(call):
     b = _dense_operand(a, 40, seed=1)
     run = {
         "max_with_argmax": lambda: segment_max_with_argmax(a, b, tile_width=16),
-        "spmm_like": lambda: segment_spmm_like(a, b, PLUS_TIMES, tile_width=16),
+        "spmm_like": lambda: segment_spmm_like(a, b, MAX_TIMES, tile_width=16),
     }[call]
     clear_workspace_pool()
     prev = obs.set_registry(MetricsRegistry())
@@ -224,7 +327,7 @@ def test_multi_shares_one_workspace_acquisition():
     prev = obs.set_registry(MetricsRegistry())
     clear_workspace_pool()
     try:
-        segment_spmm_like_multi(a, bs, PLUS_TIMES, tile_width=8)
+        segment_spmm_like_multi(a, bs, MAX_TIMES, tile_width=8)
         reg = obs.get_registry()
         assert reg.counter("segment.workspace.allocs").value <= 2
         assert reg.counter("segment.multi_calls", operands=len(bs)).value == 1
@@ -340,12 +443,7 @@ def test_every_reduction_matches_reference_at_every_tile_width(a, n, data):
             got = [segment_spmm_like(a, b, sr, tile_width=t)]
             got += segment_spmm_like_multi(a, [b, b2], sr, tile_width=t)
             for g, w in zip(got, [wants[0]] + wants):
-                if name in ("max", "min"):
-                    np.testing.assert_array_equal(g, w, err_msg=f"{name} tile={tile}")
-                else:
-                    np.testing.assert_allclose(
-                        g, w, rtol=1e-5, atol=1e-4, err_msg=f"{name} tile={tile}"
-                    )
+                np.testing.assert_array_equal(g, w, err_msg=f"{name} tile={tile}")
     for tile in ARGMAX_TILES:
         out, am = segment_max_with_argmax(a, b, tile_width=_width(tile, n))
         np.testing.assert_array_equal(out, want_out, err_msg=f"tile={tile}")
