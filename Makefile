@@ -20,8 +20,9 @@ bench:
 # invocations: each file's timings assume a fresh process heap (the
 # rebuild loops leave glibc in a state that taxes later timings); the
 # delta and tiled benches additionally isolate each measurement in a
-# subprocess with pinned malloc thresholds.  Records the measurements
-# under the gate-ignored run.host.microbench block of BENCH_spmm.json.
+# subprocess with pinned malloc thresholds.  Prints the measurements and
+# writes them to the untracked host_executor.txt, tiled_memory.txt and
+# delta_updates.txt under benchmarks/results/; no tracked file changes.
 microbench:
 	PYTHONPATH=src python -m pytest benchmarks/bench_delta_updates.py -q --durations=5 --override-ini "addopts=-q"
 	PYTHONPATH=src python -m pytest benchmarks/bench_tiled_memory.py -q --durations=5 --override-ini "addopts=-q"

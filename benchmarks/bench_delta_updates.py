@@ -20,19 +20,17 @@ the allocation history before the timing loop, which made the speedup
 bimodal across batch sizes.  Pinning the thresholds keeps temporaries on
 the brk heap for the process lifetime, which is also the steady state a
 long-lived streaming host converges to.  The in-process measurement
-recorded in ``BENCH_spmm.json`` (``bench_host_executor``) runs without
-this control and therefore carries a softer guard.
+in ``bench_host_executor.py`` runs without this control and therefore
+carries a softer guard.
 
-Results are written to ``benchmarks/results/`` and the floors assert the
-ISSUE contract: incremental apply + profile update at least **5x**
-faster than a full rebuild for batches <=1% of nnz, with fingerprint
-parity between the two sides.
+The floors: incremental apply + profile update at least **5x** faster
+than a full rebuild for batches <=1% of nnz, with fingerprint parity
+between the two sides.  The timings are printed and written to
+``benchmarks/results/delta_updates.txt``, which is untracked: wall times
+differ on every run.
 """
 
-import json
-import os
-import subprocess
-import sys
+from hostbench import run_fresh
 
 #: ISSUE contract: >=5x for batches <=1% of nnz (typical fresh-heap
 #: measurements are 6-9x; smaller batches are faster still).
@@ -47,16 +45,9 @@ BATCH_SIZES = (100, 333, 800)
 #: re-measurement absorbs such transients without softening the floor.
 RETRIES = 1
 
-#: Pin glibc's adaptive thresholds (see module docstring): temporaries
-#: stay on the brk heap instead of round-tripping pages through mmap.
-_MALLOC_ENV = {
-    "MALLOC_MMAP_THRESHOLD_": str(64 * 1024 * 1024),
-    "MALLOC_TRIM_THRESHOLD_": str(64 * 1024 * 1024),
-}
-
 _CHILD = """\
 import json, sys
-from repro.bench.hostbench import bench_delta_apply
+from hostbench import bench_delta_apply
 r = bench_delta_apply(batch=int(sys.argv[1]))
 print(json.dumps(r))
 """
@@ -65,14 +56,7 @@ print(json.dumps(r))
 def _measure_fresh(batch: int) -> dict:
     best = None
     for _ in range(1 + RETRIES):
-        proc = subprocess.run(
-            [sys.executable, "-c", _CHILD, str(batch)],
-            capture_output=True,
-            text=True,
-            check=True,
-            env={**os.environ, **_MALLOC_ENV},
-        )
-        r = json.loads(proc.stdout.splitlines()[-1])
+        r = run_fresh(_CHILD, str(batch))
         if best is None or r["speedup"] > best["speedup"]:
             best = r
         if best["speedup"] >= MIN_DELTA_APPLY_SPEEDUP:

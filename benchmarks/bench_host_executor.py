@@ -20,19 +20,12 @@ itself is measured by ``perfbench/run.py``):
   of narrow).  The strict subprocess-isolated version of this floor is
   ``bench_tiled_memory.py``'s.
 
-Results are written to ``benchmarks/results/`` and recorded in
-``BENCH_spmm.json`` under ``run.host.microbench``, a block the
-regression gate ignores (it diffs simulated cells/geomeans only), so
-host timing noise can never fail ``make gate``.
+The numbers are printed and written to
+``benchmarks/results/host_executor.txt``, which is untracked: wall times
+differ on every run, so they go into no committed artifact.
 """
 
-from pathlib import Path
-
-from repro.bench.hostbench import (
-    format_result_line,
-    run_host_microbench,
-    update_bench_json_host,
-)
+from hostbench import format_result_line, run_host_microbench
 
 #: Regression guard only — the strict >=5x ISSUE floor lives in
 #: ``bench_delta_updates.py``, which measures in a fresh subprocess.
@@ -49,8 +42,6 @@ MAX_CORPUS_PEAK_RATIO = 2.0
 #: ~1.0-1.2x: row chunks and tiles are bounded regardless of N).
 MAX_TILED_PEAK_RATIO = 2.0
 
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_spmm.json"
-
 
 def _format(results) -> str:
     lines = []
@@ -63,7 +54,6 @@ def _format(results) -> str:
 def test_host_executor_microbench(benchmark, emit):
     results = benchmark.pedantic(run_host_microbench, rounds=1, iterations=1)
     emit("host_executor", _format(results))
-    update_bench_json_host(results, BENCH_JSON)
 
     # Disk-cached sweep: the warm run must be a pure replay.
     dc = results["disk_cache"]

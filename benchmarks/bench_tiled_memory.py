@@ -17,42 +17,25 @@ heap.  The floor, for each path: the ``tracemalloc`` transient peak of
 one SpMM at N=1024 on a 100k-edge power-law graph stays within **2x** of
 the N=64 peak (operand and output kept out of the traced window,
 workspace pool cleared per measurement so each width pays its own
-allocation; see ``repro.bench.hostbench.bench_tiled_peak``).
+allocation; see ``hostbench.bench_tiled_peak``).  The peaks are printed
+and written to the untracked ``benchmarks/results/tiled_memory.txt``.
 """
 
-import json
-import os
-import subprocess
-import sys
+from hostbench import run_fresh
 
 #: Each path's transient peak must be flat in N (typical ratio ~1.0-1.2;
 #: without chunking or tiling it would grow like 1024/64 = 16x).
 MAX_TILED_PEAK_RATIO = 2.0
 
-#: Pin glibc's adaptive thresholds (see ``bench_delta_updates.py``):
-#: temporaries stay on the brk heap instead of round-tripping pages
-#: through mmap between reps.
-_MALLOC_ENV = {
-    "MALLOC_MMAP_THRESHOLD_": str(64 * 1024 * 1024),
-    "MALLOC_TRIM_THRESHOLD_": str(64 * 1024 * 1024),
-}
-
 _CHILD = """\
 import json
-from repro.bench.hostbench import bench_tiled_peak
+from hostbench import bench_tiled_peak
 print(json.dumps(bench_tiled_peak()))
 """
 
 
 def _measure_fresh() -> dict:
-    proc = subprocess.run(
-        [sys.executable, "-c", _CHILD],
-        capture_output=True,
-        text=True,
-        check=True,
-        env={**os.environ, **_MALLOC_ENV},
-    )
-    return json.loads(proc.stdout.splitlines()[-1])
+    return run_fresh(_CHILD)
 
 
 def _format(peak: dict) -> str:

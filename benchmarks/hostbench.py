@@ -13,23 +13,21 @@ pure cache replay, or a memory footprint that must stay flat:
 
 Host wall time itself is measured end to end by ``perfbench/run.py``.
 
-Numbers land in ``BENCH_spmm.json`` under ``run.host.microbench`` via
-:func:`update_bench_json_host` — inside the ``run`` block the regression
-gate deliberately ignores (it diffs cells and geomeans only), so host
-timing noise can never fail ``make gate``.
-
-Run it via ``make microbench`` (pytest, asserts the floors) or
-directly::
-
-    PYTHONPATH=src python -m repro.bench.hostbench
+The ``bench_*.py`` files next to this module call these and assert the
+floors; ``make microbench`` runs them.  Their numbers are printed and
+written to untracked files under ``benchmarks/results/``: wall times
+differ on every run, so they go into no committed artifact.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
-from typing import Any, Callable, Dict, Optional, Union
+from typing import Any, Callable, Dict, Optional
 
 import numpy as np
 
@@ -44,11 +42,17 @@ __all__ = [
     "bench_corpus_stream",
     "bench_tiled_peak",
     "format_result_line",
+    "run_fresh",
     "run_host_microbench",
-    "update_bench_json_host",
 ]
 
-PathLike = Union[str, Path]
+#: glibc's adaptive malloc thresholds pinned high for :func:`run_fresh`
+#: children (see ``bench_delta_updates.py``): temporaries stay on the brk
+#: heap instead of round-tripping pages through mmap between reps.
+_MALLOC_ENV = {
+    "MALLOC_MMAP_THRESHOLD_": str(64 * 1024 * 1024),
+    "MALLOC_TRIM_THRESHOLD_": str(64 * 1024 * 1024),
+}
 
 
 def best_of(fn: Callable[[], Any], reps: int = 5, warmup: int = 1) -> float:
@@ -358,7 +362,7 @@ def bench_tiled_peak(
 
 
 def run_host_microbench() -> Dict[str, Any]:
-    """All host microbenchmarks; the ``run.host.microbench`` payload.
+    """All host microbenchmarks, keyed by name.
 
     ``delta_apply`` runs first: its incremental side is the only
     sub-5ms timing here, and the other benches' large temporary
@@ -372,26 +376,6 @@ def run_host_microbench() -> Dict[str, Any]:
         "disk_cache": bench_disk_cache_sweep(),
         "corpus_stream": bench_corpus_stream(),
     }
-
-
-def update_bench_json_host(
-    results: Dict[str, Any], path: PathLike = "BENCH_spmm.json"
-) -> Optional[Dict[str, Any]]:
-    """Record microbench ``results`` under ``run.host.microbench``.
-
-    Rewrites with the same ``indent=2, sort_keys=True`` layout as
-    :func:`repro.bench.telemetry.write_bench_json`.  Returns the updated
-    document, or None when ``path`` does not exist (fresh checkouts
-    without telemetry artifacts: benchmarks still run, nothing to update).
-    """
-    p = Path(path)
-    if not p.exists():
-        return None
-    doc = json.loads(p.read_text())
-    host = doc.setdefault("run", {}).setdefault("host", {})
-    host["microbench"] = results
-    p.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    return doc
 
 
 def format_result_line(name: str, r: Dict[str, Any]) -> Optional[str]:
@@ -409,30 +393,22 @@ def format_result_line(name: str, r: Dict[str, Any]) -> Optional[str]:
             f"{fast[:-2]:8s} {r[fast] * 1e3:8.2f} ms   {r['speedup']:5.2f}x")
 
 
-def main() -> int:  # pragma: no cover - convenience entry point
-    results = run_host_microbench()
-    for name, r in results.items():
-        line = format_result_line(name, r)
-        if line:
-            print(line)
-    dc = results["disk_cache"]
-    print(f"disk_cache      cold {dc['cold_s'] * 1e3:8.2f} ms   "
-          f"warm {dc['warm_s'] * 1e3:8.2f} ms   "
-          f"misses {dc['warm_memo_misses']}  identical {dc['byte_identical']}")
-    tp = results["tiled_peak"]
-    for path, r in tp["paths"].items():
-        print(f"tiled_peak      {path:10s} N {tp['narrow_n']}->{tp['wide_n']}   "
-              f"peak ratio {r['peak_ratio']:.2f}x")
-    cs = results["corpus_stream"]
-    print(f"corpus_stream   {cs['matrices']} matrices / {cs['shards']} shards "
-          f"in {cs['wall_s']:.2f}s   peak ratio {cs['peak_ratio']:.2f} "
-          f"(first {cs['first_shard_peak_bytes']}, "
-          f"later max {cs['max_later_peak_bytes']})")
-    updated = update_bench_json_host(results)
-    if updated is not None:
-        print("recorded under run.host.microbench in BENCH_spmm.json")
-    return 0
+def run_fresh(code: str, *argv: str) -> Dict[str, Any]:
+    """Run ``code`` in a fresh interpreter under :data:`_MALLOC_ENV` and
+    return the JSON object printed on its last stdout line.
 
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())
+    The child can ``import hostbench``: this directory goes first on its
+    ``PYTHONPATH``.
+    """
+    path = os.pathsep.join(
+        filter(None, (str(Path(__file__).resolve().parent),
+                      os.environ.get("PYTHONPATH")))
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, **_MALLOC_ENV, "PYTHONPATH": path},
+    )
+    return json.loads(proc.stdout.splitlines()[-1])

@@ -80,7 +80,7 @@ class KernelResult:
 
 @dataclass(frozen=True)
 class SweepHostStats:
-    """Host-side (wall-clock) throughput of one ``run_sweep`` call —
+    """Host-side throughput and memo counters of one ``run_sweep`` call —
     tracking the simulator's own speed, not the simulated devices'."""
 
     wall_s: float
@@ -93,12 +93,11 @@ class SweepHostStats:
         return self.cells / self.wall_s if self.wall_s > 0 else float("inf")
 
     def as_run_meta(self) -> Dict[str, object]:
-        """The ``run.host`` metadata block for ``BENCH_spmm.json`` (gate
-        ignores ``run``, so this wall-clock data never trips drift)."""
+        """The ``run.host`` metadata block for ``BENCH_spmm.json``: the
+        serial counters only.  ``wall_s`` and ``cells_per_s`` change on
+        every run, so they stay out of the committed artifact."""
         return {
-            "wall_s": self.wall_s,
             "cells": self.cells,
-            "cells_per_s": self.cells_per_s,
             "memo_hits": self.memo_hits,
             "memo_misses": self.memo_misses,
         }

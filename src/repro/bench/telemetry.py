@@ -6,18 +6,17 @@ so the performance trajectory of the repo becomes *diffable across
 commits*: run metadata, one cell per ``(kernel, graph, n, gpu)`` point,
 and the geomean speedups the paper headlines.
 
-The document is deterministic in everything the regression gate reads —
-simulated times are deterministic and no wall-clock timestamp is
-embedded — so regenerating it on an unchanged tree produces identical
-cells and geomeans, and any diff there is a real model or kernel change.
-The one deliberate exception is the optional ``run.host`` block
-(host wall-clock, cells/sec, memo hit/miss counts) written
-by ``repro-bench sweep``: it describes the machine that produced the
-file, varies run to run, and is ignored by ``repro.bench.gate`` — the
-gate diffs only cells and geomeans (see docs/PERFORMANCE.md).
+The document is deterministic byte for byte: simulated times are
+deterministic and no wall-clock value or timestamp is embedded, so
+regenerating it on an unchanged tree reproduces the file exactly.  The
+optional ``run.host`` block that ``repro-bench sweep`` writes holds only
+serial counters (cells, memo and access-profile hits/misses, disk-cache
+counters); the sweep's wall time and cells/s go to stderr.  The
+regression gate (``repro.bench.gate``) diffs cells and geomeans only.
 
 ``make telemetry`` regenerates the repo-root ``BENCH_spmm.json`` via
-``repro-bench sweep --bench-json``.
+``repro-bench sweep --bench-json``; :func:`write_bench_json` is the only
+writer of that file.
 """
 
 from __future__ import annotations
@@ -145,25 +144,15 @@ def write_bench_json(
 ) -> Dict[str, Any]:
     """Serialize sweep results to ``path`` and return the document.
 
-    The ``run.host.microbench`` block written by ``make microbench``
-    (:func:`repro.bench.hostbench.update_bench_json_host`) is carried
-    over from an existing document — a sweep rewrite describes the same
-    machine and must not silently drop the host-executor measurements.
+    The file's contents depend on the arguments alone: whatever ``path``
+    held before is overwritten, not merged.
     """
     doc = bench_document(results, target=target, baselines=baselines,
                          extra_run_meta=extra_run_meta)
     errors = validate_bench_document(doc)
     if errors:  # defensive: a writer bug must not silently ship bad telemetry
         raise ValueError("invalid BENCH document: " + "; ".join(errors))
-    p = Path(path)
-    if p.exists() and isinstance(doc["run"].get("host"), dict):
-        try:
-            prev_host = json.loads(p.read_text()).get("run", {}).get("host", {})
-        except (OSError, json.JSONDecodeError):
-            prev_host = {}
-        if "microbench" in prev_host and "microbench" not in doc["run"]["host"]:
-            doc["run"]["host"]["microbench"] = prev_host["microbench"]
-    p.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return doc
 
 

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -232,3 +235,33 @@ def test_sweep_document_byte_deterministic():
     first = json.dumps(one_sweep(), indent=2, sort_keys=True)
     second = json.dumps(one_sweep(), indent=2, sort_keys=True)
     assert first == second
+
+
+def test_cli_sweep_bench_json_byte_reproducible(tmp_path, sweep_results):
+    """Two fresh ``repro-bench sweep --bench-json`` processes write the
+    same bytes: ``run.host`` holds serial counters only, no wall time.
+    And the file has one writer — a foreign ``run.host`` block already
+    at the path is overwritten, not carried over."""
+    import repro
+
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (
+        os.path.dirname(os.path.dirname(repro.__file__)),
+        os.environ.get("PYTHONPATH"))))}
+    paths = [tmp_path / "first.json", tmp_path / "second.json"]
+    for path in paths:
+        subprocess.run(
+            [sys.executable, "-m", "repro.cli", "sweep", "--graphs", "2",
+             "--n", "32", "--bench-json", str(path)],
+            check=True, capture_output=True, env=env,
+        )
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    host = json.loads(paths[0].read_text())["run"]["host"]
+    assert set(host) == {"cells", "memo_hits", "memo_misses", "access_profile"}
+
+    foreign = json.loads(paths[0].read_text())
+    foreign["run"]["host"]["microbench"] = {"delta_apply": {"speedup": 6.0}}
+    paths[0].write_text(json.dumps(foreign))
+    doc = write_bench_json(sweep_results, paths[0],
+                           extra_run_meta={"host": {"cells": 1}})
+    assert doc["run"]["host"] == {"cells": 1}
+    assert json.loads(paths[0].read_text()) == doc
