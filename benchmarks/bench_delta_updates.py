@@ -4,18 +4,19 @@ Not a paper table: this measures the reproduction's dynamic-graph path
 (``repro.sparse.delta.apply_delta``) against the from-scratch rebuild it
 replaces, on a 100k-edge power-law graph with mixed batches (a third
 each inserts / deletes / value updates) at and below 1% of nnz.  The
-incremental side patches the CSR arrays and evolves the resident
-``AccessProfile`` in O(batch + touched rows); the rebuild side pays the
-full COO lexsort, all four derived arrays, and a cold profile build.
+incremental side splices the batch into the CSR arrays (O(batch) index
+work plus linear masked copies) and evolves the resident
+``AccessProfile``; the rebuild side pays the full COO lexsort, all four
+derived arrays, and a cold profile build.
 
 Each batch size is measured in a **fresh subprocess with glibc's malloc
 thresholds pinned high** (``MALLOC_MMAP_THRESHOLD_`` /
 ``MALLOC_TRIM_THRESHOLD_``).  By default glibc adapts its mmap threshold
 to the largest freed block, so the sub-MB temporaries these paths
 allocate each rep are sometimes mmap'd and returned to the OS on free —
-and then every subsequent rep pays the page faults back (~2.3 ms fresh
-vs. ~3.9 ms dirty on the incremental side, while the 15 ms rebuild side
-barely moves).  Whether a given process falls into that mode depends on
+and then every subsequent rep pays the page faults back (about 1.1-1.4
+ms pinned vs. 2.2-2.5 ms unpinned on the incremental side, while the
+~17 ms rebuild side barely moves; shared 2-vCPU x86 VM).  Whether a given process falls into that mode depends on
 the allocation history before the timing loop, which made the speedup
 bimodal across batch sizes.  Pinning the thresholds keeps temporaries on
 the brk heap for the process lifetime, which is also the steady state a
@@ -32,16 +33,16 @@ differ on every run.
 
 from hostbench import run_fresh
 
-#: ISSUE contract: >=5x for batches <=1% of nnz (typical fresh-heap
-#: measurements are 6-9x; smaller batches are faster still).
+#: Floor: >=5x for batches <=1% of nnz (fresh-heap measurements on a
+#: shared 2-vCPU x86 VM are 12-16x).
 MIN_DELTA_APPLY_SPEEDUP = 5.0
 
 #: Mixed-batch sizes: ~0.12%, ~0.41%, ~0.99% of the graph's actual
 #: ~80.7k stored edges (the 100k requested nnz dedups down).
 BATCH_SIZES = (100, 333, 800)
 
-#: Ambient machine load can depress the sub-3ms incremental timing by
-#: ~1ms while leaving the 15ms rebuild side untouched; one fresh
+#: Ambient machine load can depress the ~1.5 ms incremental timing by
+#: ~1 ms while leaving the ~17 ms rebuild side untouched; one fresh
 #: re-measurement absorbs such transients without softening the floor.
 RETRIES = 1
 

@@ -82,9 +82,9 @@ def bench_delta_apply(
     from-scratch rebuild it replaces.
 
     A 100k-edge power-law graph takes a mixed 1% batch (third inserts,
-    third deletes, third value updates).  The incremental side patches
-    the CSR arrays and evolves the cached :class:`AccessProfile` in
-    O(Δ + touched rows); the rebuild side is what a delta-less streaming
+    third deletes, third value updates).  The incremental side splices
+    the batch into the CSR arrays and evolves the cached
+    :class:`AccessProfile`; the rebuild side is what a delta-less streaming
     host would pay per batch — ``csr_from_coo`` (the COO lexsort), all
     four derived arrays, and a cold profile build.  Both sides produce
     the identical matrix (``parity`` asserts fingerprint equality), each

@@ -4,7 +4,8 @@
 GNN serving rarely sees a static graph: edges arrive and expire between
 inference calls.  Rebuilding the CSR matrix, its derived arrays, and the
 access profile from scratch per batch costs O(nnz log nnz); the delta
-path (``repro.sparse.delta``) patches them in O(batch + touched rows).
+path (``repro.sparse.delta``) splices the batch into the parent's arrays
+and patches the rest, with no sort and no per-edge Python work.
 This example simulates an inference service over an evolving graph:
 
 1. tune an autotuned SpMM once on the initial graph;

@@ -68,6 +68,28 @@ def dense_segments(n: int) -> List[Tuple[int, int]]:
     return [(s, min(32, n - s)) for s in range(0, n, 32)]
 
 
+def _pair_histogram(
+    rowptr64: np.ndarray, lengths: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows' ``(start mod 8, length)`` histogram as ``int64`` arrays
+    ``(phase, length, count)``, sorted by ``(phase, length)``.
+
+    Both are encoded into one key ``phase * span + length``; a dense
+    ``bincount`` over the key space counts them while it holds at most
+    2**20 keys (no row longer than 131,071 elements), ``np.unique``
+    otherwise.
+    """
+    span = int(lengths.max()) + 1 if lengths.size else 1
+    keys = (rowptr64[:-1] % ELEMS_PER_SECTOR) * span + lengths
+    if ELEMS_PER_SECTOR * span <= 1 << 20:
+        dense = np.bincount(keys, minlength=ELEMS_PER_SECTOR * span)
+        pairs = np.flatnonzero(dense)
+        counts = dense[pairs]
+    else:
+        pairs, counts = np.unique(keys, return_counts=True)
+    return pairs // span, pairs % span, counts.astype(np.int64)
+
+
 @dataclass(frozen=True)
 class AccessTotals:
     """Totals of one access pattern over the whole kernel."""
@@ -108,14 +130,9 @@ class AccessProfile:
         self.ncols = a.ncols
         self.nnz = a.nnz
         lengths = a.row_lengths()
-        phases = a.rowptr64()[:-1] % ELEMS_PER_SECTOR
-        # (start-phase, length) pair histogram: encode both into one key
-        # so a single np.unique pass yields the joint distribution.
-        span = int(lengths.max()) + 1 if lengths.size else 1
-        pairs, counts = np.unique(phases * span + lengths, return_counts=True)
-        self._pl_phase = pairs // span
-        self._pl_len = pairs % span
-        self._pl_count = counts.astype(np.int64)
+        self._pl_phase, self._pl_len, self._pl_count = _pair_histogram(
+            a.rowptr64(), lengths
+        )
         # Residue classes of the nonzeros' column indices: the B-row base
         # address colind*N has phase (colind mod 8 * N) mod 8.
         self._colind_mod8 = np.bincount(
@@ -250,26 +267,26 @@ class AccessProfile:
     def updated(
         self,
         *,
-        nnz: int,
-        removed_pairs: Tuple[np.ndarray, np.ndarray],
-        added_pairs: Tuple[np.ndarray, np.ndarray],
+        rowptr64: np.ndarray,
+        lengths: np.ndarray,
         removed_cols: np.ndarray,
         added_cols: np.ndarray,
-        occupied_rows: int,
         parent_colind: np.ndarray,
     ) -> "AccessProfile":
-        """A new profile reflecting an edge delta, in O(Δ + changed rows
-        + distinct pairs) instead of the O(nnz) constructor passes.
+        """A new profile reflecting an edge delta, without the O(nnz)
+        constructor passes over ``colind``.
 
-        ``removed_pairs``/``added_pairs`` are the ``(phase, length)``
-        rows of every row whose pair changed — the rows the delta touched
-        *plus* any row whose start phase rotated because the cumulative
-        nnz shift before it is nonzero mod 8 (:mod:`repro.sparse.delta`
-        computes both sets).  ``removed_cols``/``added_cols`` are the
-        deleted and inserted column indices (value updates move no
-        columns).  The result is canonically identical — same arrays,
-        same ordering, same dtypes — to ``AccessProfile(child_matrix)``;
-        the delta parity suite enforces this.
+        ``rowptr64``/``lengths`` are the child's row pointers and row
+        lengths; the ``(phase, length)`` pair histogram is recomputed
+        from them in one O(M) :func:`_pair_histogram` pass (a scattered
+        insert rotates the start phase of nearly every later row, so a
+        changed-row patch would touch almost all of them anyway).
+        ``removed_cols``/``added_cols`` are the deleted and inserted
+        column indices (value updates move no columns); the residue and
+        column-multiplicity state moves by exactly those, in O(Δ).  The
+        result is canonically identical — same arrays, same ordering,
+        same dtypes — to ``AccessProfile(child_matrix)``; the delta
+        parity suite enforces this.
 
         ``parent_colind`` seeds the per-column multiplicity table on the
         first incremental update (one O(nnz) ``bincount``, amortized over
@@ -279,55 +296,11 @@ class AccessProfile:
         child = object.__new__(AccessProfile)
         child.nrows = self.nrows
         child.ncols = self.ncols
-        child.nnz = int(nnz)
-
-        # (phase, length) pair histogram: subtract changed rows' old
-        # pairs, add their new ones, re-canonicalize.  Any common span
-        # larger than every length preserves the constructor's
-        # lexicographic (phase, length) ordering.
-        rem_phase, rem_len = removed_pairs
-        add_phase, add_len = added_pairs
-        span = int(
-            max(
-                self._pl_len.max(initial=0),
-                rem_len.max(initial=0),
-                add_len.max(initial=0),
-            )
-        ) + 1
-        keys = np.concatenate([
-            self._pl_phase * span + self._pl_len,
-            rem_phase * span + rem_len,
-            add_phase * span + add_len,
-        ])
-        weights = np.concatenate([
-            self._pl_count,
-            np.full(rem_phase.shape[0], -1, dtype=np.int64),
-            np.ones(add_phase.shape[0], dtype=np.int64),
-        ])
-        if ELEMS_PER_SECTOR * span <= 1 << 20:
-            # Dense histogram over the (small) key space beats the
-            # O(k log k) unique/scatter path; float64 weights are exact
-            # for these magnitudes.
-            dense = np.bincount(
-                keys, weights=weights, minlength=ELEMS_PER_SECTOR * span
-            ).astype(np.int64)
-            if dense.min() < 0:
-                raise ValueError("pair-histogram update went negative; the "
-                                 "removed set does not match the parent profile")
-            uniq = np.flatnonzero(dense)
-            counts = dense[uniq]
-        else:  # a row longer than ~128k elements: stay sparse
-            uniq, inverse = np.unique(keys, return_inverse=True)
-            counts = np.zeros(uniq.shape[0], dtype=np.int64)
-            np.add.at(counts, inverse, weights)
-            if counts.size and counts.min() < 0:
-                raise ValueError("pair-histogram update went negative; the "
-                                 "removed set does not match the parent profile")
-            keep = counts > 0
-            uniq, counts = uniq[keep], counts[keep]
-        child._pl_phase = uniq // span
-        child._pl_len = uniq % span
-        child._pl_count = counts
+        child.nnz = int(rowptr64[-1])
+        child._pl_phase, child._pl_len, child._pl_count = _pair_histogram(
+            rowptr64, lengths
+        )
+        child.occupied_rows = int((lengths > 0).sum())
 
         # colind mod-8 residue histogram: additive in edges.
         child._colind_mod8 = (
@@ -354,7 +327,6 @@ class AccessProfile:
             (new_counts[affected] > 0).sum() - (col_counts[affected] > 0).sum()
         )
         child._col_counts = new_counts
-        child.occupied_rows = int(occupied_rows)
 
         # Per-n/tile memos depend on the histograms: start fresh.  The
         # base grids are pure functions of n, so they carry over.

@@ -180,15 +180,15 @@ class CSRMatrix:
         h = hashlib.blake2b(digest_size=16)
         h.update(repr(self.shape).encode())
         for arr in (self.rowptr, self.colind, self.values):
-            h.update(arr.tobytes())
+            h.update(np.ascontiguousarray(arr))
         return h.hexdigest()
 
     def clear_derived(self) -> int:
         """Drop every lazily built derived artifact in one call: the
         derived arrays (``row_lengths``/``rowptr64``/``coo_rows``/
-        ``colind64``), the content fingerprint, the executor's slice
-        plan, the Fastspmm and ASpT kernels' formats, and any cached
-        access profile.  Returns the number of artifacts dropped and bumps the
+        ``colind64``), the content fingerprint, the ``row_imbalance``
+        summary, the executor's slice plan, the Fastspmm and ASpT
+        kernels' formats, and any cached access profile.  Returns the number of artifacts dropped and bumps the
         ``csr.derived_cache.cleared`` counter by the same amount.
 
         This is the shard-boundary eviction hook of corpus-scale sweeps

@@ -13,24 +13,24 @@ its derived state already attached* by patching instead of rebuilding.
 
 Cost model
 ----------
-``apply_delta`` does index work proportional to ``Δ + (nnz of touched
-rows) + M`` — the per-row merges, the rowptr prefix re-sum, and the
-phase bookkeeping below — plus raw ``memcpy`` of the untouched
-``colind``/``values`` spans into the new arrays.  What it *avoids* is
-every O(nnz) or O(nnz log nnz) content pass of a from-scratch build:
-the COO lexsort, the histogram scans, the ``np.unique`` over columns,
-and (until first memo use) the fingerprint hash.
+``apply_delta`` edits the parent's flat arrays in place of rebuilding
+them.  Each delete, update and insert is located by a vectorised
+bisection inside its row (O(Δ log max_row), no gather of the touched
+rows); the new ``colind``/``values`` are then filled in one splice pass
+— a keep mask over the old elements and the insert slots of the new
+ones — and the row lengths move by two ``bincount`` calls.  Besides the
+O(Δ) index work, what remains is linear and branch-free: the masked
+copies, one ``int32`` compare for canonical order, the ``rowptr``
+prefix sum and the ``(start mod 8, length)`` pair histogram over the M
+rows.  What it *avoids* is every O(nnz log nnz) content pass of a
+from-scratch build: the COO lexsort, the ``np.unique`` over columns, and
+(until first memo use) the fingerprint hash.
 
-The :class:`AccessProfile` update exploits that both histograms are
-additive: the ``colind mod 8`` residue histogram moves by exactly the
-deleted/inserted columns (O(Δ)), and the ``(start mod 8, length)`` pair
-histogram moves by the rows whose pair changed.  A subtlety the naive
-"touched rows only" story misses: an insert in row *i* shifts
-``rowptr`` — and therefore the start *phase* — of every later row by
-the cumulative nnz delta, so rows in regions where that shift is
-nonzero mod 8 rotate phase too.  The update handles both sets exactly;
-when the net shift happens to be ≡ 0 (mod 8) past some row, those rows
-drop out of the work entirely.
+The :class:`AccessProfile` update recomputes the pair histogram from
+the child's ``rowptr``/row lengths (one O(M) pass; a scattered insert
+shifts the start phase of nearly every later row anyway) and moves the
+``colind mod 8`` residue histogram and the column multiplicities by
+exactly the deleted/inserted columns (O(Δ)).
 
 Fingerprint / memo-key semantics
 --------------------------------
@@ -68,7 +68,7 @@ from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.sparse.csr import CSRMatrix, INDEX_DTYPE, VALUE_DTYPE
+from repro.sparse.csr import CSRMatrix, VALUE_DTYPE, _index_array
 
 __all__ = ["EdgeDelta", "apply_delta", "invalidate_matrix_caches"]
 
@@ -81,8 +81,8 @@ EdgeArray = Union[Sequence[int], np.ndarray]
 def _as_edges(
     rows: EdgeArray, cols: EdgeArray, what: str
 ) -> Tuple[np.ndarray, np.ndarray]:
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
+    rows = _index_array(rows, f"{what} row")
+    cols = _index_array(cols, f"{what} column")
     if rows.ndim != 1 or rows.shape != cols.shape:
         raise ValueError(f"{what} rows/cols must be equal-length 1-D arrays")
     if rows.size and (rows.min() < 0 or cols.min() < 0):
@@ -184,31 +184,26 @@ class EdgeDelta:
         )
 
 
-def _segment_positions(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Flat element positions of variable-length segments: for segment
-    ``i``, the run ``starts[i] .. starts[i] + lengths[i]``, concatenated."""
-    total = int(lengths.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    excl_prefix = np.cumsum(lengths) - lengths
-    return np.repeat(starts - excl_prefix, lengths) + np.arange(total, dtype=np.int64)
-
-
-def _locate(
-    old_keys: np.ndarray, query_keys: np.ndarray, what: str,
-    rows: np.ndarray, cols: np.ndarray,
-) -> np.ndarray:
-    """Positions of ``query_keys`` inside sorted ``old_keys``; raises if
-    any edge is missing (deletes/updates must name stored edges)."""
-    pos = np.searchsorted(old_keys, query_keys)
-    bad = (pos >= old_keys.size) | (old_keys[np.minimum(pos, old_keys.size - 1)] != query_keys) \
-        if old_keys.size else np.ones(query_keys.size, dtype=bool)
-    if np.any(bad):
-        i = int(np.flatnonzero(bad)[0])
-        raise ValueError(
-            f"cannot {what} edge ({int(rows[i])}, {int(cols[i])}): not stored"
-        )
-    return pos
+def _flat_positions(
+    rowptr64: np.ndarray, colind: np.ndarray, rows: np.ndarray, cols: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Flat insertion point of each edge ``(rows[i], cols[i])``:
+    ``rowptr[r] + #(colind[rowptr[r]:rowptr[r+1]] < c)``, by a vectorised
+    lower-bound bisection inside each row (O(Δ log max_row); the rows must
+    be column-sorted).  Also returns whether the edge is stored there."""
+    base = rowptr64[rows]
+    end = rowptr64[rows + 1]
+    n = end - base
+    # Each step at least halves every remaining range.
+    for _ in range(int(n.max(initial=0)).bit_length()):
+        half = n >> 1
+        mid = base + half
+        right = (n > 0) & (colind.take(mid, mode="clip") < cols)
+        base = np.where(right, mid + 1, base)
+        n = np.where(right, n - half - 1, half)
+    stored = base < end
+    stored[stored] = colind[base[stored]] == cols[stored]
+    return base, stored
 
 
 def apply_delta(a: CSRMatrix, delta: EdgeDelta) -> CSRMatrix:
@@ -250,168 +245,107 @@ def apply_delta(a: CSRMatrix, delta: EdgeDelta) -> CSRMatrix:
         updates=int(delta.update_rows.size),
     ):
         old_rowptr64 = a.rowptr64()
-        old_lengths = a.row_lengths()
-
+        colind = a.colind
         touched = delta.touched_rows()
-        seg_starts = old_rowptr64[touched]
-        seg_lengths = old_lengths[touched]
-        gather = _segment_positions(seg_starts, seg_lengths)
-        old_cols = a.colind[gather].astype(np.int64)
-        old_vals = a.values[gather]
-        old_ranks = np.repeat(
-            np.arange(touched.size, dtype=np.int64), seg_lengths
-        )
 
-        mult = np.int64(max(k, 1))
-        old_keys = old_ranks * mult + old_cols
-        if old_keys.size > 1 and np.any(np.diff(old_keys) <= 0):
-            raise ValueError(
-                "touched rows are not canonical (column-sorted, "
-                "duplicate-free); sort with sorted_rows() before applying deltas"
-            )
-
-        rank_of = lambda rows: np.searchsorted(touched, rows)
-
-        # Deletes and updates must hit stored edges.
-        del_pos = _locate(
-            old_keys, rank_of(delta.delete_rows) * mult + delta.delete_cols,
-            "delete", delta.delete_rows, delta.delete_cols,
-        )
-        upd_pos = _locate(
-            old_keys, rank_of(delta.update_rows) * mult + delta.update_cols,
-            "update", delta.update_rows, delta.update_cols,
-        )
-        old_vals[upd_pos] = delta.update_values
-
-        # Inserts must not collide with stored edges.
-        ins_ranks = rank_of(delta.insert_rows)
-        ins_keys = ins_ranks * mult + delta.insert_cols
-        if old_keys.size:
-            pos = np.searchsorted(old_keys, ins_keys)
-            hit = (pos < old_keys.size) & (
-                old_keys[np.minimum(pos, old_keys.size - 1)] == ins_keys
-            )
-            if np.any(hit):
-                i = int(np.flatnonzero(hit)[0])
+        # Canonical order: one compare over the whole array, row
+        # boundaries masked out; only a violation inside a touched row
+        # matters (the bisection below relies on those rows' order).
+        if colind.size > 1:
+            unsorted = colind[1:] <= colind[:-1]
+            bounds = old_rowptr64[1:-1]
+            unsorted[bounds[(bounds > 0) & (bounds < colind.size)] - 1] = False
+            bad = np.flatnonzero(unsorted)
+            if bad.size and np.isin(
+                np.searchsorted(old_rowptr64, bad, side="right") - 1, touched
+            ).any():
                 raise ValueError(
-                    f"cannot insert duplicate edge "
-                    f"({int(delta.insert_rows[i])}, {int(delta.insert_cols[i])})"
+                    "touched rows are not canonical (column-sorted, "
+                    "duplicate-free); sort with sorted_rows() before applying deltas"
                 )
 
-        keep = np.ones(old_keys.size, dtype=bool)
-        keep[del_pos] = False
-
-        # Merge the kept and inserted runs — both already key-sorted, so
-        # a searchsorted placement replaces the O(k log k) argsort.
-        kept_keys = old_keys[keep]
-        total = kept_keys.size + ins_keys.size
-        ins_dest = np.searchsorted(kept_keys, ins_keys) + np.arange(
-            ins_keys.size, dtype=np.int64
+        # Deletes and updates must hit stored edges; inserts must not.
+        edits = [
+            (kind, getattr(delta, f"{kind}_rows"), getattr(delta, f"{kind}_cols"))
+            for kind in ("delete", "update", "insert")
+        ]
+        pos, stored = _flat_positions(
+            old_rowptr64, colind,
+            np.concatenate([rows for _, rows, _ in edits]),
+            np.concatenate([cols for _, _, cols in edits]),
         )
-        kept_mask = np.ones(total, dtype=bool)
-        kept_mask[ins_dest] = False
-        merged_cols = np.empty(total, dtype=np.int64)
-        merged_vals = np.empty(total, dtype=VALUE_DTYPE)
-        merged_cols[kept_mask] = old_cols[keep]
-        merged_cols[ins_dest] = delta.insert_cols
-        merged_vals[kept_mask] = old_vals[keep]
-        merged_vals[ins_dest] = delta.insert_values
+        located = {}
+        lo = 0
+        for kind, rows, cols in edits:
+            hi = lo + rows.size
+            miss = stored[lo:hi] if kind == "insert" else ~stored[lo:hi]
+            if miss.any():
+                i = int(np.flatnonzero(miss)[0])
+                edge = f"({int(rows[i])}, {int(cols[i])})"
+                raise ValueError(
+                    f"cannot insert duplicate edge {edge}" if kind == "insert"
+                    else f"cannot {kind} edge {edge}: not stored"
+                )
+            located[kind] = pos[lo:hi]
+            lo = hi
+        del_pos, ins_pos = located["delete"], located["insert"]
 
-        touched_new_lengths = np.bincount(
-            np.concatenate([old_ranks[keep], ins_ranks]), minlength=touched.size
-        ).astype(np.int64)
+        # One splice pass: a keep mask over the old elements, the insert
+        # slots of the new ones.  Positions are sorted (the delta is
+        # (row, col)-sorted and touched rows are canonical); an insert
+        # lands after every deleted element strictly before its point.
+        new_nnz = a.nnz - del_pos.size + ins_pos.size
+        keep = np.ones(a.nnz, dtype=bool)
+        keep[del_pos] = False
+        ins_dest = ins_pos - np.searchsorted(del_pos, ins_pos) + np.arange(
+            ins_pos.size, dtype=np.int64
+        )
+        kept = np.ones(new_nnz, dtype=bool)
+        kept[ins_dest] = False
 
-        # New row extents: only touched rows change length; the prefix
-        # re-sum is the one unavoidable O(M) pass.
-        new_lengths = old_lengths.copy()
-        new_lengths[touched] = touched_new_lengths
+        def splice(old: np.ndarray, inserted: np.ndarray) -> np.ndarray:
+            out = np.empty(new_nnz, dtype=old.dtype)
+            out[kept] = old[keep]
+            out[ins_dest] = inserted
+            return out
+
+        values = a.values
+        if delta.update_rows.size:
+            values = values.copy()
+            values[located["update"]] = delta.update_values
+        new_colind = splice(colind, delta.insert_cols)
+        new_values = splice(values, delta.insert_values)
+
+        new_lengths = (
+            a.row_lengths()
+            + np.bincount(delta.insert_rows, minlength=m)
+            - np.bincount(delta.delete_rows, minlength=m)
+        )
         new_rowptr64 = np.zeros(m + 1, dtype=np.int64)
         np.cumsum(new_lengths, out=new_rowptr64[1:])
-        new_nnz = int(new_rowptr64[-1])
-
-        new_colind = np.empty(new_nnz, dtype=INDEX_DTYPE)
-        new_values = np.empty(new_nnz, dtype=VALUE_DTYPE)
-        parent_colind64 = a._derived.get("colind64")
-        parent_coo_rows = a._derived.get("coo_rows")
-
-        # Untouched spans lie between runs of consecutive touched rows.
-        breaks = np.flatnonzero(np.diff(touched) > 1) + 1
-        run_first = touched[np.concatenate([[0], breaks])]
-        run_last = touched[np.concatenate([breaks - 1, [touched.size - 1]])]
-        span_rows = np.concatenate([[0], run_last + 1])  # span start rows
-        span_ends = np.concatenate([run_first, [m]])  # span end rows (excl)
-        # Few runs (a tiny delta on a big graph): raw slice copies of the
-        # untouched spans, each shifted by its run's constant rowptr
-        # offset — no index arrays over the untouched nnz.  Many runs:
-        # per-span Python overhead would dominate, so build one gather/
-        # scatter over the untouched elements instead; colind64/coo_rows
-        # are then cheaper to regenerate with one flat cast/repeat than
-        # to splice.
-        bulk = span_rows.size > 64
-        new_colind64 = (
-            np.empty(new_nnz, dtype=np.int64)
-            if parent_colind64 is not None and not bulk
-            else None
-        )
-        new_coo_rows = (
-            np.empty(new_nnz, dtype=np.int64)
-            if parent_coo_rows is not None and not bulk
-            else None
-        )
-        if not bulk:
-            for lo, hi in zip(span_rows, span_ends):
-                if lo >= hi:
-                    continue
-                os_, oe = int(old_rowptr64[lo]), int(old_rowptr64[hi])
-                ns = int(new_rowptr64[lo])
-                ne = ns + (oe - os_)
-                new_colind[ns:ne] = a.colind[os_:oe]
-                new_values[ns:ne] = a.values[os_:oe]
-                if new_colind64 is not None:
-                    new_colind64[ns:ne] = parent_colind64[os_:oe]
-                if new_coo_rows is not None:
-                    new_coo_rows[ns:ne] = parent_coo_rows[os_:oe]
-        else:
-            live = span_rows < span_ends
-            s_rows, s_ends = span_rows[live], span_ends[live]
-            s_lens = old_rowptr64[s_ends] - old_rowptr64[s_rows]
-            dst = _segment_positions(new_rowptr64[s_rows], s_lens)
-            src = dst + np.repeat(
-                old_rowptr64[s_rows] - new_rowptr64[s_rows], s_lens
-            )
-            new_colind[dst] = a.colind[src]
-            new_values[dst] = a.values[src]
-
-        # Scatter the merged touched-row data into place.
-        dest = _segment_positions(new_rowptr64[touched], touched_new_lengths)
-        new_colind[dest] = merged_cols
-        new_values[dest] = merged_vals
-        if new_colind64 is not None:
-            new_colind64[dest] = merged_cols
-        if new_coo_rows is not None:
-            new_coo_rows[dest] = np.repeat(touched, touched_new_lengths)
-        if bulk:
-            if parent_colind64 is not None:
-                new_colind64 = new_colind.astype(np.int64)
-            if parent_coo_rows is not None:
-                new_coo_rows = np.repeat(
-                    np.arange(m, dtype=np.int64), new_lengths
-                )
 
         out = CSRMatrix((m, k), new_rowptr64, new_colind, new_values)
         out._seed_derived("rowptr64", new_rowptr64)
         out._seed_derived("row_lengths", new_lengths)
-        if new_colind64 is not None:
-            out._seed_derived("colind64", new_colind64)
-        if new_coo_rows is not None:
-            out._seed_derived("coo_rows", new_coo_rows)
+        # Seed what the parent had cached.  Widening the new colind is
+        # cheaper than splicing the parent's int64 copy.
+        if "colind64" in a._derived:
+            out._seed_derived("colind64", new_colind.astype(np.int64))
+        parent_coo_rows = a._derived.get("coo_rows")
+        if parent_coo_rows is not None:
+            out._seed_derived("coo_rows", splice(parent_coo_rows, delta.insert_rows))
 
         prof = a._derived.get("access_profile")
         if prof is not None:
-            _seed_updated_profile(
-                a, out, prof, touched, old_rowptr64, old_lengths,
-                new_rowptr64, new_lengths, delta, new_nnz,
-            )
+            from repro.core.access_profile import seed_access_profile
+
+            seed_access_profile(out, prof.updated(
+                rowptr64=new_rowptr64,
+                lengths=new_lengths,
+                removed_cols=delta.delete_cols,
+                added_cols=delta.insert_cols,
+                parent_colind=colind,
+            ))
             registry.counter("delta.profile.updated").inc()
         else:
             registry.counter("delta.profile.skipped").inc()
@@ -422,56 +356,6 @@ def apply_delta(a: CSRMatrix, delta: EdgeDelta) -> CSRMatrix:
         registry.counter("delta.edges", kind="update").inc(int(delta.update_rows.size))
         registry.counter("delta.rows_touched").inc(int(touched.size))
     return out
-
-
-def _seed_updated_profile(
-    a: CSRMatrix,
-    out: CSRMatrix,
-    prof,
-    touched: np.ndarray,
-    old_rowptr64: np.ndarray,
-    old_lengths: np.ndarray,
-    new_rowptr64: np.ndarray,
-    new_lengths: np.ndarray,
-    delta: EdgeDelta,
-    new_nnz: int,
-) -> None:
-    """Evolve the parent's cached :class:`AccessProfile` onto ``out``.
-
-    The changed-row set is the touched rows plus every row whose start
-    phase rotated: row ``i``'s phase is ``rowptr[i] mod 8``, and inserts
-    /deletes shift the rowptr of all later rows by the cumulative nnz
-    delta — only where that shift is nonzero mod 8 does the pair change.
-    """
-    from repro.core.access_profile import ELEMS_PER_SECTOR, seed_access_profile
-
-    m = a.nrows
-    touched_mask = np.zeros(m, dtype=bool)
-    touched_mask[touched] = True
-    phase_shifted = (
-        (new_rowptr64[:-1] - old_rowptr64[:-1]) % ELEMS_PER_SECTOR
-    ) != 0
-    changed = np.flatnonzero(touched_mask | phase_shifted)
-
-    occupied = (
-        prof.occupied_rows
-        - int((old_lengths[touched] > 0).sum())
-        + int((new_lengths[touched] > 0).sum())
-    )
-    evolved = prof.updated(
-        nnz=new_nnz,
-        removed_pairs=(
-            old_rowptr64[changed] % ELEMS_PER_SECTOR, old_lengths[changed]
-        ),
-        added_pairs=(
-            new_rowptr64[changed] % ELEMS_PER_SECTOR, new_lengths[changed]
-        ),
-        removed_cols=delta.delete_cols,
-        added_cols=delta.insert_cols,
-        occupied_rows=occupied,
-        parent_colind=a.colind,
-    )
-    seed_access_profile(out, evolved)
 
 
 def invalidate_matrix_caches(

@@ -72,7 +72,13 @@ def row_imbalance(a: CSRMatrix) -> RowImbalance:
     This is the routing statistic for balance-sensitive kernel choices
     (row-split vs merge-path): high values mean one-warp-per-row designs
     serialize on hub rows while a work-balanced partition does not.
+    Cached per matrix (derived artifact ``row_imbalance``), so the
+    row-length sort behind the Gini coefficient runs once per version.
     """
+    return a._cached("row_imbalance", lambda: _compute_row_imbalance(a))
+
+
+def _compute_row_imbalance(a: CSRMatrix) -> RowImbalance:
     lengths = a.row_lengths()
     if lengths.size == 0 or a.nnz == 0:
         return RowImbalance(gini=0.0, max_over_mean=0.0)
@@ -108,8 +114,9 @@ class StructuralDrift:
 def structural_drift(old: CSRMatrix, new: CSRMatrix) -> StructuralDrift:
     """Compute the :class:`StructuralDrift` from ``old`` to ``new``.
 
-    O(M) over the cached row-length arrays — cheap enough to run on
-    every delta application.
+    Reads each version's cached :func:`row_imbalance`, so along a delta
+    stream every version's Gini coefficient is computed once, however
+    many drifts (and :func:`graph_regime` calls) read it.
     """
     a, b = row_imbalance(old), row_imbalance(new)
     lo = min(a.max_over_mean, b.max_over_mean)

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import obs
-from repro.core.access_profile import access_profile
+from repro.core.access_profile import AccessProfile, access_profile
 from repro.core.tuning import RetuneThresholds, TunedSpMM
 from repro.gpusim.config import GTX_1080TI
 from repro.gpusim.kernel import clear_estimate_memo
@@ -256,6 +256,170 @@ def test_non_canonical_touched_rows_rejected():
     )
     with pytest.raises(ValueError, match="not canonical"):
         apply_delta(a, EdgeDelta.new(inserts=([0], [3], [1.0])))
+
+
+@pytest.mark.parametrize("kind", ["insert", "delete", "update"])
+@pytest.mark.parametrize("axis", ["rows", "cols"])
+@pytest.mark.parametrize("bad", [0.7, np.nan, np.inf])
+def test_non_integer_edge_coordinates_rejected(kind, axis, bad):
+    """Fractional, NaN and infinite coordinates raise instead of being
+    truncated (0.7 -> row 0) or failing inside numpy's cast."""
+    rows, cols = [0.0, 1.0], [1.0, 2.0]
+    (rows if axis == "rows" else cols)[1] = bad
+    edges = (rows, cols) if kind == "delete" else (rows, cols, [1.0, 2.0])
+    with pytest.raises(ValueError, match="finite integers"):
+        EdgeDelta.new(**{f"{kind}s": edges})
+
+
+def test_whole_float_and_narrow_int_coordinates_accepted():
+    d = EdgeDelta.new(
+        inserts=(np.array([2.0]), np.array([1.0]), [1.0]),
+        deletes=(np.array([0], dtype=np.int32), np.array([1], dtype=np.uint8)),
+    )
+    assert d.insert_rows.dtype == d.delete_cols.dtype == np.int64
+    out = apply_delta(small_matrix(), d)
+    ref = csr_from_coo([0, 1, 2, 3, 3, 3], [3, 0, 1, 0, 2, 4],
+                       [2.0, 3.0, 1.0, 4.0, 5.0, 6.0], shape=(4, 5))
+    assert_full_parity(out, ref)
+
+
+# ----------------------------------------------------------------------
+# Flat-splice edge cases (positions at row boundaries, empty and long
+# rows): each is checked against the from-scratch oracle
+# ----------------------------------------------------------------------
+
+
+def stored_index(a, rows, cols):
+    """Flat element index of each stored edge of canonical ``a``."""
+    keys = a.coo_rows() * a.ncols + a.colind64()
+    idx = np.searchsorted(keys, np.asarray(rows) * a.ncols + np.asarray(cols))
+    assert np.array_equal(keys[idx], np.asarray(rows) * a.ncols + np.asarray(cols))
+    return idx
+
+
+def assert_splice_matches_oracle(a, inserts=None, deletes=None, updates=None):
+    delta = EdgeDelta.new(inserts=inserts, deletes=deletes, updates=updates)
+    del_idx = stored_index(a, *deletes) if deletes else np.empty(0, np.int64)
+    upd_idx = stored_index(a, *updates[:2]) if updates else np.empty(0, np.int64)
+    a.colind64(), a.coo_rows(), access_profile(a)
+    out = apply_delta(a, delta)
+    ref = rebuild_oracle(a, delta, del_idx, upd_idx)
+    assert_full_parity(out, ref)
+    assert_profile_parity(out, ref)
+    return out
+
+
+def test_insert_at_a_deleted_elements_position():
+    # Row 0 holds columns 1, 3: inserting column 2 and deleting column 3
+    # put both edits at flat position 1; inserting at row 0's end and
+    # deleting row 1's first element put both at rowptr[1].
+    a = small_matrix()
+    assert_splice_matches_oracle(
+        a, inserts=([0], [2], [7.0]), deletes=([0], [3])
+    )
+    assert_splice_matches_oracle(
+        a, inserts=([0], [4], [7.0]), deletes=([1], [0]),
+        updates=([3], [0], [9.0]),
+    )
+
+
+def test_insert_at_row_end_is_next_row_start():
+    a = small_matrix()
+    out = assert_splice_matches_oracle(
+        a, inserts=([0, 1], [4, 2], [7.0, 8.0])
+    )
+    assert out.colind.tolist() == [1, 3, 4, 0, 2, 0, 2, 4]
+
+
+def test_inserts_into_last_row_empty_rows_and_empty_matrix():
+    a = small_matrix()  # row 2 is empty, row 3 is the last
+    assert_splice_matches_oracle(
+        a, inserts=([2, 3, 3], [0, 1, 3], [1.0, 2.0, 3.0])
+    )
+    gappy = csr_from_coo([1, 4], [0, 2], [1.0, 2.0], shape=(6, 3))
+    assert_splice_matches_oracle(
+        gappy, inserts=([0, 2, 3, 5, 5], [1, 0, 2, 0, 2], [1.0, 2.0, 3.0, 4.0, 5.0])
+    )
+    empty = csr_from_coo([], [], [], shape=(4, 4))
+    assert_splice_matches_oracle(
+        empty, inserts=([0, 3, 3], [3, 0, 1], [1.0, 2.0, 3.0])
+    )
+
+
+def test_delete_every_edge_of_a_hub_row():
+    rng = np.random.default_rng(0)
+    hub_cols = np.arange(0, 200, 2)  # a 100-edge hub row
+    rows = np.concatenate([np.full(hub_cols.size, 2), rng.integers(0, 5, 40)])
+    cols = np.concatenate([hub_cols, rng.integers(0, 200, 40)])
+    a = csr_from_coo(rows, cols, rng.standard_normal(rows.size),
+                     shape=(5, 200), sum_duplicates=True)
+    hub = a.colind64()[a.rowptr64()[2]:a.rowptr64()[3]]
+    assert hub.size > 64
+    free = np.setdiff1d(np.arange(200), a.row_slice(4)[0])[-1]
+    out = assert_splice_matches_oracle(
+        a, deletes=(np.full(hub.size, 2), hub), inserts=([4], [free], [1.0])
+    )
+    assert out.row_lengths()[2] == 0
+
+
+def test_only_touched_rows_must_be_canonical():
+    # Row 1 is unsorted and row 2 holds a duplicate column; neither is
+    # touched, so both are carried over verbatim.
+    a = CSRMatrix(
+        (4, 5),
+        np.array([0, 2, 4, 6, 7], dtype=np.int64),
+        np.array([1, 3, 4, 2, 0, 0, 3], dtype=np.int32),
+        np.arange(1.0, 8.0, dtype=np.float32),
+    )
+    access_profile(a)
+    out = apply_delta(
+        a, EdgeDelta.new(inserts=([0, 3], [2, 4], [8.0, 9.0]), deletes=([3], [3]))
+    )
+    ref = CSRMatrix(
+        (4, 5),
+        np.array([0, 3, 5, 7, 8], dtype=np.int64),
+        np.array([1, 2, 3, 4, 2, 0, 0, 4], dtype=np.int32),
+        np.array([1.0, 8.0, 2.0, 3.0, 4.0, 5.0, 6.0, 9.0], dtype=np.float32),
+    )
+    assert_full_parity(out, ref)
+    assert_profile_parity(out, ref)
+    for touched_bad_row in (1, 2):
+        with pytest.raises(ValueError, match="not canonical"):
+            apply_delta(a, EdgeDelta.new(deletes=([touched_bad_row], [0])))
+
+
+def test_row_longer_than_dense_pair_histogram():
+    """A row of more than 131,072 elements makes the pair histogram's
+    dense key space exceed 2**20, so it falls back to ``np.unique``."""
+    k = 140_000
+    rng = np.random.default_rng(1)
+    hub = np.delete(np.arange(k), [5, 77_777])
+    rows = np.concatenate([np.zeros(hub.size, np.int64), rng.integers(1, 9, 60)])
+    cols = np.concatenate([hub, rng.integers(0, k, 60)])
+    a = csr_from_coo(rows, cols, rng.standard_normal(rows.size),
+                     shape=(9, k), sum_duplicates=True)
+    assert 8 * (int(a.row_lengths().max()) + 1) > 2**20
+
+    # Constructor: the pair histogram equals a direct count over rows.
+    prof = access_profile(a)
+    pairs, counts = np.unique(
+        np.stack([a.rowptr64()[:-1] % 8, a.row_lengths()]), axis=1,
+        return_counts=True,
+    )
+    assert np.array_equal(prof._pl_phase, pairs[0])
+    assert np.array_equal(prof._pl_len, pairs[1])
+    assert np.array_equal(prof._pl_count, counts)
+    assert prof._pl_phase.dtype == prof._pl_len.dtype == prof._pl_count.dtype == np.int64
+
+    # Delta: the evolved profile equals a cold build of the child.
+    out = assert_splice_matches_oracle(
+        a, inserts=([0, 3], [5, 3], [1.0, 2.0]), deletes=([0], [6]),
+        updates=([0], [77_778], [3.0]),
+    )
+    cold = AccessProfile(out)
+    for attr in PROFILE_ARRAYS:
+        assert np.array_equal(getattr(access_profile(out), attr), getattr(cold, attr))
+        assert getattr(access_profile(out), attr).dtype == getattr(cold, attr).dtype
 
 
 def test_immutability_of_parent():

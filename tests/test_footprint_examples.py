@@ -63,7 +63,7 @@ class TestFootprint:
     "script",
     ["quickstart.py", "kernel_profiling.py", "custom_reduce_pooling.py",
      "snap_sweep.py", "sampled_training.py", "gnn_node_classification.py",
-     "gat_attention.py"],
+     "gat_attention.py", "streaming_updates.py"],
 )
 def test_example_runs(script, monkeypatch, capsys):
     """Every shipped example must execute end to end."""
