@@ -11,7 +11,8 @@ from repro.baselines import FastSpMM
 from repro.bench import comparison, format_table, render_claims
 from repro.core import GESpMM
 from repro.gpusim import GTX_1080TI
-from repro.sparse import banded_random, power_law, to_ellpack_r, uniform_random
+from repro.sparse import banded_random, power_law, uniform_random
+from repro.sparse.formats import ellpack_width
 
 N = 256
 
@@ -26,7 +27,7 @@ def run():
     ratios = {}
     ge, fs = GESpMM(), FastSpMM()
     for name, g in families.items():
-        pad = to_ellpack_r(g).padding_ratio
+        pad = g.nrows * ellpack_width(g) / max(g.nnz, 1)
         t_ge = ge.estimate(g, N, GTX_1080TI).time_s
         t_fs = fs.estimate(g, N, GTX_1080TI).time_s
         pre = fs.preprocess_time(g, GTX_1080TI)

@@ -21,17 +21,13 @@ Two GNN-relevant externalities reproduced here:
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core import _counting as cnt
-from repro.core.semiring import PLUS_TIMES, Semiring
 from repro.gpusim.config import GPUSpec
 from repro.gpusim.kernel import KernelCounts, SpMMKernel
 from repro.gpusim.memory import KernelStats
 from repro.gpusim.occupancy import LaunchConfig
 from repro.gpusim.timing import ExecHints
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.ops import reference_spmm_like
 
 __all__ = ["CusparseCsrmm2", "cublas_transpose_time"]
 
@@ -41,7 +37,11 @@ _TILE = 32
 
 
 class CusparseCsrmm2(SpMMKernel):
-    """Vendor csrmm2 kernel model (plus-times only, column-major out)."""
+    """Vendor csrmm2 kernel model (plus-times only, column-major out).
+
+    ``run`` is the base CSR reference: the functional result is
+    layout-independent, and the column-major output convention only
+    matters for the consumer (transpose cost)."""
 
     name = "cuSPARSE csrmm2"
     supports_general_semiring = False
@@ -51,12 +51,6 @@ class CusparseCsrmm2(SpMMKernel):
     #: walks the row again with a single outstanding stream.
     mlp = 1.15
     efficiency = 0.95  # vendor-tuned scheduling, small residual imbalance
-
-    def run(self, a: CSRMatrix, b: np.ndarray, semiring: Semiring = PLUS_TIMES) -> np.ndarray:
-        self.check_semiring(semiring)
-        # Functional result is layout-independent; the column-major output
-        # convention only matters for the consumer (transpose cost).
-        return reference_spmm_like(a, b, semiring)
 
     def count(self, a: CSRMatrix, n: int, gpu: GPUSpec) -> KernelCounts:
         stats = KernelStats()

@@ -29,7 +29,7 @@ from repro.gpusim.occupancy import LaunchConfig
 from repro.gpusim.timing import ExecHints
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.convert import csr_to_ellpack_time
-from repro.sparse.formats import EllpackR, to_ellpack_r
+from repro.sparse.formats import EllpackR, ellpack_width, to_ellpack_r
 from repro.sparse.ops import reference_spmm_like
 
 __all__ = ["FastSpMM"]
@@ -61,17 +61,16 @@ class FastSpMM(SpMMKernel):
         self.check_semiring(semiring)
         # Compute through the actual ELLPACK layout for small inputs, the
         # CSR oracle otherwise (identical semantics, bounded memory).
-        if a.nrows * max(self.preprocess(a).width, 1) <= 1_000_000:
+        if a.nrows * ellpack_width(a) <= 1_000_000:
             return self.preprocess(a).to_dense_product(
                 np.ascontiguousarray(b, dtype=np.float32)
             )
         return reference_spmm_like(a, b, semiring)
 
     def count(self, a: CSRMatrix, n: int, gpu: GPUSpec) -> KernelCounts:
-        fmt = self.preprocess(a)
         stats = KernelStats()
         m, nnz = a.nrows, a.nnz
-        width = max(fmt.width, 1)
+        width = ellpack_width(a)
         slots = m * width  # padded element count — the format's tax
         wpr = cnt.warps_per_row(n, 1)
         segs = cnt.dense_segments(n)

@@ -19,17 +19,13 @@ The paper measures GE-SpMM at 1.42-1.81x over it, the gap widening with
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core import _counting as cnt
-from repro.core.semiring import PLUS_TIMES, Semiring
 from repro.gpusim.config import GPUSpec
 from repro.gpusim.kernel import KernelCounts, SpMMKernel
 from repro.gpusim.memory import KernelStats
 from repro.gpusim.occupancy import LaunchConfig
 from repro.gpusim.timing import ExecHints
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.ops import reference_spmm_like
 
 __all__ = ["GraphBlastRowSplit"]
 
@@ -50,10 +46,6 @@ class GraphBlastRowSplit(SpMMKernel):
     mlp = 1.0
     #: warp-per-row load imbalance on short/skewed rows.
     efficiency = 0.72
-
-    def run(self, a: CSRMatrix, b: np.ndarray, semiring: Semiring = PLUS_TIMES) -> np.ndarray:
-        self.check_semiring(semiring)
-        return reference_spmm_like(a, b, semiring)
 
     def count(self, a: CSRMatrix, n: int, gpu: GPUSpec) -> KernelCounts:
         stats = KernelStats()

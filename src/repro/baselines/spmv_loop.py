@@ -10,17 +10,14 @@ matrix, and the dense-vector gather ``x[k] = B[k, j]`` is scattered.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core import _counting as cnt
-from repro.core.semiring import PLUS_TIMES, Semiring
+from repro.core.semiring import PLUS_TIMES
 from repro.gpusim.config import GPUSpec
 from repro.gpusim.kernel import KernelCounts, SpMMKernel
 from repro.gpusim.memory import KernelStats
 from repro.gpusim.occupancy import LaunchConfig
 from repro.gpusim.timing import ExecHints
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.ops import reference_spmm_like
 
 __all__ = ["SpMVLoopSpMM"]
 
@@ -37,10 +34,6 @@ class SpMVLoopSpMM(SpMMKernel):
     regs_per_thread = 28
     mlp = 2.0
     efficiency = 0.85
-
-    def run(self, a: CSRMatrix, b: np.ndarray, semiring: Semiring = PLUS_TIMES) -> np.ndarray:
-        self.check_semiring(semiring)
-        return reference_spmm_like(a, b, semiring)
 
     def count(self, a: CSRMatrix, n: int, gpu: GPUSpec) -> KernelCounts:
         stats = KernelStats()

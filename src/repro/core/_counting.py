@@ -18,17 +18,15 @@ and GPUs.  ``tests/test_access_profile.py`` checks them for exact
 integer equality against the array-expansion references in
 ``tests/references.py``.
 
-Counts are exact under the alignment established by ``TraceMemory``
-(buffers are 32 B aligned).  For dense segments this means: when
-``N % 8 == 0`` every row of ``B`` starts on a sector boundary and the
-closed form ``ceil(len/8)`` per segment applies; otherwise the count
-depends on each nonzero's column modulo 8.  The trace-vs-analytic
+Counts are exact under the buffer alignment the trace replay uses
+(every buffer starts on a 256 B, hence 32 B sector, boundary).  For
+dense segments this means: when ``N % 8 == 0`` every row of ``B`` starts
+on a sector boundary and the closed form ``ceil(len/8)`` per segment
+applies; otherwise the count depends on each nonzero's column modulo 8.  The trace-vs-analytic
 property tests exercise both paths.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.core.access_profile import (
     ELEMS_PER_SECTOR,
@@ -36,7 +34,6 @@ from repro.core.access_profile import (
     dense_segments,
     access_profile,
 )
-from repro.gpusim.memory import segment_sectors
 from repro.sparse.csr import CSRMatrix
 
 __all__ = [
@@ -77,13 +74,11 @@ def count_tile_loads(a: CSRMatrix, tile: int = 32) -> AccessTotals:
     per row, ``ceil(L/tile)`` warp loads of up to ``tile`` consecutive
     elements starting at ``rowptr[i] + t*tile``.
 
-    Returns totals **per column-segment warp** — multiply by the number
-    of warps sharing the row to get kernel totals.
+    ``tile`` must be a multiple of 8 (every kernel stages 32-element
+    tiles); others raise ``ValueError``.  Returns totals **per
+    column-segment warp** — multiply by the number of warps sharing the
+    row to get kernel totals.
     """
-    if tile % ELEMS_PER_SECTOR != 0:
-        # Exotic tiles (not sector multiples) break the phase-histogram
-        # identity; no built-in kernel uses one, but stay exact anyway.
-        return _expanded_tile_loads(a, tile)
     return access_profile(a).tile_loads(tile)
 
 
@@ -106,22 +101,3 @@ def occupied_rows(a: CSRMatrix) -> int:
     one X row per occupied row)."""
     return access_profile(a).occupied_rows
 
-
-def _expanded_tile_loads(a: CSRMatrix, tile: int) -> AccessTotals:
-    """:func:`count_tile_loads` by expanding one entry per tile, valid
-    for any ``tile >= 1``."""
-    lengths = a.row_lengths()
-    n_tiles = (lengths + tile - 1) // tile
-    total_tiles = int(n_tiles.sum())
-    if total_tiles == 0:
-        return AccessTotals(0, 0, 0)
-    # Expand one entry per tile: row starts repeated, tile index within row.
-    row_of_tile = np.repeat(np.arange(a.nrows, dtype=np.int64), n_tiles)
-    tile_idx = np.arange(total_tiles, dtype=np.int64) - np.repeat(
-        np.cumsum(n_tiles) - n_tiles, n_tiles
-    )
-    starts = a.rowptr64()[:-1][row_of_tile] + tile_idx * tile
-    lens = np.minimum(tile, lengths[row_of_tile] - tile_idx * tile)
-    sectors = int(segment_sectors(starts, lens).sum())
-    requested = int(lens.sum()) * 4
-    return AccessTotals(total_tiles, sectors, requested)

@@ -226,9 +226,9 @@ class AccessProfile:
         consecutive elements starting at ``rowptr[i] + t*tile``.
 
         Requires ``tile % 8 == 0`` (all simulated kernels use multiples
-        of 32) so every tile of a row shares the row's start phase —
-        ``count_tile_loads`` expands exotic tiles instead.  Returns
-        totals **per column-segment warp**.
+        of 32) so every tile of a row shares the row's start phase;
+        other tiles raise ``ValueError``.  Returns totals **per
+        column-segment warp**.
         """
         tile = int(tile)
         if tile % ELEMS_PER_SECTOR != 0:

@@ -27,11 +27,10 @@ from repro.gpusim.batchtrace import (
 )
 from repro.gpusim.config import GPUSpec
 from repro.gpusim.kernel import KernelCounts, SpMMKernel
-from repro.gpusim.memory import KernelStats, TraceMemory, TraceSharedMemory
+from repro.gpusim.memory import KernelStats
 from repro.gpusim.occupancy import LaunchConfig
 from repro.gpusim.timing import ExecHints
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.ops import reference_spmm_like
 
 __all__ = ["CRCSpMM"]
 
@@ -60,10 +59,6 @@ class CRCSpMM(SpMMKernel):
         self.tile = int(tile)
         if tile != _TILE:
             self.name = f"crc(tile={tile})"
-
-    def run(self, a: CSRMatrix, b: np.ndarray, semiring: Semiring = PLUS_TIMES) -> np.ndarray:
-        self.check_semiring(semiring)
-        return reference_spmm_like(a, b, semiring)
 
     def count(self, a: CSRMatrix, n: int, gpu: GPUSpec) -> KernelCounts:
         stats = KernelStats()
@@ -148,8 +143,9 @@ class CRCSpMM(SpMMKernel):
         return stats, launch, ExecHints(mlp=self.mlp, tail_sectors=tail)
 
     def trace(self, a, b, gpu, semiring: Semiring = PLUS_TIMES):
-        """Batched trace replay — bit-identical stats and output to
-        :meth:`trace_loop` (see ``repro.gpusim.batchtrace``).
+        """Batched trace replay — bit-identical stats and output to the
+        per-warp loop oracle in ``tests/trace_references.py`` (see
+        ``repro.gpusim.batchtrace``).
 
         Warp task ``(row i, segment s)``, in program order: two rowptr
         broadcasts (steps 0, 1); per staging tile ``t`` (all earlier
@@ -218,49 +214,3 @@ class CRCSpMM(SpMMKernel):
             semiring.finalize(c.astype(np.float64), a.row_lengths()).astype(np.float32),
             stats,
         )
-
-    def trace_loop(self, a, b, gpu, semiring: Semiring = PLUS_TIMES):
-        """Reference per-warp loop replay (exact but slow); kept as the
-        parity oracle for the batched :meth:`trace`."""
-        self.check_semiring(semiring)
-        b = np.ascontiguousarray(b, dtype=np.float32)
-        m, n = a.nrows, b.shape[1]
-        mem = TraceMemory(l1_caches_global=gpu.l1_caches_global)
-        mem.register("rowptr", a.rowptr)
-        mem.register("colind", a.colind)
-        mem.register("values", a.values)
-        mem.register("B", b.ravel())
-        mem.register("C", np.full(m * n, semiring.init, dtype=np.float32))
-        if self.tile != 32:
-            raise NotImplementedError("trace mode implements the paper's tile == warp_size")
-        lanes = np.arange(32)
-        # Two shared words per lane: sm_k at [0:32), sm_v at [32:64).
-        for i in range(m):
-            for seg in range(0, n, 32):
-                j = seg + lanes
-                active = j < n
-                shared = TraceSharedMemory(64, mem.stats)
-                row_start = int(mem.load("rowptr", np.full(32, i))[0])
-                row_end = int(mem.load("rowptr", np.full(32, i + 1))[0])
-                acc = np.full(32, semiring.init, dtype=np.float64)
-                for ptr in range(row_start, row_end, _TILE):
-                    tile_len = min(_TILE, row_end - ptr)
-                    tile_mask = lanes < tile_len
-                    act = lanes[:tile_len]
-                    ks = mem.load("colind", ptr + lanes, mask=tile_mask)
-                    vs = mem.load("values", ptr + lanes, mask=tile_mask)
-                    shared.store(act, ks.astype(np.float64))
-                    shared.store(32 + act, vs.astype(np.float64))
-                    mem.stats.warp_syncs += 1
-                    for kk in range(tile_len):
-                        k = int(shared.load(np.full(32, kk))[0])
-                        v = float(shared.load(np.full(32, 32 + kk))[0])
-                        bv = np.zeros(32)
-                        bv[active] = mem.load("B", k * n + j, mask=active)
-                        acc[active] = semiring.reduce_pair(
-                            acc[active], semiring.combine(v, bv[active])
-                        )
-                mem.store("C", i * n + j, acc.astype(np.float32), mask=active)
-        c = mem.buffer("C").reshape(m, n)
-        lengths = a.row_lengths()
-        return semiring.finalize(c.astype(np.float64), lengths).astype(np.float32), mem.stats

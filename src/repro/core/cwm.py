@@ -26,11 +26,10 @@ from repro.gpusim.batchtrace import (
 )
 from repro.gpusim.config import GPUSpec
 from repro.gpusim.kernel import KernelCounts, SpMMKernel
-from repro.gpusim.memory import KernelStats, TraceMemory, TraceSharedMemory
+from repro.gpusim.memory import KernelStats
 from repro.gpusim.occupancy import LaunchConfig
 from repro.gpusim.timing import ExecHints
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.ops import reference_spmm_like
 
 __all__ = ["CWMSpMM"]
 
@@ -66,10 +65,6 @@ class CWMSpMM(SpMMKernel):
         for N <= 32, paper Fig. 7c)."""
         active_cf = min(self.cf, max((n + 31) // 32, 1))
         return 1.4 + 0.7 * active_cf if active_cf >= 2 else 1.4
-
-    def run(self, a: CSRMatrix, b: np.ndarray, semiring: Semiring = PLUS_TIMES) -> np.ndarray:
-        self.check_semiring(semiring)
-        return reference_spmm_like(a, b, semiring)
 
     def count(self, a: CSRMatrix, n: int, gpu: GPUSpec) -> KernelCounts:
         stats = KernelStats()
@@ -152,8 +147,9 @@ class CWMSpMM(SpMMKernel):
         return stats, launch, ExecHints(mlp=self.mlp_for(n), tail_sectors=tail)
 
     def trace(self, a, b, gpu, semiring: Semiring = PLUS_TIMES):
-        """Batched trace replay — bit-identical stats and output to
-        :meth:`trace_loop` (see ``repro.gpusim.batchtrace``).
+        """Batched trace replay — bit-identical stats and output to the
+        per-warp loop oracle in ``tests/trace_references.py`` (see
+        ``repro.gpusim.batchtrace``).
 
         Warp task ``(row i, superseg s)`` covers ``ac`` active 32-column
         segments (``ac = min(cf, ceil((n - s)/32))``; fully-predicated
@@ -237,59 +233,4 @@ class CWMSpMM(SpMMKernel):
         return (
             semiring.finalize(c_out.astype(np.float64), a.row_lengths()).astype(np.float32),
             stats,
-        )
-
-    def trace_loop(self, a, b, gpu, semiring: Semiring = PLUS_TIMES):
-        """Reference per-warp loop replay (exact but slow); kept as the
-        parity oracle for the batched :meth:`trace`."""
-        self.check_semiring(semiring)
-        b = np.ascontiguousarray(b, dtype=np.float32)
-        m, n = a.nrows, b.shape[1]
-        cf = self.cf
-        span = 32 * cf
-        mem = TraceMemory(l1_caches_global=gpu.l1_caches_global)
-        mem.register("rowptr", a.rowptr)
-        mem.register("colind", a.colind)
-        mem.register("values", a.values)
-        mem.register("B", b.ravel())
-        mem.register("C", np.full(m * n, semiring.init, dtype=np.float32))
-        lanes = np.arange(32)
-        for i in range(m):
-            for seg in range(0, n, span):
-                shared = TraceSharedMemory(64, mem.stats)
-                row_start = int(mem.load("rowptr", np.full(32, i))[0])
-                row_end = int(mem.load("rowptr", np.full(32, i + 1))[0])
-                cols = [seg + 32 * c + lanes for c in range(cf)]
-                masks = [col < n for col in cols]
-                accs = [np.full(32, semiring.init, dtype=np.float64) for _ in range(cf)]
-                for ptr in range(row_start, row_end, _TILE):
-                    tile_len = min(_TILE, row_end - ptr)
-                    tile_mask = lanes < tile_len
-                    act = lanes[:tile_len]
-                    ks = mem.load("colind", ptr + lanes, mask=tile_mask)
-                    vs = mem.load("values", ptr + lanes, mask=tile_mask)
-                    shared.store(act, ks.astype(np.float64))
-                    shared.store(32 + act, vs.astype(np.float64))
-                    mem.stats.warp_syncs += 1
-                    for kk in range(tile_len):
-                        k = int(shared.load(np.full(32, kk))[0])
-                        v = float(shared.load(np.full(32, 32 + kk))[0])
-                        for c in range(cf):
-                            if not masks[c].any():
-                                # Fully-predicated segment: no request issued.
-                                continue
-                            bv = np.zeros(32)
-                            bv[masks[c]] = mem.load("B", k * n + cols[c], mask=masks[c])
-                            accs[c][masks[c]] = semiring.reduce_pair(
-                                accs[c][masks[c]],
-                                semiring.combine(v, bv[masks[c]]),
-                            )
-                for c in range(cf):
-                    if masks[c].any():
-                        mem.store("C", i * n + cols[c], accs[c].astype(np.float32), mask=masks[c])
-        c_out = mem.buffer("C").reshape(m, n)
-        lengths = a.row_lengths()
-        return (
-            semiring.finalize(c_out.astype(np.float64), lengths).astype(np.float32),
-            mem.stats,
         )

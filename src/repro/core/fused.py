@@ -25,7 +25,6 @@ from repro.core.semiring import PLUS_TIMES, Semiring
 from repro.gpusim.batchtrace import BatchTraceMemory
 from repro.gpusim.config import GPUSpec
 from repro.gpusim.kernel import KernelCounts, SpMMKernel
-from repro.gpusim.memory import TraceMemory
 from repro.sparse.csr import CSRMatrix
 
 __all__ = ["Epilogue", "FusedGESpMM", "RELU_EPILOGUE"]
@@ -124,26 +123,6 @@ class FusedGESpMM(SpMMKernel):
                 "bias", np.zeros_like(blocks), n, task=blocks, step=0
             )
             stats.merge(mem.finalize())
-        return self.epilogue.fn(c, bias).astype(np.float32), stats
-
-    def trace_loop(self, a, b, gpu, semiring: Semiring = PLUS_TIMES,
-                   bias: Optional[np.ndarray] = None):
-        """Reference per-warp loop replay (exact but slow); kept as the
-        parity oracle for the batched :meth:`trace`."""
-        c, stats = self._inner.trace_loop(a, b, gpu, semiring)
-        n = int(b.shape[1])
-        if self.epilogue.uses_bias:
-            if bias is None:
-                raise ValueError(f"epilogue {self.epilogue.name!r} requires a bias vector")
-            if bias.shape != (n,):
-                raise ValueError("bias length must equal the output width")
-            _, launch, _ = self._inner.count(a, n, gpu)
-            mem = TraceMemory(l1_caches_global=gpu.l1_caches_global)
-            mem.register("bias", np.asarray(bias, dtype=np.float32))
-            idx = np.arange(n)
-            for _ in range(launch.blocks):
-                mem.load("bias", idx)
-            stats.merge(mem.stats)
         return self.epilogue.fn(c, bias).astype(np.float32), stats
 
     def unfused_epilogue_time(self, a: CSRMatrix, n: int, gpu: GPUSpec) -> float:

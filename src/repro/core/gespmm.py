@@ -69,9 +69,6 @@ class GESpMM(SpMMKernel):
     def trace(self, a, b, gpu, semiring: Semiring = PLUS_TIMES):
         return self.select(b.shape[1]).trace(a, b, gpu, semiring)
 
-    def trace_loop(self, a, b, gpu, semiring: Semiring = PLUS_TIMES):
-        return self.select(b.shape[1]).trace_loop(a, b, gpu, semiring)
-
 
 def gespmm(a: CSRMatrix, b: np.ndarray) -> np.ndarray:
     """Convenience one-shot standard SpMM, ``C = A @ B``."""

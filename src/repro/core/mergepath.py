@@ -53,11 +53,10 @@ from repro.core.semiring import PLUS_TIMES, Semiring
 from repro.gpusim.batchtrace import BatchTraceMemory, fold_spmm_rows, ragged_arange
 from repro.gpusim.config import GPUSpec
 from repro.gpusim.kernel import KernelCounts, SpMMKernel
-from repro.gpusim.memory import KernelStats, TraceMemory, segment_sectors
+from repro.gpusim.memory import KernelStats, segment_sectors
 from repro.gpusim.occupancy import LaunchConfig
 from repro.gpusim.timing import ExecHints
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.ops import reference_spmm_like
 
 __all__ = ["MergePathSpMM", "MergePartition", "merge_path_partition"]
 
@@ -142,7 +141,8 @@ def _search_probes(rowptr: np.ndarray, d: np.ndarray) -> Tuple[np.ndarray, np.nd
 
 
 class _Schedule:
-    """Derived launch schedule shared by ``count``/``trace``/``trace_loop``.
+    """Derived launch schedule shared by ``count``, ``trace`` and the
+    per-warp loop oracle.
 
     Everything here follows deterministically from the partition, so the
     closed forms and both replays agree by construction.
@@ -228,11 +228,6 @@ class MergePathSpMM(SpMMKernel):
 
     def _schedule(self, a: CSRMatrix, n: int, gpu: GPUSpec) -> _Schedule:
         return _Schedule(a, self._items_for(a, n, gpu))
-
-    # -- functional ----------------------------------------------------
-    def run(self, a: CSRMatrix, b: np.ndarray, semiring: Semiring = PLUS_TIMES) -> np.ndarray:
-        self.check_semiring(semiring)
-        return reference_spmm_like(a, b, semiring)
 
     # -- analytic ------------------------------------------------------
     def count(self, a: CSRMatrix, n: int, gpu: GPUSpec) -> KernelCounts:
@@ -343,8 +338,8 @@ class MergePathSpMM(SpMMKernel):
 
     # -- batched replay ------------------------------------------------
     def trace(self, a, b, gpu, semiring: Semiring = PLUS_TIMES):
-        """Batched trace replay — bit-identical stats and output to
-        :meth:`trace_loop`.
+        """Batched trace replay — bit-identical stats and output to the
+        per-warp loop oracle in ``tests/trace_references.py``.
 
         Warp task ``(segment s, column segment cs)``, in program order:
         ``2K`` boundary-search probes (steps ``0 .. 2K-1``); the carry C
@@ -442,64 +437,3 @@ class MergePathSpMM(SpMMKernel):
             semiring.finalize(c.astype(np.float64), a.row_lengths()).astype(np.float32),
             stats,
         )
-
-    # -- per-warp oracle -----------------------------------------------
-    def trace_loop(self, a, b, gpu, semiring: Semiring = PLUS_TIMES):
-        """Reference per-warp loop replay (exact but slow); kept as the
-        parity oracle for the batched :meth:`trace`.
-
-        Accumulators are float64 and persist across segment boundaries —
-        the carry RMW is charged as C traffic but idealized numerically,
-        so the output equals the CSR-order left fold bit-for-bit (the
-        contract :func:`~repro.gpusim.batchtrace.fold_spmm_rows` keeps).
-        """
-        self.check_semiring(semiring)
-        b = np.ascontiguousarray(b, dtype=np.float32)
-        m, n = a.nrows, b.shape[1]
-        mem = TraceMemory(l1_caches_global=gpu.l1_caches_global)
-        mem.register("rowptr", a.rowptr)
-        mem.register("colind", a.colind)
-        mem.register("values", a.values)
-        mem.register("B", b.ravel())
-        mem.register("C", np.full(m * n, semiring.init, dtype=np.float32))
-
-        rowptr = a.rowptr64()
-        nz_rows = a.coo_rows()
-        sched = self._schedule(a, n, gpu)
-        d, i, j = sched.part.d, sched.part.i, sched.part.j
-        k_iters = sched.search_iters
-        lanes = np.arange(32)
-        acc64 = np.full((m, n), semiring.init, dtype=np.float64)
-        for s in range(sched.n_segments):
-            for cs0 in range(0, n, 32):
-                jj = cs0 + lanes
-                active = jj < n
-                for bound in (int(d[s]), int(d[s + 1])):
-                    probes, _ = _search_probes(rowptr, np.array([bound], dtype=np.int64))
-                    for k in range(k_iters):
-                        mem.load("rowptr", np.full(32, probes[k, 0]))
-                if sched.carry1[s]:
-                    mem.load("C", int(i[s]) * n + jj, mask=active)
-                if sched.carry2[s]:
-                    mem.load("C", int(i[s + 1]) * n + jj, mask=active)
-                lo_nz, hi_nz = int(j[s]), int(j[s + 1])
-                for ptr in range(lo_nz, hi_nz, _CHUNK):
-                    chunk_len = min(_CHUNK, hi_nz - ptr)
-                    chunk_mask = lanes < chunk_len
-                    ks = mem.load("colind", ptr + lanes, mask=chunk_mask)
-                    vs = mem.load("values", ptr + lanes, mask=chunk_mask)
-                    for e in range(chunk_len):
-                        r = int(nz_rows[ptr + e])
-                        v = float(vs[e])
-                        bv = np.zeros(32)
-                        bv[active] = mem.load("B", int(ks[e]) * n + jj, mask=active)
-                        acc64[r, jj[active]] = semiring.reduce_pair(
-                            acc64[r, jj[active]], semiring.combine(v, bv[active])
-                        )
-                for r in range(int(i[s]), int(sched.last_row[s]) + 1):
-                    out = np.zeros(32, dtype=np.float32)
-                    out[active] = acc64[r, jj[active]].astype(np.float32)
-                    mem.store("C", r * n + jj, out, mask=active)
-        c = mem.buffer("C").reshape(m, n)
-        lengths = a.row_lengths()
-        return semiring.finalize(c.astype(np.float64), lengths).astype(np.float32), mem.stats

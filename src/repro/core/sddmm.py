@@ -29,7 +29,7 @@ from repro.core import _counting as cnt
 from repro.gpusim.batchtrace import BatchTraceMemory, ragged_arange
 from repro.gpusim.config import GPUSpec
 from repro.gpusim.kernel import KernelCounts, SpMMKernel
-from repro.gpusim.memory import KernelStats, TraceMemory
+from repro.gpusim.memory import KernelStats
 from repro.gpusim.occupancy import LaunchConfig
 from repro.gpusim.timing import ExecHints
 from repro.sparse.csr import CSRMatrix, VALUE_DTYPE
@@ -113,10 +113,11 @@ class GESDDMM(SpMMKernel):
         dense counters); other widths remain functionally exact but the
         closed form over-counts boundary sectors.
 
-        Batched trace replay — bit-identical stats and output to
-        :meth:`trace_xy_loop` (see ``repro.gpusim.batchtrace``).  Warp
-        task = occupied row ``i``; program order: the ``nseg`` X segment
-        loads (steps ``0..nseg-1``); per 32-nonzero tile ``t`` (step base
+        Batched trace replay — bit-identical stats and output to the
+        per-warp loop oracle in ``tests/trace_references.py`` (see
+        ``repro.gpusim.batchtrace``).  Warp task = occupied row ``i``;
+        program order: the ``nseg`` X segment loads (steps
+        ``0..nseg-1``); per 32-nonzero tile ``t`` (step base
         ``nseg + t (2 + 32 nseg)``) colind + values loads; per tile
         element ``e`` the ``nseg`` Y segment loads at steps
         ``base + 2 + e*nseg + s``; one E store per tile.
@@ -194,57 +195,6 @@ class GESDDMM(SpMMKernel):
         evals[:] = mask.values.astype(np.float64) * dots
         stats = mem.finalize()
         return mask.with_values(evals), stats
-
-    def trace_xy_loop(
-        self, mask: CSRMatrix, x: np.ndarray, y: np.ndarray, gpu: GPUSpec
-    ) -> Tuple[CSRMatrix, KernelStats]:
-        """Reference per-warp loop replay (exact but slow); kept as the
-        parity oracle for the batched :meth:`trace_xy`."""
-        x = np.ascontiguousarray(x, dtype=VALUE_DTYPE)
-        y = np.ascontiguousarray(y, dtype=VALUE_DTYPE)
-        if x.shape[0] != mask.nrows or y.shape[0] != mask.ncols or x.shape[1] != y.shape[1]:
-            raise ValueError(
-                f"SDDMM shapes inconsistent: mask {mask.shape}, X {x.shape}, Y {y.shape}"
-            )
-        n = x.shape[1]
-        mem = TraceMemory(l1_caches_global=gpu.l1_caches_global)
-        mem.register("colind", mask.colind)
-        mem.register("values", mask.values)
-        mem.register("X", x.ravel())
-        mem.register("Y", y.ravel())
-        mem.register("E", np.zeros(mask.nnz, dtype=VALUE_DTYPE))
-        segs = cnt.dense_segments(n)
-        lanes = np.arange(32)
-        rowptr = mask.rowptr  # row offsets arrive via launch metadata
-        for i in range(mask.nrows):
-            row_start, row_end = int(rowptr[i]), int(rowptr[i + 1])
-            if row_end == row_start:
-                continue
-            xrow = np.zeros(n, dtype=np.float64)
-            for start, length in segs:
-                seg_mask = lanes < length
-                xrow[start:start + length] = mem.load(
-                    "X", i * n + start + lanes, mask=seg_mask
-                )
-            for ptr in range(row_start, row_end, 32):
-                tile_len = min(32, row_end - ptr)
-                tile_mask = lanes < tile_len
-                ks = mem.load("colind", ptr + lanes, mask=tile_mask)
-                vs = mem.load("values", ptr + lanes, mask=tile_mask)
-                dots = np.zeros(tile_len)
-                for t in range(tile_len):
-                    k = int(ks[t])
-                    acc = 0.0
-                    for start, length in segs:
-                        seg_mask = lanes < length
-                        yseg = mem.load("Y", k * n + start + lanes, mask=seg_mask)
-                        acc += float(np.dot(xrow[start:start + length], yseg))
-                    dots[t] = acc
-                out_vals = np.zeros(32)
-                out_vals[:tile_len] = vs.astype(np.float64) * dots
-                mem.store("E", ptr + lanes, out_vals, mask=tile_mask)
-        evals = mem.buffer("E").astype(VALUE_DTYPE)
-        return mask.with_values(evals), mem.stats
 
     def count(self, a: CSRMatrix, n: int, gpu: GPUSpec) -> KernelCounts:
         """Access model for feature width ``n`` (columns of X and Y)."""

@@ -18,11 +18,10 @@ from repro.core.semiring import PLUS_TIMES, Semiring
 from repro.gpusim.batchtrace import BatchTraceMemory, fold_spmm_rows, ragged_arange
 from repro.gpusim.config import GPUSpec
 from repro.gpusim.kernel import KernelCounts, SpMMKernel
-from repro.gpusim.memory import KernelStats, TraceMemory
+from repro.gpusim.memory import KernelStats
 from repro.gpusim.occupancy import LaunchConfig
 from repro.gpusim.timing import ExecHints
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.ops import reference_spmm_like
 
 __all__ = ["SimpleSpMM"]
 
@@ -41,10 +40,6 @@ class SimpleSpMM(SpMMKernel):
     #: three request streams per inner step (colind, val, B) can all be
     #: outstanding at once.
     mlp = 3.0
-
-    def run(self, a: CSRMatrix, b: np.ndarray, semiring: Semiring = PLUS_TIMES) -> np.ndarray:
-        self.check_semiring(semiring)
-        return reference_spmm_like(a, b, semiring)
 
     def count(self, a: CSRMatrix, n: int, gpu: GPUSpec) -> KernelCounts:
         stats = KernelStats()
@@ -111,8 +106,9 @@ class SimpleSpMM(SpMMKernel):
         return stats, launch, ExecHints(mlp=self.mlp)
 
     def trace(self, a, b, gpu, semiring: Semiring = PLUS_TIMES):
-        """Batched trace replay — bit-identical stats and output to
-        :meth:`trace_loop` (see ``repro.gpusim.batchtrace``).
+        """Batched trace replay — bit-identical stats and output to the
+        per-warp loop oracle in ``tests/trace_references.py`` (see
+        ``repro.gpusim.batchtrace``).
 
         Warp task ``(row i, segment s)`` issues, in program order: two
         rowptr broadcasts, then per nonzero a colind broadcast, a values
@@ -169,36 +165,3 @@ class SimpleSpMM(SpMMKernel):
             semiring.finalize(c.astype(np.float64), a.row_lengths()).astype(np.float32),
             stats,
         )
-
-    def trace_loop(self, a, b, gpu, semiring: Semiring = PLUS_TIMES):
-        """Reference per-warp loop replay (exact but slow); kept as the
-        parity oracle for the batched :meth:`trace`."""
-        self.check_semiring(semiring)
-        b = np.ascontiguousarray(b, dtype=np.float32)
-        m, n = a.nrows, b.shape[1]
-        mem = TraceMemory(l1_caches_global=gpu.l1_caches_global)
-        mem.register("rowptr", a.rowptr)
-        mem.register("colind", a.colind)
-        mem.register("values", a.values)
-        mem.register("B", b.ravel())
-        mem.register("C", np.full(m * n, semiring.init, dtype=np.float32))
-        lanes = np.arange(32)
-        for i in range(m):
-            for seg in range(0, n, 32):
-                j = seg + lanes
-                active = j < n
-                row_start = int(mem.load("rowptr", np.full(32, i))[0])
-                row_end = int(mem.load("rowptr", np.full(32, i + 1))[0])
-                acc = np.full(32, semiring.init, dtype=np.float64)
-                for ptr in range(row_start, row_end):
-                    k = int(mem.load("colind", np.full(32, ptr))[0])
-                    v = float(mem.load("values", np.full(32, ptr))[0])
-                    bv = np.zeros(32)
-                    bv[active] = mem.load("B", k * n + j, mask=active)
-                    acc[active] = semiring.reduce_pair(
-                        acc[active], semiring.combine(v, bv[active])
-                    )
-                mem.store("C", i * n + j, acc.astype(np.float32), mask=active)
-        c = mem.buffer("C").reshape(m, n)
-        lengths = a.row_lengths()
-        return semiring.finalize(c.astype(np.float64), lengths).astype(np.float32), mem.stats

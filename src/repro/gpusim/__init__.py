@@ -18,11 +18,8 @@ from repro.gpusim.warptrace import warp_trace_events
 from repro.gpusim.memory import (
     AccessStats,
     KernelStats,
-    TraceMemory,
-    bank_conflict_passes,
     bank_conflict_passes_batch,
     segment_sectors,
-    warp_sector_count,
 )
 from repro.gpusim.memory_footprint import (
     DeviceOutOfMemory,
@@ -52,10 +49,7 @@ __all__ = [
     "warp_trace_events",
     "AccessStats",
     "KernelStats",
-    "TraceMemory",
-    "warp_sector_count",
     "segment_sectors",
-    "bank_conflict_passes",
     "bank_conflict_passes_batch",
     "BatchTraceMemory",
     "fold_spmm_rows",

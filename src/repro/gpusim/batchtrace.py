@@ -1,8 +1,8 @@
 """Vectorized batch trace-replay engine.
 
-:class:`repro.gpusim.memory.TraceMemory` replays a kernel warp by warp
-and instruction by instruction — exact, but a quadruple-nested Python
-loop (row x column segment x tile x nonzero) whose cost is dominated by
+The per-warp oracle memory (``tests/trace_references.py``) replays a
+kernel warp by warp and instruction by instruction — exact, but a
+quadruple-nested Python loop (row x column segment x tile x nonzero) whose cost is dominated by
 interpreter overhead, not by the modelled work.  This module replays
 *all warps of a launch at once* as NumPy batch operations and produces
 **bit-identical** :class:`~repro.gpusim.memory.KernelStats`.
@@ -22,7 +22,7 @@ so a whole kernel's accesses collapse to flat arrays of
 plain vectorized sums over those records.
 
 The one *order-dependent* counter is the Turing L1 recency-window filter:
-``TraceMemory`` ticks a clock once per load sector, in program order, and
+the oracle memory ticks a clock once per load sector, in program order, and
 counts a sector as filtered when it was seen within the last
 ``l1_window`` ticks.  To reproduce it exactly, every load record carries
 a ``(task, step)`` sort key — ``task`` is the warp-task's position in the
@@ -115,7 +115,7 @@ def _expand_sector_ranges(first: np.ndarray, count: np.ndarray) -> np.ndarray:
 def l1_filtered_misses(sectors: np.ndarray, window: int) -> int:
     """Misses of the Turing L1 recency filter over a sector access stream.
 
-    Replicates ``TraceMemory``'s filter exactly: the clock ticks once per
+    Replicates the per-warp oracle memory's filter exactly: the clock ticks once per
     stream position, and position ``i`` *hits* when the same sector was
     last accessed at position ``j`` with ``i - j <= window``.
     """
@@ -133,7 +133,8 @@ def l1_filtered_misses(sectors: np.ndarray, window: int) -> int:
 
 
 class BatchTraceMemory:
-    """Batch-accounting twin of :class:`~repro.gpusim.memory.TraceMemory`.
+    """Batch-accounting twin of the per-warp oracle memory in
+    ``tests/trace_references.py``.
 
     Buffers get the same sector-aligned base layout (256 B, matching
     ``cudaMalloc``), so sector arithmetic is identical.  Accounting calls
@@ -229,7 +230,7 @@ class BatchTraceMemory:
         task: Optional[np.ndarray] = None,
     ) -> None:
         """Account a block of contiguous warp store instructions (stores
-        do not enter the L1 stream, matching ``TraceMemory``).  ``task``
+        do not enter the L1 stream, matching the per-warp oracle).  ``task``
         only feeds :func:`record_program` timelines — every kernel issues
         its stores last, so they get a past-the-end step stamp."""
         start = np.asarray(start, dtype=np.int64)

@@ -2,13 +2,14 @@
 
 A kernel model couples three views of the same algorithm:
 
-* ``run``      — functional execution (vectorized NumPy), producing the
-                 numeric output; validated against the SciPy oracle.
+* ``run``      — functional execution producing the numeric output; by
+                 default the CSR reference (``reference_spmm_like``),
+                 which kernels computing something else override.
 * ``count``    — closed-form access/instruction statistics plus launch
                  shape; validated against ``trace`` where implemented.
-* ``trace``    — optional faithful warp-by-warp execution through
-                 :class:`repro.gpusim.memory.TraceMemory`; exact but slow,
-                 used on small inputs by tests and profiling examples.
+* ``trace``    — optional exact warp-level replay of every access
+                 (batched, see :mod:`repro.gpusim.batchtrace`), used on
+                 small inputs by tests and profiling examples.
 
 ``estimate`` ties ``count`` to the timing model.  Results are kept in a
 process-wide content-addressed cache keyed on ``(kernel.cache_key(),
@@ -35,6 +36,7 @@ from repro.gpusim.memory import KernelStats
 from repro.gpusim.occupancy import LaunchConfig
 from repro.gpusim.timing import ExecHints, KernelTiming, TimingParams, estimate_time
 from repro.sparse.csr import CSRMatrix
+from repro.sparse.ops import reference_spmm_like
 
 __all__ = [
     "SpMMKernel",
@@ -106,11 +108,12 @@ class SpMMKernel(ABC):
     requires_preprocess: bool = False
 
     # -- functional ----------------------------------------------------
-    @abstractmethod
     def run(
         self, a: CSRMatrix, b: np.ndarray, semiring: Semiring = PLUS_TIMES
     ) -> np.ndarray:
         """Execute functionally and return ``C`` (float32[M, N])."""
+        self.check_semiring(semiring)
+        return reference_spmm_like(a, b, semiring)
 
     # -- modelling -----------------------------------------------------
     @abstractmethod
@@ -125,17 +128,6 @@ class SpMMKernel(ABC):
         semiring: Semiring = PLUS_TIMES,
     ) -> Tuple[np.ndarray, KernelStats]:
         """Faithful warp-level execution (batched replay).  Optional."""
-        raise NotImplementedError(f"{self.name} has no trace-mode implementation")
-
-    def trace_loop(
-        self,
-        a: CSRMatrix,
-        b: np.ndarray,
-        gpu: GPUSpec,
-        semiring: Semiring = PLUS_TIMES,
-    ) -> Tuple[np.ndarray, KernelStats]:
-        """Reference per-warp loop replay, the parity oracle for
-        :meth:`trace` (see ``docs/PERFORMANCE.md``).  Optional."""
         raise NotImplementedError(f"{self.name} has no trace-mode implementation")
 
     # -- timing ----------------------------------------------------------

@@ -7,16 +7,21 @@ is that a warp's 32 lane addresses are merged into the minimum number of
 (``gld_transactions`` / ``gst_transactions``).  ``gld_efficiency`` is the
 ratio of bytes the program asked for to bytes the transactions moved.
 
-Two usage modes share these definitions:
+Two views of the same accesses share these definitions:
 
-* **trace mode** — :class:`TraceMemory` holds real buffers; kernels
-  executed warp-by-warp call :meth:`TraceMemory.load` /
-  :meth:`TraceMemory.store` with per-lane element indices and an active
-  mask.  Every call coalesces the actual addresses.  This is exact and is
-  used by tests and small-input profiling.
+* **trace mode** — each kernel's ``trace`` replays every warp's accesses
+  as ``(buffer, start, length)`` records through
+  :class:`repro.gpusim.batchtrace.BatchTraceMemory`, which coalesces them
+  with :func:`segment_sectors` and scores shared-memory requests with
+  :func:`bank_conflict_passes_batch`.  This is exact and is used by tests
+  and small-input profiling.
 * **analytic mode** — kernels compute the same totals in closed form with
   vectorized NumPy (see each kernel's ``count`` method).  Property tests
   assert trace == analytic on randomized small inputs.
+
+The per-warp loop oracle that trace mode is checked against, with the
+scalar sector and bank rules it applies per request, lives in
+``tests/trace_references.py``.
 
 Shared-memory accesses are modelled with the 32-bank rule: a warp request
 is replayed once per additional address mapping to an already-used bank
@@ -33,27 +38,12 @@ import numpy as np
 __all__ = [
     "AccessStats",
     "KernelStats",
-    "TraceMemory",
-    "warp_sector_count",
     "segment_sectors",
-    "bank_conflict_passes",
     "bank_conflict_passes_batch",
 ]
 
 SECTOR = 32  # bytes
 ELEM = 4  # float32 / int32
-
-
-def warp_sector_count(byte_addresses: np.ndarray) -> int:
-    """Number of 32 B sectors a warp access touches.
-
-    ``byte_addresses`` holds the active lanes' byte addresses (inactive
-    lanes excluded).  An empty access costs zero transactions — CUDA
-    issues nothing when the whole warp is predicated off.
-    """
-    if byte_addresses.size == 0:
-        return 0
-    return int(np.unique(byte_addresses // SECTOR).size)
 
 
 def segment_sectors(start_elem: np.ndarray, length: np.ndarray, elem_bytes: int = ELEM) -> np.ndarray:
@@ -71,29 +61,18 @@ def segment_sectors(start_elem: np.ndarray, length: np.ndarray, elem_bytes: int 
     return np.where(length > 0, out, 0)
 
 
-def bank_conflict_passes(word_addresses: np.ndarray) -> int:
-    """Number of shared-memory passes (1 = conflict free) for a warp
-    request, under the 32-bank / 4-byte-word rule with broadcast merging:
-    distinct addresses mapping to the same bank serialize."""
-    if word_addresses.size == 0:
-        return 0
-    distinct = np.unique(word_addresses)
-    banks = distinct % 32
-    _, counts = np.unique(banks, return_counts=True)
-    return int(counts.max())
-
-
 def bank_conflict_passes_batch(
     word_addresses: np.ndarray, mask: Optional[np.ndarray] = None
 ) -> np.ndarray:
-    """Vectorized :func:`bank_conflict_passes` for a whole warp batch.
+    """Shared-memory passes (1 = conflict free) for a whole warp batch,
+    under the 32-bank / 4-byte-word rule with broadcast merging: distinct
+    addresses mapping to the same bank serialize.
 
     ``word_addresses`` is ``(num_warps, lanes)``; ``mask`` (same shape,
     optional) predicates lanes off per warp.  Returns an ``int64`` vector
-    of one pass count per warp, each entry equal to what the scalar
-    function returns for that warp's active lanes (0 for a fully-masked
-    warp).  Used by the batch trace-replay engine to account shared-memory
-    requests for every warp of a launch in one shot.
+    of one pass count per warp, counting only that warp's active lanes (0
+    for a fully-masked warp).  Used by the batch trace-replay engine to
+    account shared-memory requests for every warp of a launch in one shot.
     """
     addrs = np.asarray(word_addresses, dtype=np.int64)
     if addrs.ndim != 2:
@@ -215,126 +194,3 @@ class KernelStats:
         if l1_caches_global and self.global_load.l1_filtered_transactions:
             return self.global_load.l1_filtered_transactions
         return self.global_load.transactions
-
-
-class TraceMemory:
-    """Exact, trace-driven global-memory model.
-
-    Buffers are registered by name; each gets a sector-aligned base
-    address in a flat byte space so cross-array sector sharing cannot
-    occur (matching ``cudaMalloc``'s 256 B alignment).  ``load``/``store``
-    move real data *and* account transactions, enabling kernels to be both
-    functionally executed and exactly profiled from the same code path.
-    """
-
-    def __init__(self, l1_caches_global: bool = False, l1_window_sectors: int = 512):
-        self.stats = KernelStats()
-        self._buffers: Dict[str, np.ndarray] = {}
-        self._bases: Dict[str, int] = {}
-        self._next_base = 0
-        self._l1 = l1_caches_global
-        # Tiny direct-history L1 filter: a sector re-referenced within the
-        # window hits.  Window default ~= 16 KB of resident tags per SM.
-        self._l1_window = l1_window_sectors
-        self._l1_recent: Dict[int, int] = {}
-        self._clock = 0
-
-    # ------------------------------------------------------------------
-    def register(self, name: str, array: np.ndarray) -> np.ndarray:
-        """Register (and copy) a device buffer; returns the live buffer."""
-        buf = np.array(array)  # device copy; host array stays intact
-        self._buffers[name] = buf
-        self._bases[name] = self._next_base
-        nbytes = buf.size * buf.itemsize
-        self._next_base += ((nbytes + 255) // 256) * 256
-        self.stats.traffic(name).unique_bytes = nbytes
-        return buf
-
-    def buffer(self, name: str) -> np.ndarray:
-        return self._buffers[name]
-
-    def _account(
-        self, name: str, idx: np.ndarray, mask: Optional[np.ndarray], store: bool
-    ) -> np.ndarray:
-        buf = self._buffers[name]
-        idx = np.asarray(idx, dtype=np.int64)
-        if mask is None:
-            active = idx
-        else:
-            active = idx[np.asarray(mask, dtype=bool)]
-        stats = self.stats.global_store if store else self.stats.global_load
-        stats.instructions += 1
-        if active.size == 0:
-            return active
-        if np.any(active < 0) or np.any(active >= buf.size):
-            raise IndexError(f"out-of-bounds access to device buffer {name!r}")
-        addrs = self._bases[name] + active * buf.itemsize
-        sectors = np.unique(addrs // SECTOR)
-        stats.transactions += sectors.size
-        # Useful bytes: distinct addresses only, so a broadcast counts its
-        # 4 bytes once (this is the numerator of our gld_efficiency).
-        stats.requested_bytes += int(np.unique(active).size) * buf.itemsize
-        if not store:
-            self.stats.traffic(name).sectors += sectors.size
-            # L1 filter (Turing): count only sectors not recently seen.
-            misses = sectors.size
-            if self._l1:
-                misses = 0
-                for s in sectors.tolist():
-                    self._clock += 1
-                    last = self._l1_recent.get(s)
-                    if last is None or self._clock - last > self._l1_window:
-                        misses += 1
-                    self._l1_recent[s] = self._clock
-            stats.l1_filtered_transactions += misses
-        return active
-
-    # ------------------------------------------------------------------
-    def load(self, name: str, idx: np.ndarray, mask: Optional[np.ndarray] = None) -> np.ndarray:
-        """Warp global load: returns values for *active* lanes in lane order."""
-        active = self._account(name, idx, mask, store=False)
-        return self._buffers[name][active]
-
-    def store(
-        self,
-        name: str,
-        idx: np.ndarray,
-        values: np.ndarray,
-        mask: Optional[np.ndarray] = None,
-    ) -> None:
-        """Warp global store."""
-        idx = np.asarray(idx, dtype=np.int64)
-        values = np.asarray(values)
-        if mask is not None:
-            m = np.asarray(mask, dtype=bool)
-            idx, values = idx[m], values[m]
-        self._account(name, idx, None, store=True)
-        self._buffers[name][idx] = values
-
-
-class TraceSharedMemory:
-    """Per-block shared memory with bank-conflict accounting."""
-
-    def __init__(self, words: int, stats: KernelStats):
-        self._mem = np.zeros(words, dtype=np.float64)
-        self._stats = stats
-
-    def store(self, idx: np.ndarray, values: np.ndarray, mask: Optional[np.ndarray] = None) -> None:
-        idx = np.asarray(idx, dtype=np.int64)
-        values = np.asarray(values)
-        if mask is not None:
-            m = np.asarray(mask, dtype=bool)
-            idx, values = idx[m], values[m]
-        self._stats.shared_store.instructions += 1
-        self._stats.shared_store.transactions += bank_conflict_passes(idx)
-        self._stats.shared_store.requested_bytes += int(np.unique(idx).size) * ELEM
-        self._mem[idx] = values
-
-    def load(self, idx: np.ndarray, mask: Optional[np.ndarray] = None) -> np.ndarray:
-        idx = np.asarray(idx, dtype=np.int64)
-        if mask is not None:
-            idx = idx[np.asarray(mask, dtype=bool)]
-        self._stats.shared_load.instructions += 1
-        self._stats.shared_load.transactions += bank_conflict_passes(idx)
-        self._stats.shared_load.requested_bytes += int(np.unique(idx).size) * ELEM
-        return self._mem[idx]

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from repro.gpusim.config import GPUSpec
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.formats import to_aspt, to_ellpack_r
+from repro.sparse.formats import ellpack_width, to_aspt
 
 __all__ = [
     "csr_to_csc",
@@ -51,8 +51,7 @@ def csr_to_csc_time(a: CSRMatrix, gpu: GPUSpec) -> float:
 def csr_to_ellpack_time(a: CSRMatrix, gpu: GPUSpec) -> float:
     """Simulated CSR -> ELLPACK-R conversion: the padded slab must be
     zero-filled and every nonzero scattered into it."""
-    ell = to_ellpack_r(a)
-    slab_bytes = a.nrows * max(ell.width, 1) * 8
+    slab_bytes = a.nrows * ellpack_width(a) * 8
     bytes_moved = a.nnz * 8 + slab_bytes
     return bytes_moved / (0.6 * gpu.dram_bandwidth) + 2 * gpu.launch_overhead_s
 

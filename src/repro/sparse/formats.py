@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.sparse.csr import CSRMatrix, VALUE_DTYPE
 
-__all__ = ["EllpackR", "ASpTFormat", "to_ellpack_r", "to_aspt"]
+__all__ = ["EllpackR", "ASpTFormat", "ellpack_width", "to_ellpack_r", "to_aspt"]
 
 
 @dataclass(frozen=True)
@@ -55,12 +55,18 @@ class EllpackR:
         return gathered.sum(axis=1).astype(VALUE_DTYPE)
 
 
+def ellpack_width(a: CSRMatrix) -> int:
+    """Slab width of ``a``'s ELLPACK-R form: the longest row, at least 1.
+    Everything that only prices the format needs this, not the slab."""
+    return max(int(a.row_lengths().max()), 1) if a.nrows else 1
+
+
 def to_ellpack_r(a: CSRMatrix) -> EllpackR:
     """Convert CSR to ELLPACK-R (Fastspmm's input format)."""
     lengths = a.row_lengths().astype(np.int32)
-    width = int(lengths.max()) if a.nrows else 0
-    colind = np.zeros((a.nrows, max(width, 1)), dtype=np.int32)
-    values = np.zeros((a.nrows, max(width, 1)), dtype=VALUE_DTYPE)
+    width = ellpack_width(a)
+    colind = np.zeros((a.nrows, width), dtype=np.int32)
+    values = np.zeros((a.nrows, width), dtype=VALUE_DTYPE)
     rows = np.repeat(np.arange(a.nrows, dtype=np.int64), lengths.astype(np.int64))
     # Position of each nonzero within its row.
     offsets = np.arange(a.nnz, dtype=np.int64) - np.repeat(
@@ -69,7 +75,7 @@ def to_ellpack_r(a: CSRMatrix) -> EllpackR:
     colind[rows, offsets] = a.colind
     values[rows, offsets] = a.values
     # Building ELLPACK touches every nonzero once plus the padded slab.
-    preprocess = a.nnz + a.nrows * max(width, 1)
+    preprocess = a.nnz + a.nrows * width
     return EllpackR(a.shape, colind, values, lengths, preprocess)
 
 

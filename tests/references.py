@@ -6,7 +6,9 @@ reduction, the accumulating ``to_dense``, the per-row first-maximizer
 argmax and the ``aggregate_max`` gradient it routes, and the
 array-expansion access counters behind ``repro.core._counting``, and
 the stable-argsort top-k behind the DLMC pruned generators.  They are
-written for clarity, not speed, and nothing in ``src/`` calls them.
+written for clarity, not speed, and nothing in ``src/`` calls them.  The
+per-warp loop replays that the batched trace is checked against live in
+the sibling module ``trace_references.py``.
 """
 
 from __future__ import annotations

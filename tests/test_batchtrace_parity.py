@@ -1,7 +1,8 @@
 """Byte-identity of the batched replay engine against the per-warp loops.
 
 The tentpole contract of ``repro.gpusim.batchtrace``: every kernel's
-vectorized ``trace`` must reproduce its reference ``trace_loop`` down to
+vectorized ``trace`` must reproduce its per-warp loop replay
+(``trace_references.spmm_trace_loop`` / ``sddmm_trace_xy_loop``) down to
 the last counter — instructions, transactions, requested bytes, the
 Turing L1 recency-filtered sector count, per-array traffic — *and* the
 numeric output array must be bit-identical (``array_equal``, not
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from trace_references import sddmm_trace_xy_loop, spmm_trace_loop
 
 from repro.core import (
     CRCSpMM,
@@ -75,7 +77,7 @@ def test_batch_matches_loop(kernel_id, matrix_id, n, gpu):
     b = rng.standard_normal((a.ncols, n)).astype(np.float32)
     kernel = KERNELS[kernel_id]()
     c_batch, s_batch = kernel.trace(a, b, gpu)
-    c_loop, s_loop = kernel.trace_loop(a, b, gpu)
+    c_loop, s_loop = spmm_trace_loop(kernel, a, b, gpu)
     ctx = f"{kernel.name} {matrix_id} n={n} {gpu.name}"
     assert_stats_identical(s_batch, s_loop, ctx)
     # Bit-identity, not tolerance: same fp operation order on both paths.
@@ -95,7 +97,7 @@ def test_batch_matches_loop_semirings(kernel_id, semiring):
     b = rng.standard_normal((a.ncols, 24)).astype(np.float32)
     kernel = KERNELS[kernel_id]()
     c_batch, s_batch = kernel.trace(a, b, GTX_1080TI, semiring)
-    c_loop, s_loop = kernel.trace_loop(a, b, GTX_1080TI, semiring)
+    c_loop, s_loop = spmm_trace_loop(kernel, a, b, GTX_1080TI, semiring)
     ctx = f"{kernel.name} {semiring.name}"
     assert_stats_identical(s_batch, s_loop, ctx)
     np.testing.assert_array_equal(c_batch, c_loop, err_msg=ctx)
@@ -110,7 +112,7 @@ def test_batch_matches_loop_fused_bias(n, gpu):
     bias = rng.standard_normal(n).astype(np.float32)
     kernel = FusedGESpMM(bias_relu_epilogue())
     c_batch, s_batch = kernel.trace(a, b, gpu, bias=bias)
-    c_loop, s_loop = kernel.trace_loop(a, b, gpu, bias=bias)
+    c_loop, s_loop = spmm_trace_loop(kernel, a, b, gpu, bias=bias)
     ctx = f"fused-bias n={n} {gpu.name}"
     assert_stats_identical(s_batch, s_loop, ctx)
     np.testing.assert_array_equal(c_batch, c_loop, err_msg=ctx)
@@ -126,7 +128,7 @@ def test_batch_matches_loop_sddmm(matrix_id, n, gpu):
     y = rng.standard_normal((mask.ncols, n)).astype(np.float32)
     kernel = GESDDMM()
     e_batch, s_batch = kernel.trace_xy(mask, x, y, gpu)
-    e_loop, s_loop = kernel.trace_xy_loop(mask, x, y, gpu)
+    e_loop, s_loop = sddmm_trace_xy_loop(kernel, mask, x, y, gpu)
     ctx = f"sddmm {matrix_id} n={n} {gpu.name}"
     assert_stats_identical(s_batch, s_loop, ctx)
     np.testing.assert_array_equal(e_batch.values, e_loop.values, err_msg=ctx)

@@ -8,6 +8,7 @@ import pytest
 from repro.baselines import ASpTSpMM, FastSpMM
 from repro.core import GESpMM
 from repro.gpusim import GTX_1080TI
+from repro.gpusim.kernel import clear_estimate_memo
 from repro.semiring import MAX_TIMES
 from repro.sparse import (
     banded_random,
@@ -51,6 +52,14 @@ class TestFastSpMM:
         t_fs = FastSpMM().estimate(g, 256, GTX_1080TI).time_s
         t_ge = GESpMM().estimate(g, 256, GTX_1080TI).time_s
         assert t_fs / t_ge > 5  # the padded slab is streamed in full
+
+    def test_pricing_builds_no_slab(self):
+        g = power_law(5_000, 50_000, seed=3)
+        clear_estimate_memo()
+        k = FastSpMM()
+        assert k.estimate(g, 128, GTX_1080TI).time_s > 0
+        assert k.preprocess_time(g, GTX_1080TI) > 0
+        assert "ellpack_r" not in g._derived
 
     def test_slab_traffic_scales_with_padding(self):
         g_reg = banded_random(10_000, 100_000, bandwidth=8, seed=2)

@@ -1,18 +1,11 @@
-"""Tests for the warp coalescing model, shared-memory banks and
-trace-mode memory accounting."""
+"""Tests for the warp coalescing model, the access-statistics containers
+and the per-warp oracle memory of ``trace_references.py``."""
 
 import numpy as np
 import pytest
+from trace_references import TraceMemory, TraceSharedMemory, warp_sector_count
 
-from repro.gpusim import (
-    AccessStats,
-    KernelStats,
-    TraceMemory,
-    bank_conflict_passes,
-    segment_sectors,
-    warp_sector_count,
-)
-from repro.gpusim.memory import TraceSharedMemory
+from repro.gpusim import AccessStats, KernelStats, segment_sectors
 
 
 class TestWarpSectorCount:
@@ -61,23 +54,6 @@ class TestSegmentSectors:
         assert segment_sectors(np.array([7]), np.array([1]))[0] == 1
 
 
-class TestBankConflicts:
-    def test_conflict_free_contiguous(self):
-        assert bank_conflict_passes(np.arange(32)) == 1
-
-    def test_broadcast_free(self):
-        assert bank_conflict_passes(np.zeros(32, dtype=np.int64)) == 1
-
-    def test_stride_two(self):
-        assert bank_conflict_passes(2 * np.arange(32)) == 2
-
-    def test_stride_32_worst(self):
-        assert bank_conflict_passes(32 * np.arange(32)) == 32
-
-    def test_empty(self):
-        assert bank_conflict_passes(np.array([], dtype=np.int64)) == 0
-
-
 class TestTraceMemory:
     def test_broadcast_load(self):
         mem = TraceMemory()
@@ -115,6 +91,11 @@ class TestTraceMemory:
         mem.register("x", np.arange(8, dtype=np.float32))
         with pytest.raises(IndexError):
             mem.load("x", np.arange(32))
+
+    def test_unknown_buffer_raises(self):
+        mem = TraceMemory()
+        with pytest.raises(KeyError):
+            mem.load("nope", np.zeros(32, dtype=np.int64))
 
     def test_store_updates_buffer(self):
         mem = TraceMemory()

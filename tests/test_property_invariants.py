@@ -3,9 +3,10 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
+from trace_references import warp_sector_count
 
 from repro.core import _counting as cnt
-from repro.gpusim.memory import segment_sectors, warp_sector_count
+from repro.gpusim.memory import segment_sectors
 from repro.semiring import MAX_TIMES, MEAN_TIMES, PLUS_TIMES
 from repro.sparse import (
     csr_from_coo,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import CRCSpMM, GESpMM, SimpleSpMM
-from repro.gpusim import GTX_1080TI, TraceMemory
+from repro.gpusim import GTX_1080TI
 from repro.semiring import MAX_TIMES, PLUS_TIMES
 from repro.sparse import csr_from_coo, reference_spmm_like, uniform_random
 
@@ -53,11 +53,6 @@ class TestDefensiveInterfaces:
         a = uniform_random(30, 200, seed=1)
         with pytest.raises(ValueError):
             GESpMM().run(a, rng.random((31, 8), dtype=np.float32))
-
-    def test_trace_memory_unknown_buffer(self):
-        mem = TraceMemory()
-        with pytest.raises(KeyError):
-            mem.load("nope", np.zeros(32, dtype=np.int64))
 
     def test_estimate_semiring_independent_pattern(self):
         # Semirings share access patterns: estimates must agree.

@@ -1,21 +1,20 @@
 """Unit tests for the memory-model primitives the replay engines share.
 
 Targeted coverage for three pieces the conformance grid only exercises
-indirectly: the Turing L1 recency-window filter in :class:`TraceMemory`,
-:func:`bank_conflict_passes` (and its vectorized batch twin) on the
-classic conflict shapes, and the ragged/stream helpers that power
-``repro.gpusim.batchtrace``.
+indirectly: the Turing L1 recency-window filter in the per-warp oracle's
+:class:`TraceMemory`, :func:`bank_conflict_passes` (and its vectorized
+batch twin) on the classic conflict shapes, and the ragged/stream
+helpers that power ``repro.gpusim.batchtrace``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from trace_references import TraceMemory, bank_conflict_passes
 
 from repro.gpusim import (
     BatchTraceMemory,
-    TraceMemory,
-    bank_conflict_passes,
     bank_conflict_passes_batch,
     l1_filtered_misses,
     ragged_arange,
