@@ -16,9 +16,6 @@ GE-SpMM's SpMM-like is 2.39x-6.15x faster than it (Table IX).
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.core.semiring import PLUS_TIMES, Semiring
 from repro.core.simple import SimpleSpMM
 from repro.gpusim.config import GPUSpec
 from repro.gpusim.kernel import KernelCounts

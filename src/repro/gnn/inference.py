@@ -25,8 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-import numpy as np
-
 from repro import obs
 from repro.baselines.aspt import ASpTSpMM
 from repro.baselines.cusparse import CusparseCsrmm2, cublas_transpose_time

@@ -25,7 +25,7 @@ from repro.gnn.aggregate import GraphPair
 from repro.gnn.device import OpProfile
 from repro.gnn.frameworks import AggregationBackend
 from repro.gnn.tensor import Parameter, Tensor, glorot
-from repro.gnn.training import Adam, evaluate_accuracy
+from repro.gnn.training import Adam
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.sampling import batch_stream
 

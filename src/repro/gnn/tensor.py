@@ -9,6 +9,16 @@ way the paper's PyTorch-profiler numbers do.
 The op set is exactly what GCN/GraphSAGE training needs: matmul, bias
 add, relu, dropout, log_softmax, masked NLL loss, concat, plus the graph
 aggregation op defined in :mod:`repro.gnn.aggregate`.
+
+A tensor built with no backward closure is a leaf (parameters, inputs);
+every other tensor is a graph node.  :meth:`Tensor.backward` frees the
+graph as it goes, like PyTorch with ``retain_graph=False``: it pops each
+node off the topological order and, once the node's closure has run,
+drops its gradient, parents and closure.  An intermediate therefore
+dies as soon as it has passed its gradient on (unless the caller still
+holds it), not when ``backward()`` returns, and a second ``backward()``
+that reaches a released node raises ``RuntimeError``.  Leaves keep
+their ``.grad``.
 """
 
 from __future__ import annotations
@@ -17,9 +27,14 @@ from typing import Callable, List, Optional, Set
 
 import numpy as np
 
-from repro.gnn.device import SimDevice
-
 __all__ = ["Tensor", "Parameter", "no_grad_context"]
+
+
+def _released(grad: np.ndarray) -> None:
+    """Closure of a node whose graph an earlier ``backward()`` freed."""
+    raise RuntimeError(
+        "backward() through a node whose graph was already freed by an earlier backward()"
+    )
 
 
 class Tensor:
@@ -67,7 +82,8 @@ class Tensor:
         self.grad = None
 
     def backward(self, grad: Optional[np.ndarray] = None) -> None:
-        """Reverse-mode accumulation through the recorded graph."""
+        """Reverse-mode accumulation through the recorded graph, freeing
+        each non-leaf node once its closure has run."""
         if grad is None:
             if self.data.size != 1:
                 raise ValueError("backward() without gradient requires a scalar output")
@@ -75,8 +91,9 @@ class Tensor:
         self.accumulate_grad(grad)
 
         # Post-order DFS with an explicit stack, in the order a recursive
-        # visit takes.  No self-referencing closure: the graph is freed by
-        # reference counting once the caller drops the output.
+        # visit takes.  No self-referencing closure, so reference counting
+        # frees each node once it is popped and released below (unless
+        # the caller still holds it).
         topo: List[Tensor] = []
         seen: Set[int] = {id(self)}
         stack = [(self, iter(self._parents))]
@@ -90,9 +107,15 @@ class Tensor:
             else:
                 stack.pop()
                 topo.append(t)
-        for t in reversed(topo):
-            if t._backward is not None and t.grad is not None:
+        while topo:
+            t = topo.pop()
+            if t._backward is None:  # a leaf keeps its gradient
+                continue
+            if t.grad is not None:
                 t._backward(t.grad)
+            t.grad = None
+            t._parents = []
+            t._backward = _released
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         tag = f" name={self.name!r}" if self.name else ""

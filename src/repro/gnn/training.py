@@ -11,7 +11,7 @@ GPU through ``AggregationBackend.replay``, without training again.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List
 
 import numpy as np
 

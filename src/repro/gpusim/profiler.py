@@ -12,13 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from repro import obs
 from repro.gpusim.config import GPUSpec
 from repro.gpusim.kernel import SpMMKernel
-from repro.gpusim.memory import SECTOR
-from repro.gpusim.timing import KernelTiming
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.ops import flops_of_spmm
 

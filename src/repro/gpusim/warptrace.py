@@ -22,7 +22,7 @@ Feed the events to a :class:`repro.obs.Tracer` via ``add_chrome_events``
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 import numpy as np
 

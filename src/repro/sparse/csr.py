@@ -16,7 +16,7 @@ assumes.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Tuple
 
 import numpy as np

@@ -16,9 +16,8 @@ pattern matrices for MatrixMarket).
 from __future__ import annotations
 
 import gzip
-import io
 from pathlib import Path
-from typing import Optional, TextIO, Tuple, Union
+from typing import Optional, TextIO, Union
 
 import numpy as np
 

@@ -586,8 +586,8 @@ def segment_max_with_argmax(
     (empty rows hold ``-inf``) and ``argmax`` the ``int32[M, N]``
     position in ``a.values``/``a.colind`` of the *first* nonzero that
     attains each cell's maximum (PyTorch ``scatter_max`` semantics).
-    Empty rows and cells whose maximum is NaN hold ``-1``; consumers
-    mask with ``argmax >= 0``.
+    Empty rows and cells whose maximum is NaN hold ``-1`` (no winner;
+    ``aggregate_max``'s backward indexes a sink entry with it).
 
     The argmax rides the sliced reduce: each block records its in-row
     index ``k`` where it is strictly greater than the accumulator, and the

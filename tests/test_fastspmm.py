@@ -18,6 +18,7 @@ from repro.sparse import (
     to_ellpack_r,
     uniform_random,
 )
+from repro.sparse.formats import ellpack_width
 
 
 class TestFastSpMM:
@@ -48,10 +49,16 @@ class TestFastSpMM:
 
     def test_padding_destroys_power_law(self):
         g = power_law(20_000, 200_000, seed=1)
-        assert to_ellpack_r(g).padding_ratio > 20
+        # EllpackR.padding_ratio without building the ~720 MiB slab
+        # (test_padding_ratio_needs_no_slab pins the two as equal).
+        assert g.nrows * ellpack_width(g) / g.nnz > 20
         t_fs = FastSpMM().estimate(g, 256, GTX_1080TI).time_s
         t_ge = GESpMM().estimate(g, 256, GTX_1080TI).time_s
         assert t_fs / t_ge > 5  # the padded slab is streamed in full
+
+    def test_padding_ratio_needs_no_slab(self):
+        g = power_law(2_000, 20_000, seed=1)
+        assert to_ellpack_r(g).padding_ratio == g.nrows * ellpack_width(g) / g.nnz
 
     def test_pricing_builds_no_slab(self):
         g = power_law(5_000, 50_000, seed=3)

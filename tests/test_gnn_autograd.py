@@ -110,6 +110,60 @@ class TestTensorBasics:
             gc.enable()
         assert x.grad is not None and w.grad is not None
 
+    def test_backward_releases_each_node_as_it_goes(self, charge, rng):
+        """An intermediate's array is freed while ``backward()`` runs:
+        by the time the first op's closure runs, every later node has
+        been released and nothing holds their outputs."""
+        x = Parameter(rng.standard_normal((6, 4)).astype(np.float32))
+        w = Parameter(rng.standard_normal((4, 3)).astype(np.float32))
+        alive_when_first_runs = []
+        gc.disable()
+        try:
+            first = F.matmul(x, w, charge)
+            inner = first._backward
+
+            def probed(g):
+                alive_when_first_runs.extend(p() is not None for p in probes)
+                inner(g)
+
+            first._backward = probed
+            h = F.relu(first, charge)
+            logits = F.concat(h, F.add_bias(h, Tensor(np.zeros(3)), charge), charge)
+            loss = F.nll_loss(F.log_softmax(logits, charge), np.arange(6) % 3, charge)
+            probes = [weakref.ref(h.data), weakref.ref(logits.data)]
+            del first, h, logits
+            loss.backward()
+        finally:
+            gc.enable()
+        assert alive_when_first_runs == [False, False]
+        assert x.grad is not None and w.grad is not None  # leaves keep .grad
+        assert loss.grad is None and loss._parents == []
+
+    def test_second_backward_raises(self, charge, rng):
+        x = Parameter(rng.standard_normal((4, 3)).astype(np.float32))
+        h = F.relu(x, charge)
+        loss = F.nll_loss(F.log_softmax(h, charge), np.arange(4) % 3, charge)
+        loss.backward()
+        with pytest.raises(RuntimeError):
+            loss.backward()
+        # A fresh graph over a released intermediate cannot reach past it.
+        again = F.nll_loss(F.log_softmax(h, charge), np.arange(4) % 3, charge)
+        with pytest.raises(RuntimeError):
+            again.backward()
+
+    def test_backward_leaves_the_callers_gradient_unmodified(self, charge, rng):
+        # concat hands each input a view of the incoming gradient, and
+        # ``s`` accumulates both halves: a gradient taken over without a
+        # copy would be written through.
+        x = Tensor(rng.standard_normal((4, 3)).astype(np.float32), requires_grad=True)
+        s = F.add_bias(x, Tensor(np.zeros(3, np.float32), requires_grad=True), charge)
+        out = F.concat(s, s, charge)
+        g = rng.standard_normal((4, 6)).astype(np.float32)
+        g_before = g.copy()
+        out.backward(g)
+        np.testing.assert_array_equal(g, g_before)
+        np.testing.assert_array_equal(x.grad, g_before[:, :3] + g_before[:, 3:])
+
 
 class TestOperatorGradients:
     def test_matmul_grads(self, charge, rng):

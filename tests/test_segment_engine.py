@@ -392,3 +392,48 @@ def test_aggregate_max_empty_rows_zero_output_and_grad():
     np.testing.assert_array_equal(y[1:], np.zeros((2, 1), np.float32))
     assert y[0, 0] == np.float32(2.0)
     np.testing.assert_array_equal(g, [[0.0], [2.0]])
+
+
+@pytest.mark.parametrize("n_kind", ["1", "7", "T-1", "T", "T+1", "2T+3"])
+def test_aggregate_max_backward_bitwise_across_column_tiles(n_kind):
+    """The column-tiled sink-bucket scatter equals the reference's
+    row-major float64 accumulation bit for bit, at widths around the
+    tile width, with K != M, empty rows and NaN cells (argmax -1), and
+    with non-finite gradients on those no-winner cells."""
+    from repro.gnn.aggregate import _BWD_TILE
+
+    n = {"1": 1, "7": 7, "T-1": _BWD_TILE - 1, "T": _BWD_TILE,
+         "T+1": _BWD_TILE + 1, "2T+3": 2 * _BWD_TILE + 3}[n_kind]
+    rng = np.random.default_rng(26)
+    m, k = 60, 37
+    rows = rng.choice(np.arange(0, m, 3).tolist() + [1, 2, 4], size=400)  # some rows empty
+    cols = np.minimum(rng.zipf(1.6, size=400) - 1, k - 1)  # hub columns: long buckets
+    vals = rng.uniform(0.5, 2.0, size=400).astype(np.float32)
+    a = csr_from_coo(rows, cols, vals, shape=(m, k), sum_duplicates=True)
+    assert (a.row_lengths() == 0).any() and k != m
+    x = rng.standard_normal((k, n)).astype(np.float32)
+    x[rng.random((k, n)) < 0.02] = np.nan
+    grad = rng.standard_normal((m, n)).astype(np.float32)
+    _, argmax = ref.max_with_argmax(a, x)
+    no_winner = argmax < 0
+    assert no_winner[a.row_lengths() > 0].any()  # NaN cells, not only empty rows
+    grad[no_winner] = rng.choice(np.array([np.inf, -np.inf, np.nan], np.float32),
+                                 size=int(no_winner.sum()))
+    _, g = _run_aggregate(a, x, grad)
+    _, g_ref = ref.aggregate_max(a, x, grad)
+    np.testing.assert_array_equal(g.view(np.uint32), g_ref.view(np.uint32))
+
+
+def test_aggregate_max_backward_sums_each_bucket_in_row_order():
+    """Three rows route to one neighbour; their float64 sum is 1 only in
+    increasing-row order (2**60 - 2**60 + 1), 0 in reverse."""
+    from repro.gnn.aggregate import _BWD_TILE
+
+    n = 2 * _BWD_TILE + 3
+    a = csr_from_coo(np.arange(3), np.zeros(3, np.int64), np.ones(3, np.float32),
+                     shape=(3, 2), sum_duplicates=True)
+    x = np.ones((2, n), np.float32)
+    grad = np.repeat(np.array([[2.0**60], [-(2.0**60)], [1.0]], np.float32), n, axis=1)
+    _, g = _run_aggregate(a, x, grad)
+    np.testing.assert_array_equal(g, np.stack([np.ones(n), np.zeros(n)]).astype(np.float32))
+    np.testing.assert_array_equal(g.view(np.uint32), ref.aggregate_max(a, x, grad)[1].view(np.uint32))
