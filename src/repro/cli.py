@@ -23,7 +23,8 @@ fails with exit code 1 on timing-model drift that lacks an accepted-drift
 annotation; ``--explain`` names the attribution component behind each
 drift.  ``report`` renders the Markdown/JSON performance report
 (bottleneck distribution, roofline placement, cache hit rates, profile
-trees and flamegraph exports).  See docs/OBSERVABILITY.md.
+trees and flamegraph exports); ``report --trace`` without ``--baseline``
+renders the profile of a trace alone.  See docs/OBSERVABILITY.md.
 """
 
 from __future__ import annotations
@@ -58,6 +59,9 @@ from repro.gnn.inference import (
 from repro.gpusim import KNOWN_GPUS, GTX_1080TI, format_metric_table, profile_kernel
 from repro.sparse import uniform_random
 from repro.sparse.stats import analyze, graph_regime, row_length_histogram
+
+#: BENCH document ``gate`` and ``report`` read by default
+DEFAULT_BENCH = "BENCH_spmm.json"
 
 ALL_KERNELS = {
     "simple": SimpleSpMM,
@@ -387,7 +391,9 @@ def cmd_gate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    """Render the Markdown/JSON performance report from a BENCH document."""
+    """Render the Markdown/JSON performance report from a BENCH document,
+    or from a span trace alone when ``--trace`` comes without
+    ``--baseline``."""
     from repro.bench.gate import EXIT_USAGE, GateError, load_bench_document
     from repro.obs.report import (
         build_profile,
@@ -398,19 +404,24 @@ def cmd_report(args) -> int:
         to_folded,
     )
 
-    try:
-        doc = load_bench_document(args.baseline)
-    except GateError as exc:
-        print(f"repro-bench report: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    baseline = args.baseline
+    if baseline is None and args.trace is None:
+        baseline = DEFAULT_BENCH
+    doc = None
+    if baseline is not None:
+        try:
+            doc = load_bench_document(baseline)
+        except GateError as exc:
+            print(f"repro-bench report: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     try:
         spans = load_spans_jsonl(args.trace) if args.trace else None
         metrics = load_metrics_jsonl(args.metrics) if args.metrics else None
     except (OSError, ValueError) as exc:
         print(f"repro-bench report: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    report = performance_report(doc, spans=spans, metrics=metrics,
-                                top=args.top, source=str(args.baseline))
+    report = performance_report(doc, spans=spans, metrics=metrics, top=args.top,
+                                source=None if baseline is None else str(baseline))
     markdown = render_report_markdown(report)
     try:
         if args.out:
@@ -644,7 +655,7 @@ def build_parser() -> argparse.ArgumentParser:
         "gate",
         help="benchmark regression gate: diff BENCH documents, fail on drift",
     )
-    sp.add_argument("--baseline", default="BENCH_spmm.json", metavar="PATH",
+    sp.add_argument("--baseline", default=DEFAULT_BENCH, metavar="PATH",
                     help="committed BENCH document to gate against")
     sp.add_argument("--current", default=None, metavar="PATH",
                     help="current BENCH document; omitted = regenerate the "
@@ -680,8 +691,9 @@ def build_parser() -> argparse.ArgumentParser:
         "report",
         help="render a Markdown/JSON performance report from a BENCH document",
     )
-    sp.add_argument("--baseline", default="BENCH_spmm.json", metavar="PATH",
-                    help="BENCH document to report on")
+    sp.add_argument("--baseline", default=None, metavar="PATH",
+                    help=f"BENCH document to report on (default: {DEFAULT_BENCH}, "
+                         "or none when --trace is given)")
     sp.add_argument("--trace", default=None, metavar="PATH",
                     help="span-trace JSONL to aggregate into a profile tree")
     sp.add_argument("--metrics", default=None, metavar="PATH",

@@ -96,7 +96,7 @@ def aggregate_sum(g: GraphPair, x: Tensor, charge: Callable[[Op], None]) -> Tens
     def backward(grad: np.ndarray) -> None:
         charge(Op("sum.bwd", (n,), g.adj_t))
         if x.requires_grad:
-            x.accumulate_grad(reference_spmm_like(g.adj_t, grad, PLUS_TIMES))
+            x.accumulate_grad(reference_spmm_like(g.adj_t, grad, PLUS_TIMES), fresh=True)
 
     return Tensor(out, x.requires_grad, [x], backward if x.requires_grad else None, name="SpMM")
 
@@ -138,7 +138,7 @@ def aggregate_max(g: GraphPair, x: Tensor, charge: Callable[[Op], None]) -> Tens
                 weighted *= grad[:, j0 : j0 + t]  # float32, widened by bincount
             sums = np.bincount(flat.ravel(), weights=weighted.ravel(), minlength=(k + 1) * t)
             dx[:, j0 : j0 + t] = sums[: k * t].reshape(k, t)
-        x.accumulate_grad(dx)
+        x.accumulate_grad(dx, fresh=True)
 
     return Tensor(
         out, x.requires_grad, [x], backward if x.requires_grad else None, name="SpMM-like"

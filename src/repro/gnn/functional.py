@@ -6,16 +6,25 @@ Each op computes in NumPy and hands the shape-level
 rooflines under the labels the benchmark tables aggregate over:
 ``GEMM`` for dense matmuls, ``elementwise`` for maps/reductions.
 Sparse aggregation lives in :mod:`repro.gnn.aggregate`.
+
+:func:`matmul` is the one projection path.  It takes column blocks and
+a bias (GraphSAGE's ``[self, neighborhood] @ W + b`` without building
+the concat) and multiplies a block that carries a CSR (the sparse input
+features) with the host SpMM; what it charges is always the
+``concat → matmul → add_bias`` sequence, so the op log does not depend
+on either.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.gnn.device import Op
 from repro.gnn.tensor import Tensor
+from repro.semiring import PLUS_TIMES
+from repro.sparse.ops import reference_spmm_like
 
 __all__ = [
     "matmul",
@@ -28,25 +37,105 @@ __all__ = [
 ]
 
 
-def matmul(x: Tensor, w: Tensor, charge: Callable[[Op], None]) -> Tensor:
-    """Dense ``x @ w`` with cuBLAS-modelled timing."""
-    m, k = x.data.shape
+def matmul(
+    x: Union[Tensor, Sequence[Tensor]],
+    w: Tensor,
+    charge: Callable[[Op], None],
+    bias: Optional[Tensor] = None,
+) -> Tensor:
+    """Dense projection ``[x_1, ..., x_B] @ w (+ bias)`` with
+    cuBLAS-modelled timing.
+
+    ``x`` is one tensor or a sequence of column blocks with the same
+    rows.  The blocks are never concatenated: ``w`` is split by rows,
+    each block multiplies its slice, and the products and the bias are
+    added in place into one ``(M, N)`` output.  The gradient splits the
+    same way (``dW`` row block ``b`` is ``x_bᵀ @ g``), so neither the
+    ``(M, K)`` concat nor its gradient exists.  GraphSAGE-pool projects
+    ``[x, pooled]`` this way.
+
+    The charges are exactly those of ``concat → matmul → add_bias``:
+    forward ``elementwise`` (concat, only for several blocks),
+    ``GEMM(m, k, n)``, ``elementwise`` (bias, only with ``bias``);
+    backward ``elementwise`` (bias), ``GEMM(m, n, k)`` (dX),
+    ``GEMM(k, m, n)`` (dW), ``elementwise`` (concat).  As in the chain,
+    the backward GEMMs are charged only when a block or ``w`` requires
+    grad, and the concat's only when a block does.
+
+    A block that carries a CSR (:class:`~repro.gnn.tensor.Tensor`, the
+    sparse input features) multiplies it with the host SpMM,
+    ``reference_spmm_like(x.csr, W_b, PLUS_TIMES)``, and its ``dW`` block
+    is the same SpMM on the stored transpose, ``x.csr_t @ g``.  Such a
+    block never requires grad, so no ``dX`` is computed for it.  SciPy's
+    CSC product ``x_csr.T @ g`` is faster for ``dW`` on pubmed (it reads
+    ``g`` row by row and scatters into the small ``(F, N)`` output,
+    where the transposed CSR gathers ``g`` rows at random); the product
+    still goes through the one sparse×dense path the repository has.
+    """
+    blocks = tuple(x) if isinstance(x, (tuple, list)) else (x,)
+    m = blocks[0].data.shape[0]
     k2, n = w.data.shape
-    if k != k2:
-        raise ValueError(f"matmul shape mismatch {x.data.shape} @ {w.data.shape}")
+    bounds = np.cumsum([0] + [b.data.shape[1] for b in blocks])
+    k = int(bounds[-1])
+    if k != k2 or any(b.data.shape[0] != m for b in blocks):
+        raise ValueError(
+            f"matmul shape mismatch {[b.data.shape for b in blocks]} @ {w.data.shape}"
+        )
+    if bias is not None and bias.data.shape != (n,):
+        raise ValueError(f"bias shape {bias.data.shape} != ({n},)")
+    # Row block of w that multiplies each column block of x.
+    w_rows = [w.data[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+    if len(blocks) > 1:
+        charge(Op("elementwise", (m * k, 2)))
     charge(Op("GEMM", (m, k, n)))
-    out_data = x.data @ w.data
+    out = _times(blocks[0], w_rows[0])
+    for blk, wb in zip(blocks[1:], w_rows[1:]):
+        out += _times(blk, wb)
+    if bias is not None:
+        charge(Op("elementwise", (out.size, 2)))
+        out += bias.data
+
+    # The links of concat → matmul → add_bias that have a backward
+    # closure, and so charge their backward launches.
+    blocks_req = any(b.requires_grad for b in blocks)
+    product_req = blocks_req or w.requires_grad
 
     def backward(g: np.ndarray) -> None:
-        charge(Op("GEMM", (m, n, k)))  # dX = g @ W^T
-        charge(Op("GEMM", (k, m, n)))  # dW = X^T @ g
-        if x.requires_grad:
-            x.accumulate_grad(g @ w.data.T)
+        if bias is not None:
+            charge(Op("elementwise", (g.size, 2)))
+        if product_req:
+            charge(Op("GEMM", (m, n, k)))  # dX = g @ W^T
+            charge(Op("GEMM", (k, m, n)))  # dW = X^T @ g
+        if len(blocks) > 1 and blocks_req:
+            charge(Op("elementwise", (m * k, 2)))
+        if bias is not None and bias.requires_grad:
+            bias.accumulate_grad(g.sum(axis=0), fresh=True)
+        for blk, wb in zip(blocks, w_rows):
+            if blk.requires_grad:
+                blk.accumulate_grad(g @ wb.T, fresh=True)
         if w.requires_grad:
-            w.accumulate_grad(x.data.T @ g)
+            dw = np.empty_like(w.data)
+            for blk, lo, hi in zip(blocks, bounds[:-1], bounds[1:]):
+                dw[lo:hi] = _transposed_times(blk, g)
+            w.accumulate_grad(dw, fresh=True)
 
-    req = x.requires_grad or w.requires_grad
-    return Tensor(out_data, req, [x, w], backward if req else None, name="matmul")
+    parents = list(blocks) + [w] + ([bias] if bias is not None else [])
+    req = any(p.requires_grad for p in parents)
+    return Tensor(out, req, parents, backward if req else None, name="matmul")
+
+
+def _times(x: Tensor, w: np.ndarray) -> np.ndarray:
+    """``x @ w``, on the CSR when ``x`` carries one."""
+    if x.csr is not None:
+        return reference_spmm_like(x.csr, w, PLUS_TIMES)
+    return x.data @ w
+
+
+def _transposed_times(x: Tensor, g: np.ndarray) -> np.ndarray:
+    """``xᵀ @ g``, on the stored transposed CSR when ``x`` carries one."""
+    if x.csr is not None:
+        return reference_spmm_like(x.csr_t, g, PLUS_TIMES)
+    return x.data.T @ g
 
 
 def add_bias(x: Tensor, b: Tensor, charge: Callable[[Op], None]) -> Tensor:
@@ -59,7 +148,7 @@ def add_bias(x: Tensor, b: Tensor, charge: Callable[[Op], None]) -> Tensor:
         if x.requires_grad:
             x.accumulate_grad(g)
         if b.requires_grad:
-            b.accumulate_grad(g.sum(axis=0))
+            b.accumulate_grad(g.sum(axis=0), fresh=True)
 
     req = x.requires_grad or b.requires_grad
     return Tensor(out, req, [x, b], backward if req else None, name="add_bias")
@@ -73,7 +162,7 @@ def relu(x: Tensor, charge: Callable[[Op], None]) -> Tensor:
     def backward(g: np.ndarray) -> None:
         charge(Op("elementwise", (x.size, 2)))
         if x.requires_grad:
-            x.accumulate_grad(g * mask)
+            x.accumulate_grad(g * mask, fresh=True)
 
     return Tensor(out, x.requires_grad, [x], backward if x.requires_grad else None, name="relu")
 
@@ -93,7 +182,7 @@ def dropout(
     def backward(g: np.ndarray) -> None:
         charge(Op("elementwise", (x.size, 2)))
         if x.requires_grad:
-            x.accumulate_grad(g * keep)
+            x.accumulate_grad(g * keep, fresh=True)
 
     return Tensor(out, x.requires_grad, [x], backward if x.requires_grad else None, name="dropout")
 
@@ -109,7 +198,7 @@ def log_softmax(x: Tensor, charge: Callable[[Op], None]) -> Tensor:
         charge(Op("elementwise", (x.size, 3)))
         if x.requires_grad:
             softmax = np.exp(out)
-            x.accumulate_grad(g - softmax * g.sum(axis=1, keepdims=True))
+            x.accumulate_grad(g - softmax * g.sum(axis=1, keepdims=True), fresh=True)
 
     return Tensor(out, x.requires_grad, [x], backward if x.requires_grad else None, name="log_softmax")
 
@@ -134,7 +223,7 @@ def nll_loss(
         if log_probs.requires_grad:
             grad = np.zeros_like(log_probs.data)
             grad[idx, labels[idx]] = -float(g) / idx.size
-            log_probs.accumulate_grad(grad)
+            log_probs.accumulate_grad(grad, fresh=True)
 
     return Tensor(
         out, log_probs.requires_grad, [log_probs],

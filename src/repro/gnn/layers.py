@@ -10,7 +10,13 @@
   feature is first transformed (``relu(x W_pool + b)``), the neighborhood
   takes an elementwise **max** — the SpMM-like operation cuSPARSE cannot
   express — and the result is concatenated with the self feature before
-  the output projection (paper Section V-F2, Table IX).
+  the output projection (paper Section V-F2, Table IX).  The projection
+  takes ``(x, pooled)`` as two column blocks of one ``F.matmul``, so the
+  concat is charged but never built.
+
+The input layer's ``x`` may carry the CSR of the sparse input features;
+every ``F.matmul`` on it then runs as an SpMM (see
+:mod:`repro.gnn.functional`).
 """
 
 from __future__ import annotations
@@ -82,8 +88,7 @@ class SAGEGcnLayer(_Layer):
         charge = backend.charge
         # Mean over the neighborhood expressed as sum on D^-1 A.
         h = backend.aggregate(g.row_normalized(), x, op="sum")
-        h = F.matmul(h, self.w, charge)
-        h = F.add_bias(h, self.b, charge)
+        h = F.matmul(h, self.w, charge, bias=self.b)
         return F.relu(h, charge) if self.activation else h
 
 
@@ -100,9 +105,8 @@ class SAGEPoolLayer(_Layer):
 
     def __call__(self, backend: AggregationBackend, g: GraphPair, x: Tensor) -> Tensor:
         charge = backend.charge
-        msg = F.relu(F.add_bias(F.matmul(x, self.w_pool, charge), self.b_pool, charge), charge)
+        msg = F.relu(F.matmul(x, self.w_pool, charge, bias=self.b_pool), charge)
         pooled = backend.aggregate(g, msg, op="max")  # the SpMM-like step
-        h = F.concat(x, pooled, charge)
-        h = F.matmul(h, self.w, charge)
-        h = F.add_bias(h, self.b, charge)
+        # [x, pooled] @ W + b, block by block: no (M, 2F) concat.
+        h = F.matmul((x, pooled), self.w, charge, bias=self.b)
         return F.relu(h, charge) if self.activation else h

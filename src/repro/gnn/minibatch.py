@@ -55,9 +55,8 @@ class MinibatchSAGE:
         # row-normalized block.
         agg = backend.aggregate(GraphPair(block).row_normalized(), x_inputs, op="sum")
         x_seed = Tensor(x_inputs.data[: block.nrows])
-        h = F.concat(x_seed, agg, charge)
-        h = F.relu(F.add_bias(F.matmul(h, self.w_enc, charge), self.b_enc, charge), charge)
-        logits = F.add_bias(F.matmul(h, self.w_out, charge), self.b_out, charge)
+        h = F.relu(F.matmul((x_seed, agg), self.w_enc, charge, bias=self.b_enc), charge)
+        logits = F.matmul(h, self.w_out, charge, bias=self.b_out)
         return F.log_softmax(logits, charge)
 
 

@@ -97,11 +97,16 @@ def train(
 
     The first ``warmup`` epochs are excluded from the profile (the ledger
     is reset afterwards), mirroring how profiler-based measurements skip
-    initialization effects.
+    initialization effects.  A dataset with ``features_csr`` (and
+    ``features_csr_t``) hands them to the input tensor, so the first
+    layer's projections run as SpMMs; the op log is the same either way.
     """
     device = backend.device
     g = GraphPair(dataset.graph)
-    x = Tensor(dataset.features)
+    # The input layer multiplies the features' CSR when the dataset
+    # carries one (the citation twins build it once, at load time).
+    x = Tensor(dataset.features, csr=getattr(dataset, "features_csr", None),
+               csr_t=getattr(dataset, "features_csr_t", None))
     rng = np.random.default_rng(seed)
     optimizer = Adam(model.parameters(), lr=lr)
 

@@ -356,7 +356,7 @@ def _roofline_rows(cells: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
 
 
 def performance_report(
-    doc: Dict[str, Any],
+    doc: Optional[Dict[str, Any]],
     spans: Optional[Iterable[Any]] = None,
     metrics: Optional[Iterable[Dict[str, Any]]] = None,
     top: int = 3,
@@ -365,10 +365,25 @@ def performance_report(
     """Build the JSON performance report from a BENCH document.
 
     ``spans`` / ``metrics`` are optional trace rows (adds a profile tree)
-    and metrics rows (adds measured cache hit rates).  The output is a
-    pure function of the inputs — byte-deterministic when serialized
-    with ``sort_keys``.
+    and metrics rows (adds measured cache hit rates).  With ``doc`` None
+    the report holds only those two sections: a profile of a traced run
+    needs no BENCH document.  The output is a pure function of the
+    inputs — byte-deterministic when serialized with ``sort_keys``.
     """
+    report: Dict[str, Any] = {"schema": REPORT_SCHEMA}
+    if doc is not None:
+        report.update(_bench_sections(doc, top, source))
+    if metrics is not None:
+        # Measured rates override the run.host snapshot: they describe
+        # the telemetry actually handed to this report.
+        report["cache"] = cache_hit_rates(metrics)
+    if spans is not None:
+        report["profile"] = profile_to_json(build_profile(spans))
+    return report
+
+
+def _bench_sections(doc: Dict[str, Any], top: int, source: Optional[str]) -> Dict[str, Any]:
+    """The report sections read from a BENCH document."""
     run = doc.get("run", {}) or {}
     cells = [c for c in doc.get("cells", []) if isinstance(c, dict)]
     regimes: Dict[str, str] = dict(run.get("regimes") or {})
@@ -410,8 +425,7 @@ def performance_report(
         for ceiling, rows in sorted(by_ceiling.items())
     }
 
-    report: Dict[str, Any] = {
-        "schema": REPORT_SCHEMA,
+    return {
         "source": {
             "path": source,
             "bench_schema": doc.get("schema"),
@@ -430,13 +444,6 @@ def performance_report(
                      if isinstance(g, dict)],
         "cache": _host_cache_rates(run.get("host") or {}),
     }
-    if metrics is not None:
-        # Measured rates override the run.host snapshot: they describe
-        # the telemetry actually handed to this report.
-        report["cache"] = cache_hit_rates(metrics)
-    if spans is not None:
-        report["profile"] = profile_to_json(build_profile(spans))
-    return report
 
 
 def _md_table(headers: List[str], rows: List[List[str]]) -> List[str]:
@@ -451,23 +458,27 @@ def _md_table(headers: List[str], rows: List[List[str]]) -> List[str]:
 
 def render_report_markdown(report: Dict[str, Any]) -> str:
     """Render a performance report dict as Markdown (deterministic)."""
-    src = report.get("source", {})
-    cov = report.get("coverage", {})
     out: List[str] = ["# SpMM performance report", ""]
-    origin = f"`{src['path']}`" if src.get("path") else "a BENCH document"
-    out.append(
-        f"Generated by `repro-bench report` from {origin} "
-        f"(schema `{src.get('bench_schema')}`, "
-        f"{src.get('tool')} {src.get('version')})."
-    )
-    out.append("")
-    out.append(f"- kernels: {', '.join(src.get('kernels', []))}")
-    out.append(f"- graphs: {len(src.get('graphs', []))} "
-               f"({', '.join(src.get('graphs', []))})")
-    out.append(f"- widths: {', '.join(str(w) for w in src.get('widths', []))}"
-               f" on {', '.join(src.get('gpus', []))}")
-    out.append(f"- cells: {cov.get('cells', 0)} "
-               f"({cov.get('attributed', 0)} with attribution)")
+    src = report.get("source")
+    if src is None:
+        out.append("Generated by `repro-bench report` from telemetry alone "
+                   "(no BENCH document).")
+    else:
+        cov = report.get("coverage", {})
+        origin = f"`{src['path']}`" if src.get("path") else "a BENCH document"
+        out.append(
+            f"Generated by `repro-bench report` from {origin} "
+            f"(schema `{src.get('bench_schema')}`, "
+            f"{src.get('tool')} {src.get('version')})."
+        )
+        out.append("")
+        out.append(f"- kernels: {', '.join(src.get('kernels', []))}")
+        out.append(f"- graphs: {len(src.get('graphs', []))} "
+                   f"({', '.join(src.get('graphs', []))})")
+        out.append(f"- widths: {', '.join(str(w) for w in src.get('widths', []))}"
+                   f" on {', '.join(src.get('gpus', []))}")
+        out.append(f"- cells: {cov.get('cells', 0)} "
+                   f"({cov.get('attributed', 0)} with attribution)")
 
     geomeans = report.get("geomeans", [])
     if geomeans:

@@ -386,15 +386,42 @@ def csr_from_coo(
     return CSRMatrix((m, k), rowptr, cols, values)
 
 
+#: Bytes of one row chunk's mask in :func:`csr_from_dense`.
+_DENSE_SCAN_BYTES = 1 << 20
+
+
 def csr_from_dense(dense: np.ndarray, *, tol: float = 0.0) -> CSRMatrix:
     """Convert a dense 2-D array to CSR, dropping entries with
-    ``|x| <= tol``."""
+    ``|x| <= tol``.
+
+    The rows are scanned in chunks of about ``_DENSE_SCAN_BYTES`` of
+    mask, and the nonzeros come out in row-major order, which is already
+    canonical CSR, so transient memory is O(chunk + nnz) and nothing is
+    sorted.  ``dense`` may be any strided view: ``csr_from_dense(x.T)``
+    builds the transpose without copying ``x``.
+    """
     dense = np.asarray(dense)
     if dense.ndim != 2:
         raise ValueError("expected a 2-D array")
-    mask = np.abs(dense) > tol
-    rows, cols = np.nonzero(mask)
-    return csr_from_coo(rows, cols, dense[rows, cols], shape=dense.shape)
+    m, k = dense.shape
+    step = max(1, _DENSE_SCAN_BYTES // max(k, 1))
+    lengths = np.zeros(m, dtype=np.int64)
+    cols, values = [], []
+    for lo in range(0, m, step):
+        chunk = dense[lo : lo + step]
+        # C order: the mask of a transposed view is row-major too.
+        r, c = np.divmod(np.flatnonzero(np.abs(chunk, order="C") > tol), k)
+        lengths[lo : lo + chunk.shape[0]] = np.bincount(r, minlength=chunk.shape[0])
+        cols.append(c.astype(INDEX_DTYPE))
+        values.append(chunk[r, c].astype(VALUE_DTYPE))
+    rowptr = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(lengths, out=rowptr[1:])
+    return CSRMatrix(
+        (m, k),
+        rowptr,
+        np.concatenate(cols) if cols else np.zeros(0, INDEX_DTYPE),
+        np.concatenate(values) if values else np.zeros(0, VALUE_DTYPE),
+    )
 
 
 def csr_from_scipy(mat) -> CSRMatrix:

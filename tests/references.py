@@ -5,7 +5,9 @@ One straightforward implementation per invariant the production code in
 reduction, the accumulating ``to_dense``, the per-row first-maximizer
 argmax and the ``aggregate_max`` gradient it routes, and the
 array-expansion access counters behind ``repro.core._counting``, and
-the stable-argsort top-k behind the DLMC pruned generators.  They are
+the stable-argsort top-k behind the DLMC pruned generators, and the
+``concat → matmul → add_bias`` chain that ``gnn.functional.matmul``'s
+block-and-bias form replaces.  They are
 written for clarity, not speed, and nothing in ``src/`` calls them.  The
 per-warp loop replays that the batched trace is checked against live in
 the sibling module ``trace_references.py``.
@@ -16,6 +18,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.access_profile import ELEMS_PER_SECTOR, AccessTotals, dense_segments
+from repro.gnn import functional as F
+from repro.gnn.device import Op
+from repro.gnn.tensor import Tensor
 from repro.gpusim.memory import segment_sectors
 from repro.semiring import Semiring
 from repro.sparse.csr import CSRMatrix, VALUE_DTYPE, csr_from_coo
@@ -101,6 +106,36 @@ def aggregate_max(a: CSRMatrix, x: np.ndarray, grad: np.ndarray):
         k = argmax[i, j]
         dx[a.colind[k], j] += grad[i, j] * a.values[k]
     return out, dx.astype(x.dtype)
+
+
+# ----------------------------------------------------------------------
+# Dense projection
+# ----------------------------------------------------------------------
+def dense_matmul(x: Tensor, w: Tensor, charge) -> Tensor:
+    """One dense ``x.data @ w`` with its GEMM charges and gradients (the
+    single-operand matmul, before blocks, bias and sparse operands)."""
+    m, k = x.data.shape
+    n = w.data.shape[1]
+    charge(Op("GEMM", (m, k, n)))
+
+    def backward(g):
+        charge(Op("GEMM", (m, n, k)))
+        charge(Op("GEMM", (k, m, n)))
+        if x.requires_grad:
+            x.accumulate_grad(g @ w.data.T)
+        if w.requires_grad:
+            w.accumulate_grad(x.data.T @ g)
+
+    req = x.requires_grad or w.requires_grad
+    return Tensor(x.data @ w.data, req, [x, w], backward if req else None)
+
+
+def concat_matmul_bias(blocks, w: Tensor, charge, bias=None) -> Tensor:
+    """``[x_1, x_2] @ w (+ bias)`` the long way: ``F.concat`` the column
+    blocks (two at most), one dense matmul, then ``F.add_bias``."""
+    h = blocks[0] if len(blocks) == 1 else F.concat(*blocks, charge)
+    h = dense_matmul(h, w, charge)
+    return h if bias is None else F.add_bias(h, bias, charge)
 
 
 # ----------------------------------------------------------------------

@@ -6,10 +6,12 @@ import weakref
 import numpy as np
 import pytest
 
+import references
 from repro.gnn import DGLBackend, SimDevice, Tensor
 from repro.gnn import functional as F
 from repro.gnn.tensor import Parameter, glorot
 from repro.gpusim import GTX_1080TI
+from repro.sparse import csr_from_dense
 
 
 @pytest.fixture
@@ -262,3 +264,97 @@ class TestOperatorGradients:
         fwd_calls = device.profile().calls.get("GEMM", 0)
         out.backward(np.ones_like(out.data))
         assert device.profile().calls["GEMM"] == fwd_calls + 2  # dX and dW
+
+
+def _sparse_leaf(rng, shape, density=0.1):
+    """A bag-of-words-like leaf that carries its CSR."""
+    data = (rng.random(shape) < density).astype(np.float32)
+    return Tensor(data, csr=csr_from_dense(data), csr_t=csr_from_dense(data.T))
+
+
+class TestBlockMatmul:
+    """``F.matmul`` over column blocks with a bias against the
+    ``concat → matmul → add_bias`` chain in ``tests/references.py``."""
+
+    @staticmethod
+    def _operands(rng, n_blocks, with_bias, first):
+        m, widths, n = 9, (5, 4)[:n_blocks], 3
+        blocks = [Tensor(rng.standard_normal((m, k)).astype(np.float32),
+                         requires_grad=first != "frozen")
+                  for k in widths]
+        if first == "csr":
+            blocks[0] = _sparse_leaf(rng, (m, widths[0]), density=0.4)
+        w = Tensor(rng.standard_normal((sum(widths), n)).astype(np.float32), requires_grad=True)
+        b = (Tensor(rng.standard_normal(n).astype(np.float32), requires_grad=True)
+             if with_bias else None)
+        return blocks, w, b
+
+    # "frozen": no block requires grad, so the chain has no concat backward.
+    @pytest.mark.parametrize("first", ["dense", "csr", "frozen"])
+    @pytest.mark.parametrize("with_bias", [False, True], ids=["nobias", "bias"])
+    @pytest.mark.parametrize("n_blocks", [1, 2])
+    def test_matches_concat_reference(self, rng, n_blocks, with_bias, first):
+        blocks, w, b = self._operands(rng, n_blocks, with_bias, first)
+        g = rng.standard_normal((9, 3)).astype(np.float32)
+        ops_new, ops_ref = [], []
+        out = F.matmul(tuple(blocks), w, ops_new.append, bias=b)
+        fwd_new = list(ops_new)
+
+        def clone(t):
+            if t is None:
+                return None
+            return Tensor(t.data.copy(), requires_grad=t.requires_grad)
+
+        blocks_ref, w_ref, b_ref = [clone(t) for t in blocks], clone(w), clone(b)
+        ref = references.concat_matmul_bias(blocks_ref, w_ref, ops_ref.append, bias=b_ref)
+        assert fwd_new == ops_ref  # forward charges, in order
+        np.testing.assert_allclose(out.data, ref.data, rtol=1e-5, atol=1e-5)
+
+        out.backward(g)
+        ref.backward(g)
+        assert ops_new == ops_ref  # and the backward charges
+        np.testing.assert_allclose(w.grad, w_ref.grad, rtol=1e-5, atol=1e-5)
+        if with_bias:
+            np.testing.assert_allclose(b.grad, b_ref.grad, rtol=1e-5, atol=1e-5)
+        for blk, blk_ref in zip(blocks, blocks_ref):
+            if blk.requires_grad:
+                np.testing.assert_allclose(blk.grad, blk_ref.grad, rtol=1e-5, atol=1e-5)
+            else:
+                assert blk.grad is None
+
+    def test_block_rows_and_width_checked(self, charge, rng):
+        a = Tensor(np.ones((3, 2), np.float32))
+        with pytest.raises(ValueError):
+            F.matmul((a, Tensor(np.ones((4, 2), np.float32))), Tensor(np.ones((4, 2))), charge)
+        with pytest.raises(ValueError):
+            F.matmul((a, a), Tensor(np.ones((3, 2))), charge)
+        with pytest.raises(ValueError):
+            F.matmul(a, Tensor(np.ones((2, 2))), charge, bias=Tensor(np.zeros(3)))
+
+
+class TestSparseOperand:
+    def test_csr_only_on_leaves_without_grad(self, rng):
+        data = np.eye(3, dtype=np.float32)
+        csr = csr_from_dense(data)
+        with pytest.raises(ValueError, match="leaf"):
+            Tensor(data, requires_grad=True, csr=csr, csr_t=csr)
+        with pytest.raises(ValueError, match="leaf"):
+            Tensor(data, parents=[Tensor(data)], backward=lambda g: None, csr=csr, csr_t=csr)
+        with pytest.raises(ValueError, match="shape"):
+            Tensor(data[:2], csr=csr, csr_t=csr)
+        with pytest.raises(ValueError, match="together"):
+            Tensor(data, csr_t=csr)
+        assert Tensor(data, csr=csr, csr_t=csr).size == 9
+
+    def test_product_and_transposed_product_use_the_csr(self, charge, rng):
+        x = _sparse_leaf(rng, (40, 30))
+        # Poison the dense copy: only the CSR may feed the products.
+        x.data = np.full_like(x.data, np.nan)
+        w = Tensor(rng.standard_normal((30, 6)).astype(np.float32), requires_grad=True)
+        out = F.matmul(x, w, charge)
+        dense = x.csr.to_dense()
+        np.testing.assert_allclose(out.data, dense @ w.data, rtol=1e-5, atol=1e-5)
+        g = rng.standard_normal((40, 6)).astype(np.float32)
+        out.backward(g)
+        np.testing.assert_allclose(w.grad, dense.T @ g, rtol=1e-5, atol=1e-5)
+        assert x.grad is None

@@ -307,6 +307,26 @@ def test_cli_report_with_trace_metrics_and_folded(tmp_path, doc, spans, clock):
     assert "## Profile" in md and "## Cache hit rates" in md
 
 
+def test_cli_report_trace_without_bench_document(tmp_path, spans, clock, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # no BENCH_spmm.json to fall back on
+    tracer = obs.Tracer(clock=clock)
+    tracer.records = list(spans)
+    trace = tracer.write(tmp_path / "t.jsonl")
+    md, js, folded = tmp_path / "r.md", tmp_path / "r.json", tmp_path / "p.folded"
+    rc = cli_main(["report", "--trace", str(trace), "--out", str(md),
+                   "--json-out", str(js), "--folded", str(folded)])
+    assert rc == 0
+    text = md.read_text()
+    assert "no BENCH document" in text and "## Profile" in text
+    assert "## Bottleneck distribution" not in text
+    report = json.loads(js.read_text())
+    assert set(report) == {"schema", "profile"}
+    assert report["profile"]["children"][0]["name"] == "sweep"
+    assert any(s.startswith("sweep;graph;cell ") for s in folded.read_text().splitlines())
+    # Without --trace the default BENCH document is still read (and missing here).
+    assert cli_main(["report", "--out", str(md)]) == 2
+
+
 def test_cli_report_usage_errors(tmp_path, doc):
     assert cli_main(["report", "--baseline", str(tmp_path / "missing.json")]) == 2
     bench = tmp_path / "bench.json"
