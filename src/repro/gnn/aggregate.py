@@ -92,11 +92,12 @@ def aggregate_sum(g: GraphPair, x: Tensor, charge: Callable[[Op], None]) -> Tens
     n = x.data.shape[1]
     charge(Op("sum", (n,), g.adj))
     out = reference_spmm_like(g.adj, x.data, PLUS_TIMES)
+    xn = x.node
 
     def backward(grad: np.ndarray) -> None:
         charge(Op("sum.bwd", (n,), g.adj_t))
-        if x.requires_grad:
-            x.accumulate_grad(reference_spmm_like(g.adj_t, grad, PLUS_TIMES), fresh=True)
+        if xn.requires_grad:
+            xn.accumulate_grad(reference_spmm_like(g.adj_t, grad, PLUS_TIMES), fresh=True)
 
     return Tensor(out, x.requires_grad, [x], backward if x.requires_grad else None, name="SpMM")
 
@@ -115,10 +116,11 @@ def aggregate_max(g: GraphPair, x: Tensor, charge: Callable[[Op], None]) -> Tens
     out[adj.row_lengths() == 0] = 0.0  # DGL convention: no neighbors -> zeros
 
     k = x.data.shape[0]
+    xn = x.node
 
     def backward(grad: np.ndarray) -> None:
         charge(Op("max.bwd", (n,), g.adj_t))
-        if not x.requires_grad:
+        if not xn.requires_grad:
             return
         # Winner-takes-all: the whole gradient goes to the first nonzero
         # that attained the maximum.  Empty rows and NaN cells hold -1
@@ -126,7 +128,7 @@ def aggregate_max(g: GraphPair, x: Tensor, charge: Callable[[Op], None]) -> Tens
         # from a non-finite gradient) to the dropped bucket K.
         colind = np.append(adj.colind64(), k)
         values = np.append(adj.values, adj.values.dtype.type(0))
-        dx = np.empty((k, n), dtype=x.data.dtype)
+        dx = np.empty((k, n), dtype=np.float32)
         for j0 in range(0, n, _BWD_TILE):
             win = argmax[:, j0 : j0 + _BWD_TILE].astype(np.intp)
             t = win.shape[1]
@@ -138,7 +140,7 @@ def aggregate_max(g: GraphPair, x: Tensor, charge: Callable[[Op], None]) -> Tens
                 weighted *= grad[:, j0 : j0 + t]  # float32, widened by bincount
             sums = np.bincount(flat.ravel(), weights=weighted.ravel(), minlength=(k + 1) * t)
             dx[:, j0 : j0 + t] = sums[: k * t].reshape(k, t)
-        x.accumulate_grad(dx, fresh=True)
+        xn.accumulate_grad(dx, fresh=True)
 
     return Tensor(
         out, x.requires_grad, [x], backward if x.requires_grad else None, name="SpMM-like"

@@ -5,7 +5,9 @@ Each op computes in NumPy and hands the shape-level
 ``charge`` — a backend's ``charge``, which prices it with the device
 rooflines under the labels the benchmark tables aggregate over:
 ``GEMM`` for dense matmuls, ``elementwise`` for maps/reductions.
-Sparse aggregation lives in :mod:`repro.gnn.aggregate`.
+Sparse aggregation lives in :mod:`repro.gnn.aggregate`.  Each backward
+closure captures its inputs' graph nodes and only the arrays it reads
+(see :mod:`repro.gnn.tensor`), never the input tensors themselves.
 
 :func:`matmul` is the one projection path.  It takes column blocks and
 a bias (GraphSAGE's ``[self, neighborhood] @ W + b`` without building
@@ -24,6 +26,7 @@ import numpy as np
 from repro.gnn.device import Op
 from repro.gnn.tensor import Tensor
 from repro.semiring import PLUS_TIMES
+from repro.sparse.csr import CSRMatrix
 from repro.sparse.ops import reference_spmm_like
 
 __all__ = [
@@ -60,7 +63,9 @@ def matmul(
     backward ``elementwise`` (bias), ``GEMM(m, n, k)`` (dX),
     ``GEMM(k, m, n)`` (dW), ``elementwise`` (concat).  As in the chain,
     the backward GEMMs are charged only when a block or ``w`` requires
-    grad, and the concat's only when a block does.
+    grad, and the concat's only when a block does.  The closure saves
+    ``w``'s row blocks only when a block requires grad, and the blocks'
+    arrays only when ``w`` does.
 
     A block that carries a CSR (:class:`~repro.gnn.tensor.Tensor`, the
     sparse input features) multiplies it with the host SpMM,
@@ -99,25 +104,37 @@ def matmul(
     # closure, and so charge their backward launches.
     blocks_req = any(b.requires_grad for b in blocks)
     product_req = blocks_req or w.requires_grad
+    n_blocks = len(blocks)
+    block_nodes = [b.node for b in blocks]
+    wn = w.node
+    bn = bias.node if bias is not None else None
+    # Saved for the backward, and only when it runs that product: W's
+    # row blocks for dX, each block's array (a sparse block's
+    # transposed CSR) for dW.
+    w_rows = w_rows if blocks_req else None
+    x_saved = None
+    if w.requires_grad:
+        x_saved = [b.csr_t if b.csr is not None else b.data for b in blocks]
 
     def backward(g: np.ndarray) -> None:
-        if bias is not None:
+        if bn is not None:
             charge(Op("elementwise", (g.size, 2)))
         if product_req:
             charge(Op("GEMM", (m, n, k)))  # dX = g @ W^T
             charge(Op("GEMM", (k, m, n)))  # dW = X^T @ g
-        if len(blocks) > 1 and blocks_req:
+        if n_blocks > 1 and blocks_req:
             charge(Op("elementwise", (m * k, 2)))
-        if bias is not None and bias.requires_grad:
-            bias.accumulate_grad(g.sum(axis=0), fresh=True)
-        for blk, wb in zip(blocks, w_rows):
-            if blk.requires_grad:
-                blk.accumulate_grad(g @ wb.T, fresh=True)
-        if w.requires_grad:
-            dw = np.empty_like(w.data)
-            for blk, lo, hi in zip(blocks, bounds[:-1], bounds[1:]):
-                dw[lo:hi] = _transposed_times(blk, g)
-            w.accumulate_grad(dw, fresh=True)
+        if bn is not None and bn.requires_grad:
+            bn.accumulate_grad(g.sum(axis=0), fresh=True)
+        if w_rows is not None:
+            for node, wb in zip(block_nodes, w_rows):
+                if node.requires_grad:
+                    node.accumulate_grad(g @ wb.T, fresh=True)
+        if x_saved is not None:
+            dw = np.empty(wn.shape, dtype=np.float32)
+            for xb, lo, hi in zip(x_saved, bounds[:-1], bounds[1:]):
+                dw[lo:hi] = _transposed_times(xb, g)
+            wn.accumulate_grad(dw, fresh=True)
 
     parents = list(blocks) + [w] + ([bias] if bias is not None else [])
     req = any(p.requires_grad for p in parents)
@@ -131,38 +148,43 @@ def _times(x: Tensor, w: np.ndarray) -> np.ndarray:
     return x.data @ w
 
 
-def _transposed_times(x: Tensor, g: np.ndarray) -> np.ndarray:
-    """``xᵀ @ g``, on the stored transposed CSR when ``x`` carries one."""
-    if x.csr is not None:
-        return reference_spmm_like(x.csr_t, g, PLUS_TIMES)
-    return x.data.T @ g
+def _transposed_times(x: Union[np.ndarray, CSRMatrix], g: np.ndarray) -> np.ndarray:
+    """``xᵀ @ g`` from what the backward saved: a dense block's array,
+    or a sparse block's stored transposed CSR."""
+    if isinstance(x, CSRMatrix):
+        return reference_spmm_like(x, g, PLUS_TIMES)
+    return x.T @ g
 
 
 def add_bias(x: Tensor, b: Tensor, charge: Callable[[Op], None]) -> Tensor:
     """Row-broadcast bias addition."""
-    charge(Op("elementwise", (x.size, 2)))
+    size = x.size
+    charge(Op("elementwise", (size, 2)))
     out = x.data + b.data[None, :]
+    xn, bn = x.node, b.node
 
     def backward(g: np.ndarray) -> None:
-        charge(Op("elementwise", (x.size, 2)))
-        if x.requires_grad:
-            x.accumulate_grad(g)
-        if b.requires_grad:
-            b.accumulate_grad(g.sum(axis=0), fresh=True)
+        charge(Op("elementwise", (size, 2)))
+        if xn.requires_grad:
+            xn.accumulate_grad(g)
+        if bn.requires_grad:
+            bn.accumulate_grad(g.sum(axis=0), fresh=True)
 
     req = x.requires_grad or b.requires_grad
     return Tensor(out, req, [x, b], backward if req else None, name="add_bias")
 
 
 def relu(x: Tensor, charge: Callable[[Op], None]) -> Tensor:
-    charge(Op("elementwise", (x.size, 2)))
+    size = x.size
+    charge(Op("elementwise", (size, 2)))
     mask = x.data > 0
     out = x.data * mask
+    xn = x.node
 
     def backward(g: np.ndarray) -> None:
-        charge(Op("elementwise", (x.size, 2)))
-        if x.requires_grad:
-            x.accumulate_grad(g * mask, fresh=True)
+        charge(Op("elementwise", (size, 2)))
+        if xn.requires_grad:
+            xn.accumulate_grad(g * mask, fresh=True)
 
     return Tensor(out, x.requires_grad, [x], backward if x.requires_grad else None, name="relu")
 
@@ -175,30 +197,34 @@ def dropout(
         return x
     if not 0 <= p < 1:
         raise ValueError("dropout probability must be in [0, 1)")
-    charge(Op("elementwise", (x.size, 2)))
+    size = x.size
+    charge(Op("elementwise", (size, 2)))
     keep = (rng.random(x.data.shape) >= p).astype(np.float32) / (1.0 - p)
     out = x.data * keep
+    xn = x.node
 
     def backward(g: np.ndarray) -> None:
-        charge(Op("elementwise", (x.size, 2)))
-        if x.requires_grad:
-            x.accumulate_grad(g * keep, fresh=True)
+        charge(Op("elementwise", (size, 2)))
+        if xn.requires_grad:
+            xn.accumulate_grad(g * keep, fresh=True)
 
     return Tensor(out, x.requires_grad, [x], backward if x.requires_grad else None, name="dropout")
 
 
 def log_softmax(x: Tensor, charge: Callable[[Op], None]) -> Tensor:
     """Row-wise log-softmax (numerically stabilized)."""
-    charge(Op("elementwise", (x.size, 3)))
+    size = x.size
+    charge(Op("elementwise", (size, 3)))
     shifted = x.data - x.data.max(axis=1, keepdims=True)
     logsum = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     out = shifted - logsum
+    xn = x.node
 
     def backward(g: np.ndarray) -> None:
-        charge(Op("elementwise", (x.size, 3)))
-        if x.requires_grad:
+        charge(Op("elementwise", (size, 3)))
+        if xn.requires_grad:
             softmax = np.exp(out)
-            x.accumulate_grad(g - softmax * g.sum(axis=1, keepdims=True), fresh=True)
+            xn.accumulate_grad(g - softmax * g.sum(axis=1, keepdims=True), fresh=True)
 
     return Tensor(out, x.requires_grad, [x], backward if x.requires_grad else None, name="log_softmax")
 
@@ -214,16 +240,18 @@ def nll_loss(
     idx = np.nonzero(mask)[0] if mask is not None else np.arange(labels.shape[0])
     if idx.size == 0:
         raise ValueError("empty mask in nll_loss")
-    charge(Op("elementwise", (log_probs.size, 2)))
+    size = log_probs.size
+    charge(Op("elementwise", (size, 2)))
     picked = log_probs.data[idx, labels[idx]]
     out = np.array(-picked.mean(), dtype=np.float32)
+    node = log_probs.node
 
     def backward(g: np.ndarray) -> None:
-        charge(Op("elementwise", (log_probs.size, 2)))
-        if log_probs.requires_grad:
-            grad = np.zeros_like(log_probs.data)
+        charge(Op("elementwise", (size, 2)))
+        if node.requires_grad:
+            grad = np.zeros(node.shape, dtype=np.float32)
             grad[idx, labels[idx]] = -float(g) / idx.size
-            log_probs.accumulate_grad(grad, fresh=True)
+            node.accumulate_grad(grad, fresh=True)
 
     return Tensor(
         out, log_probs.requires_grad, [log_probs],
@@ -235,16 +263,18 @@ def concat(a: Tensor, b: Tensor, charge: Callable[[Op], None]) -> Tensor:
     """Column-wise concatenation (GraphSAGE's [self, neighborhood])."""
     if a.data.shape[0] != b.data.shape[0]:
         raise ValueError("concat row mismatch")
-    charge(Op("elementwise", (a.size + b.size, 2)))
+    size = a.size + b.size
+    charge(Op("elementwise", (size, 2)))
     out = np.concatenate([a.data, b.data], axis=1)
     na = a.data.shape[1]
+    an, bn = a.node, b.node
 
     def backward(g: np.ndarray) -> None:
-        charge(Op("elementwise", (a.size + b.size, 2)))
-        if a.requires_grad:
-            a.accumulate_grad(g[:, :na])
-        if b.requires_grad:
-            b.accumulate_grad(g[:, na:])
+        charge(Op("elementwise", (size, 2)))
+        if an.requires_grad:
+            an.accumulate_grad(g[:, :na])
+        if bn.requires_grad:
+            bn.accumulate_grad(g[:, na:])
 
     req = a.requires_grad or b.requires_grad
     return Tensor(out, req, [a, b], backward if req else None, name="concat")

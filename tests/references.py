@@ -33,6 +33,17 @@ _SCATTER_UFUNCS = {
 
 
 # ----------------------------------------------------------------------
+# CSR substrate
+# ----------------------------------------------------------------------
+def transpose_via_coo(a: CSRMatrix) -> CSRMatrix:
+    """``Aᵀ`` through the COO triplets: swap rows and columns and let
+    ``csr_from_coo`` lexsort them (stable, so duplicates keep their
+    storage order)."""
+    rows, cols, vals = a.to_coo()
+    return csr_from_coo(cols, rows, vals, shape=(a.ncols, a.nrows))
+
+
+# ----------------------------------------------------------------------
 # Host executor
 # ----------------------------------------------------------------------
 def scatter_segment_reduce(contributions, rowptr, ufunc, init):

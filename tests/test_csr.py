@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import references
 import scipy.sparse as sp
 
 from repro.sparse import CSRMatrix, csr_from_coo, csr_from_dense, csr_from_scipy
@@ -128,6 +129,18 @@ class TestTransforms:
     def test_transpose_shape(self):
         m = csr_from_coo([0], [4], [2.0], shape=(2, 6))
         assert m.transpose().shape == (6, 2)
+
+    def test_transpose_of_a_wide_matrix_sorts_both_digits(self, rng):
+        # K > 2**16: the radix sort's second (high 16-bit) pass; columns
+        # straddle the digit boundary, with duplicates and unsorted rows.
+        k, nnz = (1 << 16) + 40, 300
+        rows = np.sort(rng.integers(0, 25, size=nnz))
+        cols = rng.choice(np.r_[0:30, (1 << 16) - 30 : k], size=nnz)
+        rowptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=25))])
+        a = CSRMatrix((25, k), rowptr, cols, rng.standard_normal(nnz))
+        got, ref = a.transpose(), references.transpose_via_coo(a)
+        for name in ("rowptr", "colind", "values"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(ref, name))
 
     def test_with_values(self, small_csr):
         doubled = small_csr.with_values(small_csr.values * 2)

@@ -9,6 +9,7 @@ import pytest
 import references
 from repro.gnn import DGLBackend, SimDevice, Tensor
 from repro.gnn import functional as F
+from repro.gnn.aggregate import GraphPair, aggregate_max, aggregate_sum
 from repro.gnn.tensor import Parameter, glorot
 from repro.gpusim import GTX_1080TI
 from repro.sparse import csr_from_dense
@@ -92,25 +93,31 @@ class TestTensorBasics:
         assert x.grad is not None and np.isfinite(x.grad).all()
 
     def test_backward_frees_the_graph_without_the_cyclic_gc(self, charge, rng):
-        """Once ``backward()`` returns and the loss is dropped, reference
-        counting alone frees every intermediate (``Tensor`` has no weakref
-        slot, so the probes watch the arrays only the graph holds)."""
+        """Reference counting alone frees every activation (the probes
+        watch arrays, with the cyclic gc off): an output that no backward
+        reads dies as soon as the caller drops it, and an array a closure
+        saved dies once ``backward()`` has run that closure, while the
+        loss is still held."""
         x = Parameter(rng.standard_normal((6, 4)).astype(np.float32))
         w = Parameter(rng.standard_normal((4, 3)).astype(np.float32))
+        w2 = Parameter(rng.standard_normal((6, 3)).astype(np.float32))
         gc.disable()
         try:
             h = F.relu(F.matmul(x, w, charge), charge)
             logits = F.concat(h, F.add_bias(h, Tensor(np.zeros(3)), charge), charge)
-            loss = F.nll_loss(F.log_softmax(logits, charge), np.arange(6) % 3, charge)
-            probes = [weakref.ref(h.data), weakref.ref(logits.data)]
-            del h, logits
-            assert all(p() is not None for p in probes)  # the loss holds the graph
+            hidden = F.matmul(logits, w2, charge)  # saves logits for dW2
+            log_probs = F.log_softmax(hidden, charge)  # saves its own output
+            loss = F.nll_loss(log_probs, np.arange(6) % 3, charge)
+            unread = [weakref.ref(h.data), weakref.ref(hidden.data)]
+            saved = [weakref.ref(logits.data), weakref.ref(log_probs.data)]
+            del h, logits, hidden, log_probs
+            assert all(p() is None for p in unread)
+            assert all(p() is not None for p in saved)
             loss.backward()
-            del loss
-            assert all(p() is None for p in probes)
+            assert all(p() is None for p in saved)
         finally:
             gc.enable()
-        assert x.grad is not None and w.grad is not None
+        assert x.grad is not None and w.grad is not None and w2.grad is not None
 
     def test_backward_releases_each_node_as_it_goes(self, charge, rng):
         """An intermediate's array is freed while ``backward()`` runs:
@@ -165,6 +172,77 @@ class TestTensorBasics:
         out.backward(g)
         np.testing.assert_array_equal(g, g_before)
         np.testing.assert_array_equal(x.grad, g_before[:, :3] + g_before[:, 3:])
+
+
+def _saved_case(op, charge, rng):
+    """``(inputs, output, saved)`` of one op on fresh leaves, where
+    ``saved`` names the input arrays (``"out"``: the op's own output)
+    that its backward reads."""
+
+    def leaf(shape, requires_grad=True):
+        return Tensor(rng.standard_normal(shape).astype(np.float32),
+                      requires_grad=requires_grad)
+
+    graph = GraphPair(csr_from_dense((rng.random((6, 6)) < 0.5).astype(np.float32)))
+    x, w = leaf((6, 4)), leaf((4, 3))
+    if op == "matmul":
+        return {"x": x, "w": w}, F.matmul(x, w, charge), {"x", "w"}
+    if op == "matmul-frozen-w":  # no dW: the block is not saved
+        w = leaf((4, 3), requires_grad=False)
+        return {"x": x, "w": w}, F.matmul(x, w, charge), {"w"}
+    if op == "matmul-frozen-x":  # no dX: W is not saved
+        x = leaf((6, 4), requires_grad=False)
+        return {"x": x, "w": w}, F.matmul(x, w, charge), {"x"}
+    if op == "matmul-csr":  # dW reads the stored transposed CSR, not .data
+        x = _sparse_leaf(rng, (6, 4), density=0.4)
+        return {"x": x, "w": w}, F.matmul(x, w, charge), set()
+    if op == "matmul-blocks-bias":
+        y, w, b = leaf((6, 2)), leaf((6, 3)), leaf((3,))
+        out = F.matmul((x, y), w, charge, bias=b)
+        return {"x": x, "y": y, "w": w, "b": b}, out, {"x", "y", "w"}
+    if op == "add_bias":
+        b = leaf((4,))
+        return {"x": x, "b": b}, F.add_bias(x, b, charge), set()
+    if op == "relu":
+        return {"x": x}, F.relu(x, charge), set()
+    if op == "dropout":
+        return {"x": x}, F.dropout(x, 0.5, charge, training=True, rng=rng), set()
+    if op == "log_softmax":
+        return {"x": x}, F.log_softmax(x, charge), {"out"}
+    if op == "nll_loss":
+        return {"x": x}, F.nll_loss(x, np.arange(6) % 4, charge), set()
+    if op == "concat":
+        y = leaf((6, 2))
+        return {"x": x, "y": y}, F.concat(x, y, charge), set()
+    if op == "aggregate_sum":
+        return {"x": x}, aggregate_sum(graph, x, charge), set()
+    assert op == "aggregate_max"
+    return {"x": x}, aggregate_max(graph, x, charge), set()
+
+
+class TestSavedArrays:
+    """A graph node holds no activations: once the caller drops the
+    tensors, an op's input (or output) array stays alive if and only if
+    that op's backward reads it, and ``backward()`` frees what it kept."""
+
+    @pytest.mark.parametrize("op", [
+        "matmul", "matmul-frozen-w", "matmul-frozen-x", "matmul-csr", "matmul-blocks-bias",
+        "add_bias", "relu", "dropout", "log_softmax", "nll_loss", "concat",
+        "aggregate_sum", "aggregate_max",
+    ])
+    def test_an_array_lives_on_iff_the_backward_reads_it(self, op, charge, rng):
+        gc.disable()
+        try:
+            inputs, out, saved = _saved_case(op, charge, rng)
+            probes = {name: weakref.ref(t.data) for name, t in inputs.items()}
+            probes["out"] = weakref.ref(out.data)
+            node = out.node
+            del inputs, out
+            assert {name for name, p in probes.items() if p() is not None} == saved
+            node.backward(np.ones(node.shape, dtype=np.float32))
+            assert all(p() is None for p in probes.values())
+        finally:
+            gc.enable()
 
 
 class TestOperatorGradients:

@@ -3,12 +3,14 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
+import references
 from trace_references import warp_sector_count
 
 from repro.core import _counting as cnt
 from repro.gpusim.memory import segment_sectors
 from repro.semiring import MAX_TIMES, MEAN_TIMES, PLUS_TIMES
 from repro.sparse import (
+    CSRMatrix,
     csr_from_coo,
     csr_from_dense,
     reference_spmm,
@@ -59,6 +61,33 @@ def test_transpose_involution(a):
     np.testing.assert_allclose(
         a.transpose().transpose().to_dense(), a.to_dense(), rtol=1e-6
     )
+
+
+@st.composite
+def raw_csr(draw, max_m=30, max_k=30, max_nnz=150):
+    """CSR straight from its arrays: duplicate entries and unsorted
+    columns within a row, which ``csr_from_coo`` would never build."""
+    m = draw(st.integers(0, max_m))
+    k = draw(st.integers(0, max_k))
+    nnz = draw(st.integers(0, max_nnz)) if m and k else 0
+    rng = np.random.default_rng(draw(st.integers(0, 2**20)))
+    rows = np.sort(rng.integers(0, m, size=nnz)) if nnz else np.zeros(0, np.int64)
+    rowptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=m))])
+    cols = rng.integers(0, max(k, 1), size=nnz) if nnz else np.zeros(0, np.int64)
+    vals = rng.standard_normal(nnz).astype(np.float32)
+    return CSRMatrix((m, k), rowptr, cols, vals)
+
+
+@given(raw_csr())
+@settings(max_examples=60, deadline=None)
+def test_transpose_matches_the_coo_reference(a):
+    """The stable column sort gives the COO lexsort's arrays bit for bit."""
+    got, ref = a.transpose(), references.transpose_via_coo(a)
+    assert got.shape == ref.shape
+    for name in ("rowptr", "colind", "values"):
+        x, y = getattr(got, name), getattr(ref, name)
+        assert x.dtype == y.dtype
+        np.testing.assert_array_equal(x.view(np.uint32), y.view(np.uint32))
 
 
 @given(random_csr())
