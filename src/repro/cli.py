@@ -285,36 +285,15 @@ def cmd_tune(args) -> int:
 
 def cmd_trace(args) -> int:
     """Run an observed profile pass purely to produce telemetry files."""
-    from repro.gpusim import warp_trace_events
-
     g = _load_graph_arg(args)
     gpu = _gpu_arg(args.gpu)
     kernels = [ALL_KERNELS[k]() for k in args.kernels]
     with obs.span("trace.profile", graph=args.graph, n=int(args.n), gpu=gpu.name):
         reports = [profile_kernel(k, g, args.n, gpu, graph=args.graph) for k in kernels]
-    n_warp_events = 0
-    if args.per_warp:
-        tracer = obs.get_tracer()
-        rng = np.random.default_rng(getattr(args, "seed", 0) or 0)
-        b = rng.standard_normal((g.ncols, args.n)).astype(np.float32)
-        for pid, kernel in enumerate(kernels, start=1):
-            try:
-                events = warp_trace_events(
-                    kernel, g, b, gpu, max_warps=args.max_warps, pid=pid
-                )
-            except NotImplementedError:
-                print(f"repro-bench trace: {kernel.name} has no trace replay; "
-                      f"skipping per-warp timeline", file=sys.stderr)
-                continue
-            n_warp_events += len(events)
-            if tracer is not None:
-                tracer.add_chrome_events(events)
     tracer = obs.get_tracer()
     n_spans = len(tracer.records) if tracer is not None else 0
     print(f"[{args.graph}] N={args.n} on {gpu.name}: traced {len(reports)} kernels "
-          f"({n_spans} spans"
-          + (f", {n_warp_events} per-warp events" if args.per_warp else "")
-          + ")")
+          f"({n_spans} spans)")
     print(f"writing trace to {args.trace_out}"
           + (f", metrics to {args.metrics_out}" if args.metrics_out else ""))
     return 0
@@ -769,12 +748,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=_positive_int, default=128, help="dense feature width")
     sp.add_argument("--kernels", nargs="+", default=["simple", "crc", "gespmm", "cusparse"],
                     choices=sorted(ALL_KERNELS))
-    sp.add_argument("--per-warp", action="store_true",
-                    help="also export modelled per-warp device timelines into "
-                         "the Chrome trace (one tid per warp task; kernels "
-                         "without a trace replay are skipped with a warning)")
-    sp.add_argument("--max-warps", type=int, default=64, metavar="W",
-                    help="cap on warp timeline rows per kernel (default 64)")
     add_telemetry_opts(sp, trace_default="trace.json")
     sp.set_defaults(fn=cmd_trace)
     return p

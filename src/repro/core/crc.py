@@ -15,16 +15,7 @@ from ~69% to ~92% on the paper's profiling matrices (Table V).
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core import _counting as cnt
-from repro.core.semiring import PLUS_TIMES, Semiring
-from repro.gpusim.batchtrace import (
-    BatchTraceMemory,
-    fold_spmm_rows,
-    ragged_arange,
-    tile_shared_accounting,
-)
 from repro.gpusim.config import GPUSpec
 from repro.gpusim.kernel import KernelCounts, SpMMKernel
 from repro.gpusim.memory import KernelStats
@@ -141,76 +132,3 @@ class CRCSpMM(SpMMKernel):
         seg_sec = (min(32, n) + 7) // 8
         tail = float(l_max * seg_sec + 2 * ((l_max + 7) // 8) + 2) if l_max else 0.0
         return stats, launch, ExecHints(mlp=self.mlp, tail_sectors=tail)
-
-    def trace(self, a, b, gpu, semiring: Semiring = PLUS_TIMES):
-        """Batched trace replay — bit-identical stats and output to the
-        per-warp loop oracle in ``tests/trace_references.py`` (see
-        ``repro.gpusim.batchtrace``).
-
-        Warp task ``(row i, segment s)``, in program order: two rowptr
-        broadcasts (steps 0, 1); per staging tile ``t`` (all earlier
-        tiles are full, so its step base is ``2 + 34 t``) one contiguous
-        colind load, one contiguous values load, two shared stores and a
-        sync; per consumed element ``e`` of the tile two shared
-        broadcasts and one contiguous B segment load at step
-        ``2 + 34 t + 2 + e``; finally one C segment store.
-        """
-        self.check_semiring(semiring)
-        if self.tile != 32:
-            raise NotImplementedError("trace mode implements the paper's tile == warp_size")
-        b = np.ascontiguousarray(b, dtype=np.float32)
-        m, n = a.nrows, b.shape[1]
-        nseg = cnt.warps_per_row(n, 1)
-        mem = BatchTraceMemory(l1_caches_global=gpu.l1_caches_global)
-        mem.register("rowptr", a.rowptr)
-        mem.register("colind", a.colind)
-        mem.register("values", a.values)
-        mem.register("B", b.ravel())
-        mem.register("C", np.full(m * n, semiring.init, dtype=np.float32))
-
-        rowptr = a.rowptr64()
-        lengths = rowptr[1:] - rowptr[:-1]
-        tasks = np.arange(m * nseg, dtype=np.int64)
-        row_of_task = tasks // nseg
-        seg_of_task = (tasks % nseg) * 32
-        seg_len_task = np.minimum(32, n - seg_of_task)
-        len_of_task = lengths[row_of_task]
-
-        mem.load_contiguous("rowptr", row_of_task, 1, task=tasks, step=0)
-        mem.load_contiguous("rowptr", row_of_task + 1, 1, task=tasks, step=1)
-
-        # Tile-level records: coalesced colind/values staging loads.
-        ntiles_task = (len_of_task + 31) // 32
-        tile_task = np.repeat(tasks, ntiles_task)
-        tt = ragged_arange(ntiles_task)
-        tile_ptr = rowptr[row_of_task[tile_task]] + 32 * tt
-        tile_len = np.minimum(32, len_of_task[tile_task] - 32 * tt)
-        mem.load_contiguous("colind", tile_ptr, tile_len, task=tile_task, step=2 + 34 * tt)
-        mem.load_contiguous("values", tile_ptr, tile_len, task=tile_task, step=3 + 34 * tt)
-        tile_shared_accounting(mem, tile_len)
-
-        # Element-level records: one contiguous B segment per consumed
-        # nonzero, at step 4 + 34*(t // 32) + (t % 32).
-        nz_task = np.repeat(tasks, len_of_task)
-        t = ragged_arange(len_of_task)
-        ptr = rowptr[row_of_task[nz_task]] + t
-        k = a.colind64()[ptr]
-        mem.load_contiguous(
-            "B",
-            k * n + seg_of_task[nz_task],
-            seg_len_task[nz_task],
-            task=nz_task,
-            step=4 + 2 * (t // 32) + t,
-        )
-        mem.store_contiguous("C", row_of_task * n + seg_of_task, seg_len_task, task=tasks)
-
-        acc = fold_spmm_rows(
-            rowptr, a.colind, mem.buffer("values"), mem.buffer("B").reshape(-1, n),
-            semiring.init, semiring.reduce_pair, semiring.combine,
-        )
-        c = acc.astype(np.float32)
-        stats = mem.finalize()
-        return (
-            semiring.finalize(c.astype(np.float64), a.row_lengths()).astype(np.float32),
-            stats,
-        )

@@ -14,16 +14,7 @@ paper's empirical choice of CF=2 (Fig. 9).
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core import _counting as cnt
-from repro.core.semiring import PLUS_TIMES, Semiring
-from repro.gpusim.batchtrace import (
-    BatchTraceMemory,
-    fold_spmm_rows,
-    ragged_arange,
-    tile_shared_accounting,
-)
 from repro.gpusim.config import GPUSpec
 from repro.gpusim.kernel import KernelCounts, SpMMKernel
 from repro.gpusim.memory import KernelStats
@@ -145,92 +136,3 @@ class CWMSpMM(SpMMKernel):
         per_elem = sum((min(32, n - 32 * c) + 7) // 8 for c in range(ac))
         tail = float(l_max * per_elem + 2 * ((l_max + 7) // 8) + 2) if l_max else 0.0
         return stats, launch, ExecHints(mlp=self.mlp_for(n), tail_sectors=tail)
-
-    def trace(self, a, b, gpu, semiring: Semiring = PLUS_TIMES):
-        """Batched trace replay — bit-identical stats and output to the
-        per-warp loop oracle in ``tests/trace_references.py`` (see
-        ``repro.gpusim.batchtrace``).
-
-        Warp task ``(row i, superseg s)`` covers ``ac`` active 32-column
-        segments (``ac = min(cf, ceil((n - s)/32))``; fully-predicated
-        segments issue nothing).  Program order: two rowptr broadcasts;
-        per staging tile ``t`` (step base ``2 + t (2 + 32 ac)``) colind +
-        values loads, shared stores, a sync; per consumed element ``e``
-        two shared broadcasts then ``ac`` independent contiguous B loads
-        at steps ``base + 2 + e*ac + c``; finally ``ac`` C stores.
-        """
-        self.check_semiring(semiring)
-        b = np.ascontiguousarray(b, dtype=np.float32)
-        m, n = a.nrows, b.shape[1]
-        cf = self.cf
-        span = 32 * cf
-        nss = (n + span - 1) // span
-        mem = BatchTraceMemory(l1_caches_global=gpu.l1_caches_global)
-        mem.register("rowptr", a.rowptr)
-        mem.register("colind", a.colind)
-        mem.register("values", a.values)
-        mem.register("B", b.ravel())
-        mem.register("C", np.full(m * n, semiring.init, dtype=np.float32))
-
-        rowptr = a.rowptr64()
-        lengths = rowptr[1:] - rowptr[:-1]
-        tasks = np.arange(m * nss, dtype=np.int64)
-        row_of_task = tasks // nss
-        ss_of_task = (tasks % nss) * span
-        ac_task = np.minimum(cf, (n - ss_of_task + 31) // 32)
-        len_of_task = lengths[row_of_task]
-
-        mem.load_contiguous("rowptr", row_of_task, 1, task=tasks, step=0)
-        mem.load_contiguous("rowptr", row_of_task + 1, 1, task=tasks, step=1)
-
-        ntiles_task = (len_of_task + 31) // 32
-        tile_task = np.repeat(tasks, ntiles_task)
-        tt = ragged_arange(ntiles_task)
-        tile_ptr = rowptr[row_of_task[tile_task]] + 32 * tt
-        tile_len = np.minimum(32, len_of_task[tile_task] - 32 * tt)
-        tile_stride = 2 + 32 * ac_task[tile_task]
-        mem.load_contiguous("colind", tile_ptr, tile_len, task=tile_task, step=2 + tt * tile_stride)
-        mem.load_contiguous("values", tile_ptr, tile_len, task=tile_task, step=3 + tt * tile_stride)
-        tile_shared_accounting(mem, tile_len)
-
-        # Element-level records, expanded by the task's active segment
-        # count: CF independent B loads per consumed nonzero.
-        nz_task = np.repeat(tasks, len_of_task)
-        t = ragged_arange(len_of_task)
-        ptr = rowptr[row_of_task[nz_task]] + t
-        k = a.colind64()[ptr]
-        ac_nz = ac_task[nz_task]
-        rep_task = np.repeat(nz_task, ac_nz)
-        c = ragged_arange(ac_nz)
-        t_rep = np.repeat(t, ac_nz)
-        k_rep = np.repeat(k, ac_nz)
-        ac_rep = ac_task[rep_task]
-        col0 = ss_of_task[rep_task] + 32 * c
-        base = 2 + (t_rep // 32) * (2 + 32 * ac_rep)
-        mem.load_contiguous(
-            "B",
-            k_rep * n + col0,
-            np.minimum(32, n - col0),
-            task=rep_task,
-            step=base + 2 + (t_rep % 32) * ac_rep + c,
-        )
-        store_task = np.repeat(tasks, ac_task)
-        cs = ragged_arange(ac_task)
-        store_col0 = ss_of_task[store_task] + 32 * cs
-        mem.store_contiguous(
-            "C",
-            row_of_task[store_task] * n + store_col0,
-            np.minimum(32, n - store_col0),
-            task=store_task,
-        )
-
-        acc = fold_spmm_rows(
-            rowptr, a.colind, mem.buffer("values"), mem.buffer("B").reshape(-1, n),
-            semiring.init, semiring.reduce_pair, semiring.combine,
-        )
-        c_out = acc.astype(np.float32)
-        stats = mem.finalize()
-        return (
-            semiring.finalize(c_out.astype(np.float64), a.row_lengths()).astype(np.float32),
-            stats,
-        )

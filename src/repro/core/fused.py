@@ -22,7 +22,6 @@ import numpy as np
 
 from repro.core.gespmm import GESpMM
 from repro.core.semiring import PLUS_TIMES, Semiring
-from repro.gpusim.batchtrace import BatchTraceMemory
 from repro.gpusim.config import GPUSpec
 from repro.gpusim.kernel import KernelCounts, SpMMKernel
 from repro.sparse.csr import CSRMatrix
@@ -99,31 +98,6 @@ class FusedGESpMM(SpMMKernel):
             stats.global_load.l1_filtered_transactions += max(extra // 8, 1)
             stats.global_load.requested_bytes += 4 * n * launch.blocks
         return stats, launch, hints
-
-    def trace(self, a, b, gpu, semiring: Semiring = PLUS_TIMES,
-              bias: Optional[np.ndarray] = None):
-        """Warp-level execution of the wrapped kernel plus the fused
-        epilogue.  The epilogue itself works on accumulator registers, so
-        the only extra memory traffic is the bias row: one warp-wide load
-        of ``bias[0:N]`` per block, replayed (batched, like the wrapped
-        kernel's accesses) so its instruction/transaction/requested-byte
-        totals match the analytic model in :meth:`count` exactly."""
-        c, stats = self._inner.trace(a, b, gpu, semiring)
-        n = int(b.shape[1])
-        if self.epilogue.uses_bias:
-            if bias is None:
-                raise ValueError(f"epilogue {self.epilogue.name!r} requires a bias vector")
-            if bias.shape != (n,):
-                raise ValueError("bias length must equal the output width")
-            _, launch, _ = self._inner.count(a, n, gpu)
-            mem = BatchTraceMemory(l1_caches_global=gpu.l1_caches_global)
-            mem.register("bias", np.asarray(bias, dtype=np.float32))
-            blocks = np.arange(launch.blocks, dtype=np.int64)
-            mem.load_contiguous(
-                "bias", np.zeros_like(blocks), n, task=blocks, step=0
-            )
-            stats.merge(mem.finalize())
-        return self.epilogue.fn(c, bias).astype(np.float32), stats
 
     def unfused_epilogue_time(self, a: CSRMatrix, n: int, gpu: GPUSpec) -> float:
         """What the equivalent standalone elementwise kernel(s) cost: a

@@ -66,9 +66,6 @@ class GESpMM(SpMMKernel):
     def count(self, a: CSRMatrix, n: int, gpu: GPUSpec) -> KernelCounts:
         return self.select(n).count(a, n, gpu)
 
-    def trace(self, a, b, gpu, semiring: Semiring = PLUS_TIMES):
-        return self.select(b.shape[1]).trace(a, b, gpu, semiring)
-
 
 def gespmm(a: CSRMatrix, b: np.ndarray) -> np.ndarray:
     """Convenience one-shot standard SpMM, ``C = A @ B``."""

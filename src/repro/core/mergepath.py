@@ -18,15 +18,15 @@ length.  Every warp owns one segment per 32-column output slab:
 * **Search.**  Each warp locates its boundary rows with a branchless
   bisection over ``rowptr`` running exactly ``ceil(log2(M+1))``
   iterations — one broadcast probe per iteration regardless of data, so
-  the probe stream is identical in the analytic counters, the batched
-  replay, and the per-warp oracle (:func:`_search_probes`).
+  the probe stream is identical in the analytic counters and the
+  per-warp oracle (:func:`_search_probes`).
 * **Row carries.**  A row crossing a segment boundary is accumulated
   partially by every segment touching it; each such segment performs a
   C read-modify-write (one extra segment load + store per touching
-  segment) instead of a plain store.  The replay keeps full-precision
-  accumulators across the carry — the model charges the RMW traffic but
-  idealizes the numerics, keeping outputs bit-identical to the CSR-order
-  left fold of :func:`repro.gpusim.batchtrace.fold_spmm_rows`.
+  segment) instead of a plain store.  The per-warp oracle keeps
+  full-precision accumulators across the carry — the model charges the
+  RMW traffic but idealizes the numerics, so the output is the CSR-order
+  left fold of every row's nonzeros, whichever segments hold them.
 * **No shared memory.**  Sparse indices/values stream through registers
   in 32-element coalesced chunks and spread lane-to-lane by shuffle, so
   there are no staging stores and no ``__syncwarp``.
@@ -49,8 +49,6 @@ from typing import Tuple
 import numpy as np
 
 from repro.core import _counting as cnt
-from repro.core.semiring import PLUS_TIMES, Semiring
-from repro.gpusim.batchtrace import BatchTraceMemory, fold_spmm_rows, ragged_arange
 from repro.gpusim.config import GPUSpec
 from repro.gpusim.kernel import KernelCounts, SpMMKernel
 from repro.gpusim.memory import KernelStats, segment_sectors
@@ -112,6 +110,16 @@ def merge_path_partition(rowptr: np.ndarray, items: int) -> MergePartition:
     return MergePartition(d=d, i=i, j=d - i)
 
 
+def ragged_arange(counts: np.ndarray) -> np.ndarray:
+    """``concatenate([arange(c) for c in counts])`` without the loop."""
+    counts = np.asarray(counts, dtype=np.int64)
+    total = int(counts.sum())
+    if total == 0:
+        return np.empty(0, dtype=np.int64)
+    offsets = np.cumsum(counts) - counts
+    return np.arange(total, dtype=np.int64) - np.repeat(offsets, counts)
+
+
 def _search_probes(rowptr: np.ndarray, d: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Probe sequence of the branchless merge-path boundary search.
 
@@ -121,8 +129,8 @@ def _search_probes(rowptr: np.ndarray, d: np.ndarray) -> Tuple[np.ndarray, np.nd
     issue exactly ``K = M.bit_length()`` probes (converged searches
     re-probe their answer).  Returns ``(probes, lo)`` with ``probes``
     ``int64[K, len(d)]`` — the ``rowptr`` index each iteration
-    broadcasts — shared verbatim by the analytic counters, the batched
-    replay, and the per-warp oracle so all three see the same stream.
+    broadcasts — shared verbatim by the analytic counters and the
+    per-warp oracle so both see the same stream.
     """
     rowptr = np.asarray(rowptr, dtype=np.int64)
     m = rowptr.size - 1
@@ -141,18 +149,18 @@ def _search_probes(rowptr: np.ndarray, d: np.ndarray) -> Tuple[np.ndarray, np.nd
 
 
 class _Schedule:
-    """Derived launch schedule shared by ``count``, ``trace`` and the
-    per-warp loop oracle.
+    """Derived launch schedule shared by ``count`` and the per-warp loop
+    oracle.
 
     Everything here follows deterministically from the partition, so the
-    closed forms and both replays agree by construction.
+    closed forms and the oracle agree by construction.
     """
 
     def __init__(self, a: CSRMatrix, items: int):
         rowptr = a.rowptr64()
         m = a.nrows
         part = merge_path_partition(rowptr, items)
-        d, i, j = part.d, part.i, part.j
+        d, j = part.d, part.j
         self.part = part
         self.n_segments = part.n_segments
         self.search_iters = int(m).bit_length()
@@ -160,8 +168,6 @@ class _Schedule:
             empty = np.empty(0, dtype=np.int64)
             self.touches = np.empty(0, dtype=np.int64)
             self.split = np.empty(0, dtype=bool)
-            self.carry1 = self.carry2 = np.empty(0, dtype=bool)
-            self.last_row = empty
             self.chunk_seg = self.chunk_idx = empty
             self.chunk_start = self.chunk_len = empty
             return
@@ -171,15 +177,8 @@ class _Schedule:
         # touching segment of a split row does a C read-modify-write.
         seg_first = np.searchsorted(d, key[:-1], side="right") - 1
         seg_last = np.searchsorted(d, key[1:] - 1, side="right") - 1
-        self.seg_first = seg_first
         self.touches = seg_last - seg_first + 1
         self.split = self.touches > 1
-        # Carry rows of a segment are at most its two boundary rows: the
-        # first row (if split) and the end-boundary row (if the segment
-        # holds at least one of its path items).
-        self.carry1 = self.split[i[:-1]]
-        self.carry2 = (i[1:] > i[:-1]) & (j[1:] > rowptr[i[1:]])
-        self.last_row = np.where(j[1:] > rowptr[i[1:]], i[1:], i[1:] - 1)
         # Coalesced 32-element chunks over each segment's nonzero range.
         nz_counts = j[1:] - j[:-1]
         n_chunks = (nz_counts + _CHUNK - 1) // _CHUNK
@@ -335,105 +334,3 @@ class MergePathSpMM(SpMMKernel):
         else:
             tail = 0.0
         return stats, launch, ExecHints(mlp=self.mlp, tail_sectors=tail)
-
-    # -- batched replay ------------------------------------------------
-    def trace(self, a, b, gpu, semiring: Semiring = PLUS_TIMES):
-        """Batched trace replay — bit-identical stats and output to the
-        per-warp loop oracle in ``tests/trace_references.py``.
-
-        Warp task ``(segment s, column segment cs)``, in program order:
-        ``2K`` boundary-search probes (steps ``0 .. 2K-1``); the carry C
-        loads (first row at step ``2K``, end-boundary row at ``2K+1``) —
-        placed before the walk so the RMW read precedes its use; per
-        32-element chunk ``t`` one contiguous colind load and one values
-        load (steps ``2K+2 + 34t``, ``+1``) followed by one contiguous B
-        segment load per element ``e`` (step ``2K+4 + 34t + e``);
-        finally one C segment store per touched row.
-        """
-        self.check_semiring(semiring)
-        b = np.ascontiguousarray(b, dtype=np.float32)
-        m, n = a.nrows, b.shape[1]
-        nseg = cnt.warps_per_row(n, 1)
-        mem = BatchTraceMemory(l1_caches_global=gpu.l1_caches_global)
-        mem.register("rowptr", a.rowptr)
-        mem.register("colind", a.colind)
-        mem.register("values", a.values)
-        mem.register("B", b.ravel())
-        mem.register("C", np.full(m * n, semiring.init, dtype=np.float32))
-
-        rowptr = a.rowptr64()
-        sched = self._schedule(a, n, gpu)
-        n_seg_path = sched.n_segments
-        if n_seg_path:
-            d, i, j = sched.part.d, sched.part.i, sched.part.j
-            k_iters = sched.search_iters
-            seg_ids = np.arange(n_seg_path, dtype=np.int64)
-            base = 2 * k_iters + 2
-
-            probes_lo, _ = _search_probes(rowptr, d[:-1])
-            probes_hi, _ = _search_probes(rowptr, d[1:])
-            task_grid = (seg_ids[:, None] * nseg + np.arange(nseg)).ravel()
-            for probes, step0 in ((probes_lo, 0), (probes_hi, k_iters)):
-                if not k_iters:
-                    break
-                starts = np.repeat(probes, nseg, axis=1)
-                mem.load_contiguous(
-                    "rowptr",
-                    starts.ravel(),
-                    1,
-                    task=np.tile(task_grid, k_iters),
-                    step=np.repeat(np.arange(k_iters, dtype=np.int64) + step0, task_grid.size),
-                )
-
-            carry1_rows = i[:-1][sched.carry1]
-            carry1_segs = seg_ids[sched.carry1]
-            carry2_rows = i[1:][sched.carry2]
-            carry2_segs = seg_ids[sched.carry2]
-            store_rows = np.repeat(np.arange(m, dtype=np.int64), sched.touches)
-            store_segs = np.repeat(sched.seg_first, sched.touches) + ragged_arange(
-                sched.touches
-            )
-
-            nz_counts = j[1:] - j[:-1]
-            nz_seg = np.repeat(seg_ids, nz_counts)
-            e = ragged_arange(nz_counts)
-            k_cols = a.colind64()[j[:-1][nz_seg] + e]
-            b_step = base + 2 + 2 * (e // _CHUNK) + e
-
-            for cs in range(nseg):
-                cs0 = 32 * cs
-                cs_len = min(32, n - cs0)
-                mem.load_contiguous(
-                    "C", carry1_rows * n + cs0, cs_len,
-                    task=carry1_segs * nseg + cs, step=2 * k_iters,
-                )
-                mem.load_contiguous(
-                    "C", carry2_rows * n + cs0, cs_len,
-                    task=carry2_segs * nseg + cs, step=2 * k_iters + 1,
-                )
-                mem.load_contiguous(
-                    "colind", sched.chunk_start, sched.chunk_len,
-                    task=sched.chunk_seg * nseg + cs, step=base + 34 * sched.chunk_idx,
-                )
-                mem.load_contiguous(
-                    "values", sched.chunk_start, sched.chunk_len,
-                    task=sched.chunk_seg * nseg + cs, step=base + 34 * sched.chunk_idx + 1,
-                )
-                mem.load_contiguous(
-                    "B", k_cols * n + cs0, cs_len,
-                    task=nz_seg * nseg + cs, step=b_step,
-                )
-                mem.store_contiguous(
-                    "C", store_rows * n + cs0, cs_len, task=store_segs * nseg + cs
-                )
-
-        acc = fold_spmm_rows(
-            rowptr, a.colind, mem.buffer("values"), mem.buffer("B").reshape(-1, n),
-            semiring.init, semiring.reduce_pair, semiring.combine,
-        )
-        c = acc.astype(np.float32)
-        stats = mem.finalize()
-        return (
-            semiring.finalize(c.astype(np.float64), a.row_lengths()).astype(np.float32),
-            stats,
-        )

@@ -21,12 +21,9 @@ models end to end:
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
 from repro.core import _counting as cnt
-from repro.gpusim.batchtrace import BatchTraceMemory, ragged_arange
 from repro.gpusim.config import GPUSpec
 from repro.gpusim.kernel import KernelCounts, SpMMKernel
 from repro.gpusim.memory import KernelStats
@@ -90,114 +87,19 @@ class GESDDMM(SpMMKernel):
     def run_xy(self, mask: CSRMatrix, x: np.ndarray, y: np.ndarray) -> CSRMatrix:
         return reference_sddmm(mask, x, y)
 
-    def trace(self, a, b, gpu, semiring=None):
-        raise NotImplementedError(
-            "GESDDMM.trace is intentionally unsupported: SDDMM takes two "
-            "dense operands (X and Y), which the SpMMKernel.trace(a, b, gpu) "
-            "signature cannot express — call trace_xy(mask, x, y, gpu) instead"
-        )
-
-    def trace_xy(
-        self, mask: CSRMatrix, x: np.ndarray, y: np.ndarray, gpu: GPUSpec
-    ) -> Tuple[CSRMatrix, KernelStats]:
-        """Faithful warp-level SDDMM execution with exact coalescing.
-
-        Mirrors the access model in :meth:`count`: per occupied row the
-        warp streams X[i, :] once (coalesced 32-wide segments, reused for
-        the whole run), then per nonzero streams Y[j, :] the same way and
-        reduces with a shuffle tree (no memory traffic); mask structure
-        moves as coalesced 32-element tiles and the output as one value
-        per nonzero along the run.  Sector parity with the closed-form
-        counters holds when ``N % 8 == 0`` (rows of X and Y start on
-        sector boundaries — the same alignment caveat as the analytic
-        dense counters); other widths remain functionally exact but the
-        closed form over-counts boundary sectors.
-
-        Batched trace replay — bit-identical stats and output to the
-        per-warp loop oracle in ``tests/trace_references.py`` (see
-        ``repro.gpusim.batchtrace``).  Warp task = occupied row ``i``;
-        program order: the ``nseg`` X segment loads (steps
-        ``0..nseg-1``); per 32-nonzero tile ``t`` (step base
-        ``nseg + t (2 + 32 nseg)``) colind + values loads; per tile
-        element ``e`` the ``nseg`` Y segment loads at steps
-        ``base + 2 + e*nseg + s``; one E store per tile.
-        """
-        x = np.ascontiguousarray(x, dtype=VALUE_DTYPE)
-        y = np.ascontiguousarray(y, dtype=VALUE_DTYPE)
-        if x.shape[0] != mask.nrows or y.shape[0] != mask.ncols or x.shape[1] != y.shape[1]:
-            raise ValueError(
-                f"SDDMM shapes inconsistent: mask {mask.shape}, X {x.shape}, Y {y.shape}"
-            )
-        n = x.shape[1]
-        mem = BatchTraceMemory(l1_caches_global=gpu.l1_caches_global)
-        mem.register("colind", mask.colind)
-        mem.register("values", mask.values)
-        mem.register("X", x.ravel())
-        mem.register("Y", y.ravel())
-        mem.register("E", np.zeros(mask.nnz, dtype=VALUE_DTYPE))
-        segs = cnt.dense_segments(n)
-        nseg = len(segs)
-        seg_start = np.array([s for s, _ in segs], dtype=np.int64)
-        seg_len = np.array([length for _, length in segs], dtype=np.int64)
-
-        rowptr = mask.rowptr64()
-        lengths = rowptr[1:] - rowptr[:-1]
-        m = mask.nrows
-
-        occupied = np.nonzero(lengths > 0)[0]
-        x_task = np.repeat(occupied, nseg)
-        x_seg = np.tile(np.arange(nseg, dtype=np.int64), occupied.size)
-        mem.load_contiguous(
-            "X", x_task * n + seg_start[x_seg], seg_len[x_seg], task=x_task, step=x_seg
-        )
-
-        ntiles_row = (lengths + 31) // 32
-        tile_row = np.repeat(np.arange(m, dtype=np.int64), ntiles_row)
-        tt = ragged_arange(ntiles_row)
-        tile_ptr = rowptr[tile_row] + 32 * tt
-        tile_len = np.minimum(32, lengths[tile_row] - 32 * tt)
-        tile_base = nseg + tt * (2 + 32 * nseg)
-        mem.load_contiguous("colind", tile_ptr, tile_len, task=tile_row, step=tile_base)
-        mem.load_contiguous("values", tile_ptr, tile_len, task=tile_row, step=tile_base + 1)
-
-        nz_row = np.repeat(np.arange(m, dtype=np.int64), lengths)
-        t = ragged_arange(lengths)
-        k = mask.colind64()
-        y_task = np.repeat(nz_row, nseg)
-        y_seg = np.tile(np.arange(nseg, dtype=np.int64), int(mask.nnz))
-        y_k = np.repeat(k, nseg)
-        y_base = nseg + np.repeat(t // 32, nseg) * (2 + 32 * nseg)
-        mem.load_contiguous(
-            "Y",
-            y_k * n + seg_start[y_seg],
-            seg_len[y_seg],
-            task=y_task,
-            step=y_base + 2 + np.repeat(t % 32, nseg) * nseg + y_seg,
-        )
-        mem.store_contiguous("E", tile_ptr, tile_len, task=tile_row)
-
-        # Numerics: per-segment float64 dot products accumulated in
-        # segment order — the exact operation sequence of the loop replay
-        # (np.dot promotes its float32 operand to float64 first).
-        x64 = x.astype(np.float64)
-        y64 = y.astype(np.float64)
-        dots = np.zeros(mask.nnz)
-        for idx in range(int(mask.nnz)):
-            i = int(nz_row[idx])
-            kk = int(k[idx])
-            acc = 0.0
-            for start, length in segs:
-                acc += float(
-                    np.dot(x64[i, start:start + length], y64[kk, start:start + length])
-                )
-            dots[idx] = acc
-        evals = np.zeros(mask.nnz, dtype=VALUE_DTYPE)
-        evals[:] = mask.values.astype(np.float64) * dots
-        stats = mem.finalize()
-        return mask.with_values(evals), stats
-
     def count(self, a: CSRMatrix, n: int, gpu: GPUSpec) -> KernelCounts:
-        """Access model for feature width ``n`` (columns of X and Y)."""
+        """Access model for feature width ``n`` (columns of X and Y).
+
+        Per occupied row the warp streams X[i, :] once (coalesced 32-wide
+        segments, reused for the whole run), then per nonzero streams
+        Y[j, :] the same way and reduces with a shuffle tree (no memory
+        traffic); mask structure moves as coalesced 32-element tiles and
+        the output as one value per nonzero along the run.  The counts
+        are sector-exact when ``N % 8 == 0`` (rows of X and Y start on
+        sector boundaries — the same alignment caveat as the dense SpMM
+        counters); at other widths the closed form over-counts boundary
+        sectors.
+        """
         stats = KernelStats()
         m, nnz = a.nrows, a.nnz
         segs = cnt.dense_segments(n)

@@ -11,11 +11,7 @@ pattern.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core import _counting as cnt
-from repro.core.semiring import PLUS_TIMES, Semiring
-from repro.gpusim.batchtrace import BatchTraceMemory, fold_spmm_rows, ragged_arange
 from repro.gpusim.config import GPUSpec
 from repro.gpusim.kernel import KernelCounts, SpMMKernel
 from repro.gpusim.memory import KernelStats
@@ -104,64 +100,3 @@ class SimpleSpMM(SpMMKernel):
             shared_mem_per_block=0,
         )
         return stats, launch, ExecHints(mlp=self.mlp)
-
-    def trace(self, a, b, gpu, semiring: Semiring = PLUS_TIMES):
-        """Batched trace replay — bit-identical stats and output to the
-        per-warp loop oracle in ``tests/trace_references.py`` (see
-        ``repro.gpusim.batchtrace``).
-
-        Warp task ``(row i, segment s)`` issues, in program order: two
-        rowptr broadcasts, then per nonzero a colind broadcast, a values
-        broadcast, and one contiguous B segment load; finally one C
-        segment store.  All tasks' records are emitted as flat arrays.
-        """
-        self.check_semiring(semiring)
-        b = np.ascontiguousarray(b, dtype=np.float32)
-        m, n = a.nrows, b.shape[1]
-        nseg = cnt.warps_per_row(n, 1)
-        mem = BatchTraceMemory(l1_caches_global=gpu.l1_caches_global)
-        mem.register("rowptr", a.rowptr)
-        mem.register("colind", a.colind)
-        mem.register("values", a.values)
-        mem.register("B", b.ravel())
-        mem.register("C", np.full(m * n, semiring.init, dtype=np.float32))
-
-        rowptr = a.rowptr64()
-        lengths = rowptr[1:] - rowptr[:-1]
-        tasks = np.arange(m * nseg, dtype=np.int64)
-        row_of_task = tasks // nseg
-        seg_of_task = (tasks % nseg) * 32
-        seg_len_task = np.minimum(32, n - seg_of_task)
-
-        # Two rowptr broadcasts per task (steps 0, 1).
-        mem.load_contiguous("rowptr", row_of_task, 1, task=tasks, step=0)
-        mem.load_contiguous("rowptr", row_of_task + 1, 1, task=tasks, step=1)
-
-        # Per consumed nonzero: colind broadcast (step 2+3t), values
-        # broadcast (3+3t), contiguous B segment (4+3t).
-        len_of_task = lengths[row_of_task]
-        nz_task = np.repeat(tasks, len_of_task)
-        t = ragged_arange(len_of_task)
-        ptr = rowptr[row_of_task[nz_task]] + t
-        k = a.colind64()[ptr]
-        mem.load_contiguous("colind", ptr, 1, task=nz_task, step=2 + 3 * t)
-        mem.load_contiguous("values", ptr, 1, task=nz_task, step=3 + 3 * t)
-        mem.load_contiguous(
-            "B",
-            k * n + seg_of_task[nz_task],
-            seg_len_task[nz_task],
-            task=nz_task,
-            step=4 + 3 * t,
-        )
-        mem.store_contiguous("C", row_of_task * n + seg_of_task, seg_len_task, task=tasks)
-
-        acc = fold_spmm_rows(
-            rowptr, a.colind, mem.buffer("values"), mem.buffer("B").reshape(-1, n),
-            semiring.init, semiring.reduce_pair, semiring.combine,
-        )
-        c = acc.astype(np.float32)
-        stats = mem.finalize()
-        return (
-            semiring.finalize(c.astype(np.float64), a.row_lengths()).astype(np.float32),
-            stats,
-        )

@@ -199,7 +199,15 @@ def dropout(
         raise ValueError("dropout probability must be in [0, 1)")
     size = x.size
     charge(Op("elementwise", (size, 2)))
-    keep = (rng.random(x.data.shape) >= p).astype(np.float32) / (1.0 - p)
+    # The mask is drawn in row blocks of about 2**20 values: the same
+    # random stream and the same bits as one ``rng.random(x.shape)``,
+    # without that call's float64 (M, N) temporary.
+    keep = np.empty(x.data.shape, dtype=np.float32)
+    block = max(1, (1 << 20) // max(keep[:1].size, 1))
+    for r0 in range(0, keep.shape[0], block):
+        rows = keep[r0:r0 + block]
+        rows[...] = rng.random(rows.shape) >= p
+    keep /= 1.0 - p
     out = x.data * keep
     xn = x.node
 

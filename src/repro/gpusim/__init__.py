@@ -4,23 +4,9 @@ This package stands in for the two physical GPUs of the paper's testbed.
 See DESIGN.md section 4 for the model definitions and calibration notes.
 """
 
-from repro.gpusim.batchtrace import (
-    BatchTraceMemory,
-    fold_spmm_rows,
-    l1_filtered_misses,
-    ragged_arange,
-    record_program,
-    tile_shared_accounting,
-)
 from repro.gpusim.config import GPUSpec, GTX_1080TI, KNOWN_GPUS, RTX_2080
 from repro.gpusim.kernel import SpMMKernel, clear_estimate_memo
-from repro.gpusim.warptrace import warp_trace_events
-from repro.gpusim.memory import (
-    AccessStats,
-    KernelStats,
-    bank_conflict_passes_batch,
-    segment_sectors,
-)
+from repro.gpusim.memory import AccessStats, KernelStats, segment_sectors
 from repro.gpusim.memory_footprint import (
     DeviceOutOfMemory,
     SpmmFootprint,
@@ -45,17 +31,9 @@ __all__ = [
     "KNOWN_GPUS",
     "SpMMKernel",
     "clear_estimate_memo",
-    "record_program",
-    "warp_trace_events",
     "AccessStats",
     "KernelStats",
     "segment_sectors",
-    "bank_conflict_passes_batch",
-    "BatchTraceMemory",
-    "fold_spmm_rows",
-    "l1_filtered_misses",
-    "ragged_arange",
-    "tile_shared_accounting",
     "DeviceOutOfMemory",
     "SpmmFootprint",
     "spmm_footprint",

@@ -1,15 +1,14 @@
 """Base class shared by all simulated SpMM kernels.
 
-A kernel model couples three views of the same algorithm:
+A kernel model couples two views of the same algorithm:
 
 * ``run``      — functional execution producing the numeric output; by
                  default the CSR reference (``reference_spmm_like``),
                  which kernels computing something else override.
 * ``count``    — closed-form access/instruction statistics plus launch
-                 shape; validated against ``trace`` where implemented.
-* ``trace``    — optional exact warp-level replay of every access
-                 (batched, see :mod:`repro.gpusim.batchtrace`), used on
-                 small inputs by tests and profiling examples.
+                 shape; the conformance tests check it instruction for
+                 instruction against the per-warp loop replays in
+                 ``tests/trace_references.py``.
 
 ``estimate`` ties ``count`` to the timing model.  Results are kept in a
 process-wide content-addressed cache keyed on ``(kernel.cache_key(),
@@ -119,16 +118,6 @@ class SpMMKernel(ABC):
     @abstractmethod
     def count(self, a: CSRMatrix, n: int, gpu: GPUSpec) -> KernelCounts:
         """Closed-form statistics and launch configuration."""
-
-    def trace(
-        self,
-        a: CSRMatrix,
-        b: np.ndarray,
-        gpu: GPUSpec,
-        semiring: Semiring = PLUS_TIMES,
-    ) -> Tuple[np.ndarray, KernelStats]:
-        """Faithful warp-level execution (batched replay).  Optional."""
-        raise NotImplementedError(f"{self.name} has no trace-mode implementation")
 
     # -- timing ----------------------------------------------------------
     def estimate(

@@ -7,21 +7,13 @@ is that a warp's 32 lane addresses are merged into the minimum number of
 (``gld_transactions`` / ``gst_transactions``).  ``gld_efficiency`` is the
 ratio of bytes the program asked for to bytes the transactions moved.
 
-Two views of the same accesses share these definitions:
-
-* **trace mode** — each kernel's ``trace`` replays every warp's accesses
-  as ``(buffer, start, length)`` records through
-  :class:`repro.gpusim.batchtrace.BatchTraceMemory`, which coalesces them
-  with :func:`segment_sectors` and scores shared-memory requests with
-  :func:`bank_conflict_passes_batch`.  This is exact and is used by tests
-  and small-input profiling.
-* **analytic mode** — kernels compute the same totals in closed form with
-  vectorized NumPy (see each kernel's ``count`` method).  Property tests
-  assert trace == analytic on randomized small inputs.
-
-The per-warp loop oracle that trace mode is checked against, with the
-scalar sector and bank rules it applies per request, lives in
-``tests/trace_references.py``.
+Kernels compute these totals in closed form with vectorized NumPy (each
+kernel's ``count`` method, built on :func:`segment_sectors`).  The
+reference they are checked against is a per-warp loop replay that moves
+real data and coalesces each access's actual addresses, one warp
+instruction at a time; it lives in ``tests/trace_references.py`` with the
+scalar sector and bank rules it applies per request, and the conformance
+tests require ``count`` to match it instruction for instruction.
 
 Shared-memory accesses are modelled with the 32-bank rule: a warp request
 is replayed once per additional address mapping to an already-used bank
@@ -31,7 +23,7 @@ is replayed once per additional address mapping to an already-used bank
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -39,7 +31,6 @@ __all__ = [
     "AccessStats",
     "KernelStats",
     "segment_sectors",
-    "bank_conflict_passes_batch",
 ]
 
 SECTOR = 32  # bytes
@@ -59,47 +50,6 @@ def segment_sectors(start_elem: np.ndarray, length: np.ndarray, elem_bytes: int 
     last = ((start_elem + length) * elem_bytes - 1) // SECTOR
     out = last - first + 1
     return np.where(length > 0, out, 0)
-
-
-def bank_conflict_passes_batch(
-    word_addresses: np.ndarray, mask: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """Shared-memory passes (1 = conflict free) for a whole warp batch,
-    under the 32-bank / 4-byte-word rule with broadcast merging: distinct
-    addresses mapping to the same bank serialize.
-
-    ``word_addresses`` is ``(num_warps, lanes)``; ``mask`` (same shape,
-    optional) predicates lanes off per warp.  Returns an ``int64`` vector
-    of one pass count per warp, counting only that warp's active lanes (0
-    for a fully-masked warp).  Used by the batch trace-replay engine to
-    account shared-memory requests for every warp of a launch in one shot.
-    """
-    addrs = np.asarray(word_addresses, dtype=np.int64)
-    if addrs.ndim != 2:
-        raise ValueError(f"expected a (num_warps, lanes) matrix, got shape {addrs.shape}")
-    w, lanes = addrs.shape
-    if w == 0 or lanes == 0:
-        return np.zeros(w, dtype=np.int64)
-    if mask is None:
-        active = np.ones((w, lanes), dtype=bool)
-    else:
-        active = np.asarray(mask, dtype=bool)
-        if active.shape != addrs.shape:
-            raise ValueError("mask shape must match word_addresses")
-    # Sort each warp's addresses with inactive lanes pushed to the front
-    # as a sentinel, then keep one representative per distinct address.
-    sentinel = addrs.min() - 1 if active.any() else -1
-    a = np.where(active, addrs, sentinel)
-    a.sort(axis=1)
-    valid = a != sentinel
-    first = np.empty_like(valid)
-    first[:, 0] = True
-    first[:, 1:] = a[:, 1:] != a[:, :-1]
-    keep = valid & first
-    banks = a % 32
-    keys = (np.arange(w, dtype=np.int64)[:, None] * 32 + banks)[keep]
-    counts = np.bincount(keys, minlength=w * 32).reshape(w, 32)
-    return counts.max(axis=1).astype(np.int64)
 
 
 @dataclass

@@ -103,11 +103,6 @@ class Tracer:
         self._origin = self._clock()
         self.records: List[SpanRecord] = []
         self._stack: List[SpanRecord] = []
-        #: pre-built Chrome trace events appended verbatim by
-        #: :meth:`to_chrome` — the carrier for simulated-device timelines
-        #: (per-warp traces, one tid per warp; see
-        #: ``repro.gpusim.warptrace``).  Not part of the JSONL span export.
-        self.chrome_events: List[Dict[str, Any]] = []
 
     # -- core protocol -------------------------------------------------
     def _now(self) -> float:
@@ -148,16 +143,6 @@ class Tracer:
             self._stack[-1].events.append(
                 {"name": name, "t_s": self._now(), "attrs": attrs}
             )
-
-    def add_chrome_events(self, events: List[Dict[str, Any]]) -> None:
-        """Append pre-built Chrome trace-event dicts (device timelines).
-
-        Callers own the event shape (``ph``/``pid``/``tid``/``ts``...);
-        the tracer just carries them into :meth:`to_chrome`.  Use distinct
-        ``pid`` values per device/kernel so span rows (pid 0) stay
-        separate from device rows.
-        """
-        self.chrome_events.extend(events)
 
     @property
     def open_depth(self) -> int:
@@ -207,7 +192,6 @@ class Tracer:
                         "args": dict(ev["attrs"]),
                     }
                 )
-        events.extend(self.chrome_events)
         return {"traceEvents": events, "displayTimeUnit": "ms"}
 
     def write(self, path: PathLike, fmt: Optional[str] = None) -> Path:

@@ -9,8 +9,8 @@ the stable-argsort top-k behind the DLMC pruned generators, and the
 ``concat → matmul → add_bias`` chain that ``gnn.functional.matmul``'s
 block-and-bias form replaces.  They are
 written for clarity, not speed, and nothing in ``src/`` calls them.  The
-per-warp loop replays that the batched trace is checked against live in
-the sibling module ``trace_references.py``.
+per-warp loop replays that ``count`` is checked against live in the
+sibling module ``trace_references.py``.
 """
 
 from __future__ import annotations
@@ -70,7 +70,10 @@ def scatter_spmm_like(a: CSRMatrix, b: np.ndarray, semiring: Semiring) -> np.nda
     if a.nnz:
         contributions = semiring.combine(a.values[:, None], b[a.colind.astype(np.int64)])
         ufunc = _SCATTER_UFUNCS[semiring.reduce]
-        ufunc.at(out, np.repeat(np.arange(a.nrows), np.diff(a.rowptr)), contributions)
+        # Mixed-sign weights on infinite features sum +inf and -inf to
+        # NaN; that NaN is the value the production path must match.
+        with np.errstate(invalid="ignore"):
+            ufunc.at(out, np.repeat(np.arange(a.nrows), np.diff(a.rowptr)), contributions)
     return semiring.finalize(out, np.diff(a.rowptr)).astype(VALUE_DTYPE)
 
 

@@ -3,12 +3,12 @@
 The benchmark gate (`repro.bench.gate`) certifies that `BENCH_spmm.json`
 did not drift — but the numbers in that document come from the analytic
 counters, so the gate is only as trustworthy as `count`.  This suite
-guards the gate's inputs: for every kernel model with a trace mode
-(simple / CRC / CWM / adaptive GE-SpMM / fused epilogues / SDDMM), the
-closed-form counters must agree instruction-for-instruction and
-sector-for-sector with a faithful warp-by-warp execution, across a
-seeded grid of random CSR matrices varying density, row-length skew,
-feature width, and GPU spec.
+guards the gate's inputs: for every kernel model with a per-warp loop
+oracle in `trace_references` (simple / CRC / CWM / adaptive GE-SpMM /
+merge-path / fused epilogues / SDDMM), the closed-form counters must
+agree instruction-for-instruction and sector-for-sector with that
+faithful warp-by-warp execution, across a seeded grid of random CSR
+matrices varying density, row-length skew, feature width, and GPU spec.
 
 The default grid keeps tier-1 fast; the `slow`-marked sweep widens every
 axis and runs in CI's dedicated conformance job (see
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from trace_references import sddmm_trace_xy_loop, spmm_trace_loop
 
 from repro.core import (
     CRCSpMM,
@@ -47,7 +48,7 @@ MATRICES = {
     "powerlaw-hub": lambda seed: power_law(m=32, nnz=256, exponent=1.7, seed=seed),
 }
 
-#: SpMM-shaped kernels sharing the (a, b, gpu) trace signature.
+#: SpMM-shaped kernels the (a, b, gpu) loop oracle replays.
 SPMM_KERNELS = {
     "simple": SimpleSpMM,
     "crc": CRCSpMM,
@@ -83,7 +84,7 @@ def check_spmm_kernel(kernel_factory, matrix_factory, n, gpu, seed):
     rng = np.random.default_rng(seed + 1000)
     b = rng.random((a.ncols, n), dtype=np.float32)
     kernel = kernel_factory()
-    c, traced = kernel.trace(a, b, gpu)
+    c, traced = spmm_trace_loop(kernel, a, b, gpu)
     analytic, _, _ = kernel.count(a, n, gpu)
     assert_stats_equal(traced, analytic, f"{kernel.name} n={n} {gpu.name}")
     ref = reference_spmm_like(a, b)
@@ -98,7 +99,7 @@ def check_fused_bias_kernel(matrix_factory, n, gpu, seed):
     b = rng.standard_normal((a.ncols, n)).astype(np.float32)
     bias = rng.standard_normal(n).astype(np.float32)
     kernel = FusedGESpMM(bias_relu_epilogue())
-    c, traced = kernel.trace(a, b, gpu, bias=bias)
+    c, traced = spmm_trace_loop(kernel, a, b, gpu, bias=bias)
     analytic, _, _ = kernel.count(a, n, gpu)
     assert_stats_equal(traced, analytic, f"{kernel.name} n={n} {gpu.name}")
     ref = np.maximum(reference_spmm_like(a, b) + bias[None, :], 0.0)
@@ -113,7 +114,7 @@ def check_sddmm_kernel(matrix_factory, n, gpu, seed):
     x = rng.random((mask.nrows, n), dtype=np.float32)
     y = rng.random((mask.ncols, n), dtype=np.float32)
     kernel = GESDDMM()
-    e, traced = kernel.trace_xy(mask, x, y, gpu)
+    e, traced = sddmm_trace_xy_loop(kernel, mask, x, y, gpu)
     ref = reference_sddmm(mask, x, y)
     np.testing.assert_allclose(e.values, ref.values, rtol=1e-4, atol=1e-5)
     if n % 8 == 0:
@@ -158,11 +159,11 @@ def test_grid_turing_spec(kernel_id):
 @pytest.mark.parametrize("kernel_id", ("crc", "cwm2", "cwm3", "cwm4"))
 @pytest.mark.parametrize("n", SLOW_WIDTHS)
 def test_grid_crc_cwm_uniform(kernel_id, matrix_id, n, seed):
-    """CRC/CWM x uniform-matrix slice of the full grid, promoted from the
-    slow CI job into tier-1: the batched replay engine (repro.gpusim
-    .batchtrace) made warp-exact traces cheap enough to run every
-    shared-memory kernel variant at full width/seed coverage on every
-    push, not just in the nightly conformance job."""
+    """CRC/CWM x uniform-matrix slice of the full grid, run in tier-1:
+    every shared-memory kernel variant at full width/seed coverage on
+    every push, not just in the nightly conformance job.  The matrices
+    are small enough (<= 36 rows) that the per-warp loop oracle keeps
+    this slice to a few seconds."""
     check_spmm_kernel(SPMM_KERNELS[kernel_id], MATRICES[matrix_id], n,
                       GTX_1080TI, seed)
 

@@ -315,6 +315,17 @@ class TestOperatorGradients:
         np.testing.assert_allclose(x.grad[kept], 1 / 0.6, rtol=1e-5)
         assert np.all(x.grad[~kept] == 0)
 
+    def test_dropout_mask_matches_one_draw(self, charge):
+        """The mask is drawn in row blocks; it must equal, bit for bit,
+        the mask of one ``rng.random`` over the whole shape and leave the
+        generator in the same state.  (5000, 300) spans two blocks."""
+        x = np.random.default_rng(1).standard_normal((5000, 300)).astype(np.float32)
+        one_draw, blocked = np.random.default_rng(7), np.random.default_rng(7)
+        keep = (one_draw.random(x.shape) >= 0.3).astype(np.float32) / (1.0 - 0.3)
+        out = F.dropout(Tensor(x), 0.3, charge, training=True, rng=blocked)
+        np.testing.assert_array_equal(out.data, x * keep)
+        assert one_draw.random() == blocked.random()
+
     def test_dropout_eval_identity(self, charge, rng):
         x = Tensor(np.ones((4, 4), dtype=np.float32))
         out = F.dropout(x, 0.9, charge, training=False, rng=rng)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from trace_references import spmm_trace_loop
 
 from repro.core import CRCSpMM, GESpMM, SimpleSpMM
 from repro.gpusim import GTX_1080TI
@@ -69,7 +70,8 @@ class TestDefensiveInterfaces:
         vals_before = a.values.copy()
         b_before = b.copy()
         GESpMM().run(a, b)
-        GESpMM().trace(a, b, GTX_1080TI)
+        GESpMM().count(a, b.shape[1], GTX_1080TI)
+        spmm_trace_loop(GESpMM(), a, b, GTX_1080TI)
         np.testing.assert_array_equal(a.values, vals_before)
         np.testing.assert_array_equal(b, b_before)
 

@@ -3,7 +3,8 @@
 This is the load-bearing validation of the whole memory model: for the
 three core kernels, the vectorized analytic counters in ``count`` must
 agree *exactly* — instruction for instruction, sector for sector — with
-a warp-by-warp execution through the trace-mode coalescing model, on
+a warp-by-warp execution through the per-warp loop oracle
+(``trace_references.spmm_trace_loop``) and its coalescing model, on
 randomized matrices, feature widths (including non-multiples of 32) and
 semirings, on both L1 policies.
 """
@@ -11,6 +12,7 @@ semirings, on both L1 policies.
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from trace_references import spmm_trace_loop
 
 from repro.core import CRCSpMM, CWMSpMM, GESpMM, SimpleSpMM
 from repro.gpusim import GTX_1080TI, RTX_2080
@@ -50,7 +52,7 @@ def test_trace_equals_analytic(kernel_factory, m, density, n, seed):
     rng = np.random.default_rng(seed)
     b = rng.random((a.ncols, n), dtype=np.float32)
     kernel = kernel_factory()
-    c, traced = kernel.trace(a, b, GTX_1080TI)
+    c, traced = spmm_trace_loop(kernel, a, b, GTX_1080TI)
     analytic, _, _ = kernel.count(a, n, GTX_1080TI)
     _assert_stats_equal(traced, analytic)
     np.testing.assert_allclose(c, reference_spmm_like(a, b), rtol=1e-4, atol=1e-4)
@@ -63,7 +65,7 @@ def test_trace_equals_analytic_on_turing_raw_counts(kernel_factory, rng):
     a = uniform_random(m=40, nnz=300, seed=5)
     b = rng.random((a.ncols, 48), dtype=np.float32)
     kernel = kernel_factory()
-    _, traced = kernel.trace(a, b, RTX_2080)
+    _, traced = spmm_trace_loop(kernel, a, b, RTX_2080)
     analytic, _, _ = kernel.count(a, 48, RTX_2080)
     _assert_stats_equal(traced, analytic)
 
@@ -73,7 +75,7 @@ def test_trace_with_max_semiring(kernel_factory, rng):
     a = uniform_random(m=30, nnz=240, seed=8)
     b = rng.standard_normal((a.ncols, 40)).astype(np.float32)
     kernel = kernel_factory()
-    c, traced = kernel.trace(a, b, GTX_1080TI, MAX_TIMES)
+    c, traced = spmm_trace_loop(kernel, a, b, GTX_1080TI, MAX_TIMES)
     np.testing.assert_allclose(c, reference_spmm_like(a, b, MAX_TIMES), rtol=1e-4, atol=1e-4)
     # Access pattern is semiring independent.
     analytic, _, _ = kernel.count(a, 40, GTX_1080TI)
@@ -85,7 +87,7 @@ def test_simple_l1_filter_bounded(rng):
     count and (for the broadcast-heavy simple kernel) well below it."""
     a = uniform_random(m=50, nnz=1200, seed=3)
     b = rng.random((a.ncols, 64), dtype=np.float32)
-    _, traced = SimpleSpMM().trace(a, b, RTX_2080)
+    _, traced = spmm_trace_loop(SimpleSpMM(), a, b, RTX_2080)
     gl = traced.global_load
     assert 0 < gl.l1_filtered_transactions < gl.transactions
     # The analytic counter also predicts substantial filtering.  (It is

@@ -1,24 +1,18 @@
-"""Unit tests for the memory-model primitives the replay engines share.
+"""Unit tests for the memory-model primitives of the per-warp oracle.
 
 Targeted coverage for three pieces the conformance grid only exercises
 indirectly: the Turing L1 recency-window filter in the per-warp oracle's
-:class:`TraceMemory`, :func:`bank_conflict_passes` (and its vectorized
-batch twin) on the classic conflict shapes, and the ragged/stream
-helpers that power ``repro.gpusim.batchtrace``.
+:class:`TraceMemory`, :func:`bank_conflict_passes` on the classic
+conflict shapes, and :func:`ragged_arange`, the vectorized helper behind
+merge-path's chunk schedule.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from trace_references import TraceMemory, bank_conflict_passes
 
-from repro.gpusim import (
-    BatchTraceMemory,
-    bank_conflict_passes_batch,
-    l1_filtered_misses,
-    ragged_arange,
-)
+from repro.core.mergepath import ragged_arange
 
 # -- TraceMemory L1 recency-window filter -----------------------------------
 
@@ -77,23 +71,6 @@ class TestL1Filter:
         assert mem.stats.global_load.l1_filtered_transactions == 1
         assert mem.stats.global_store.l1_filtered_transactions == 0
 
-    def test_batch_engine_agrees_on_interleaved_stream(self):
-        # The batched engine must reproduce the serial filter on a stream
-        # with re-references straddling the eviction window.
-        w = 3
-        serial = make_mem(window=w)
-        batch = BatchTraceMemory(l1_caches_global=True, l1_window_sectors=w)
-        batch.register("buf", np.zeros(4096, dtype=np.float32))
-        sector_seq = [0, 1, 2, 0, 3, 4, 5, 0, 1]
-        for step, s in enumerate(sector_seq):
-            serial.load("buf", np.arange(8) + 8 * s)
-            batch.load_contiguous(
-                "buf", np.array([8 * s]), 8,
-                task=np.array([0]), step=np.array([step]),
-            )
-        got = batch.finalize().global_load.l1_filtered_transactions
-        assert got == serial.stats.global_load.l1_filtered_transactions
-
 
 # -- bank_conflict_passes ----------------------------------------------------
 
@@ -122,39 +99,8 @@ class TestBankConflicts:
     def test_empty_request_is_zero_passes(self):
         assert bank_conflict_passes(np.array([], dtype=np.int64)) == 0
 
-    def test_batch_matches_scalar_on_random_warps(self):
-        rng = np.random.default_rng(0)
-        addrs = rng.integers(0, 256, size=(64, 32))
-        mask = rng.random((64, 32)) < 0.7
-        got = bank_conflict_passes_batch(addrs, mask)
-        for wi in range(64):
-            expect = bank_conflict_passes(addrs[wi][mask[wi]])
-            assert got[wi] == expect, f"warp {wi}"
 
-    def test_batch_masked_lanes_and_edges(self):
-        addrs = np.vstack([
-            np.full(32, 5),        # broadcast
-            2 * np.arange(32),     # 2-way
-            32 * np.arange(32),    # 32-way
-            np.arange(32),         # conflict free
-        ])
-        mask = np.ones_like(addrs, dtype=bool)
-        mask[3, 1:] = False  # single active lane
-        np.testing.assert_array_equal(
-            bank_conflict_passes_batch(addrs, mask), [1, 2, 32, 1]
-        )
-        # Fully-masked warp costs zero passes.
-        none = np.zeros((1, 32), dtype=bool)
-        np.testing.assert_array_equal(
-            bank_conflict_passes_batch(np.arange(32)[None, :], none), [0]
-        )
-        # Degenerate shapes.
-        assert bank_conflict_passes_batch(np.empty((0, 32), dtype=np.int64)).size == 0
-        with pytest.raises(ValueError):
-            bank_conflict_passes_batch(np.arange(32))  # 1-D input
-
-
-# -- batchtrace helpers ------------------------------------------------------
+# -- vectorized helpers ------------------------------------------------------
 
 
 class TestBatchHelpers:
@@ -163,23 +109,3 @@ class TestBatchHelpers:
             ragged_arange(np.array([3, 1, 0, 2])), [0, 1, 2, 0, 0, 1]
         )
         assert ragged_arange(np.array([], dtype=np.int64)).size == 0
-
-    def test_l1_filtered_misses_matches_serial_dict(self):
-        rng = np.random.default_rng(1)
-        for window in (1, 4, 512):
-            sectors = rng.integers(0, 40, size=500)
-            recent, clock, misses = {}, 0, 0
-            for s in sectors.tolist():
-                clock += 1
-                last = recent.get(s)
-                if last is None or clock - last > window:
-                    misses += 1
-                recent[s] = clock
-            assert l1_filtered_misses(sectors, window) == misses, window
-
-    def test_bounds_checked_like_trace_memory(self):
-        mem = BatchTraceMemory()
-        mem.register("buf", np.zeros(16, dtype=np.float32))
-        with pytest.raises(IndexError):
-            mem.load_contiguous("buf", np.array([12]), 8,
-                                task=np.array([0]), step=np.array([0]))

@@ -1,18 +1,18 @@
-"""Per-warp loop replays: the parity oracles for the batched trace.
+"""Per-warp loop replays: the single trace oracle for access counts.
 
-Sibling of ``references.py``.  Every kernel's production ``trace``
-(``trace_xy`` for SDDMM) replays all warps of a launch at once through
-``repro.gpusim.batchtrace``; the loops here execute the same kernels one
+Sibling of ``references.py``.  The loops here execute each kernel one
 warp instruction at a time against :class:`TraceMemory`, which moves
 real data and coalesces each access's actual addresses.  They are exact
-but slow, and ``tests/test_batchtrace_parity.py`` and
-``tests/test_mergepath_model.py`` require the batched path to match them
-counter for counter and bit for bit.  Nothing in ``src/`` calls them.
+but slow, and ``tests/test_conformance_grid.py``,
+``tests/test_trace_matches_analytic.py`` and
+``tests/test_mergepath_model.py`` require every kernel's closed-form
+``count`` to match them instruction for instruction and their output
+to match the CSR reference.  Nothing in ``src/`` calls them.
 
 Also here: the scalar coalescing and bank-conflict rules
 (:func:`warp_sector_count`, :func:`bank_conflict_passes`) that the
 oracle memory applies per warp request and that the vectorized
-``segment_sectors`` / ``bank_conflict_passes_batch`` are tested against.
+``segment_sectors`` is tested against.
 """
 
 from __future__ import annotations
@@ -216,7 +216,7 @@ def _simple_loop(kernel, a, gpu, semiring, mem, m, n):
 
 def _crc_loop(kernel, a, gpu, semiring, mem, m, n):
     if kernel.tile != 32:
-        raise NotImplementedError("trace mode implements the paper's tile == warp_size")
+        raise NotImplementedError("the loop oracle implements the paper's tile == warp_size")
     lanes = np.arange(32)
     # Two shared words per lane: sm_k at [0:32), sm_v at [32:64).
     for i in range(m):
@@ -289,13 +289,18 @@ def _cwm_loop(kernel, a, gpu, semiring, mem, m, n):
 def _mergepath_loop(kernel, a, gpu, semiring, mem, m, n):
     """Accumulators are float64 and persist across segment boundaries —
     the carry RMW is charged as C traffic but idealized numerically, so
-    the output equals the CSR-order left fold bit-for-bit (the contract
-    :func:`~repro.gpusim.batchtrace.fold_spmm_rows` keeps)."""
+    the output equals the CSR-order left fold of each row bit-for-bit."""
     rowptr = a.rowptr64()
     nz_rows = a.coo_rows()
     sched = kernel._schedule(a, n, gpu)
     d, i, j = sched.part.d, sched.part.i, sched.part.j
     k_iters = sched.search_iters
+    # Carry rows of a segment are at most its two boundary rows: the
+    # first row (if split) and the end-boundary row (if the segment
+    # holds at least one of its path items).
+    carry1 = sched.split[i[:-1]]
+    carry2 = (i[1:] > i[:-1]) & (j[1:] > rowptr[i[1:]])
+    last_row = np.where(j[1:] > rowptr[i[1:]], i[1:], i[1:] - 1)
     lanes = np.arange(32)
     acc64 = np.full((m, n), semiring.init, dtype=np.float64)
     for s in range(sched.n_segments):
@@ -306,9 +311,9 @@ def _mergepath_loop(kernel, a, gpu, semiring, mem, m, n):
                 probes, _ = _search_probes(rowptr, np.array([bound], dtype=np.int64))
                 for k in range(k_iters):
                     mem.load("rowptr", np.full(32, probes[k, 0]))
-            if sched.carry1[s]:
+            if carry1[s]:
                 mem.load("C", int(i[s]) * n + jj, mask=active)
-            if sched.carry2[s]:
+            if carry2[s]:
                 mem.load("C", int(i[s + 1]) * n + jj, mask=active)
             lo_nz, hi_nz = int(j[s]), int(j[s + 1])
             for ptr in range(lo_nz, hi_nz, _CHUNK):
@@ -324,7 +329,7 @@ def _mergepath_loop(kernel, a, gpu, semiring, mem, m, n):
                     acc64[r, jj[active]] = semiring.reduce_pair(
                         acc64[r, jj[active]], semiring.combine(v, bv[active])
                     )
-            for r in range(int(i[s]), int(sched.last_row[s]) + 1):
+            for r in range(int(i[s]), int(last_row[s]) + 1):
                 out = np.zeros(32, dtype=np.float32)
                 out[active] = acc64[r, jj[active]].astype(np.float32)
                 mem.store("C", r * n + jj, out, mask=active)
@@ -339,9 +344,9 @@ _SPMM_LOOPS = {
 
 
 def spmm_trace_loop(kernel, a, b, gpu, semiring=PLUS_TIMES, bias=None):
-    """Per-warp replay of ``kernel.trace(a, b, gpu, semiring)``.
+    """Per-warp replay of ``kernel`` computing ``a @ b`` under ``semiring``.
 
-    Returns ``(C, KernelStats)`` like the batched ``trace``.  ``GESpMM``
+    Returns ``(C, KernelStats)``.  ``GESpMM``
     replays the kernel its dispatch selects for ``b``'s width;
     ``FusedGESpMM`` replays its inner kernel, then one warp-wide load of
     ``bias[0:N]`` per block and the epilogue.
@@ -388,7 +393,8 @@ def _fused_loop(kernel, a, b, gpu, semiring, bias):
 # SDDMM per-warp loop
 # ----------------------------------------------------------------------
 def sddmm_trace_xy_loop(kernel, mask, x, y, gpu):
-    """Per-warp replay of ``kernel.trace_xy(mask, x, y, gpu)``."""
+    """Per-warp replay of the SDDMM ``kernel`` over ``mask``, ``x`` and
+    ``y``; returns ``(E, KernelStats)``."""
     x = np.ascontiguousarray(x, dtype=VALUE_DTYPE)
     y = np.ascontiguousarray(y, dtype=VALUE_DTYPE)
     if x.shape[0] != mask.nrows or y.shape[0] != mask.ncols or x.shape[1] != y.shape[1]:
