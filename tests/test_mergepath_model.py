@@ -147,6 +147,22 @@ def test_run_matches_reference_all_semirings(a, n, seed):
 # -- 3. oracle parity -------------------------------------------------------
 
 
+@given(small_csr(), st.sampled_from([3, 8, 33, 40]),
+       st.sampled_from([0, 1, 32, 48]))
+@settings(max_examples=20, deadline=None)
+def test_batched_trace_matches_perwarp_oracle(a, n, items):
+    """Across partition granularities and widths that leave a partial
+    warp, the per-warp oracle's streams equal the closed-form counters
+    and its output matches the reference."""
+    rng = np.random.default_rng(42)
+    b = rng.random((a.ncols, n), dtype=np.float32)
+    kernel = MergePathSpMM(items=items)
+    c, traced = spmm_trace_loop(kernel, a, b, GPU)
+    analytic, _, _ = kernel.count(a, n, GPU)
+    assert_stats_equal(traced, analytic, f"items={items} n={n}")
+    np.testing.assert_allclose(c, reference_spmm_like(a, b), rtol=1e-4, atol=1e-4)
+
+
 @given(small_csr(), st.sampled_from([8, 40]))
 @settings(max_examples=20, deadline=None)
 def test_trace_matches_analytic_counters(a, n):

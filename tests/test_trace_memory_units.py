@@ -10,6 +10,7 @@ merge-path's chunk schedule.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from trace_references import TraceMemory, bank_conflict_passes
 
 from repro.core.mergepath import ragged_arange
@@ -21,6 +22,20 @@ def make_mem(l1=True, window=512, words=4096):
     mem = TraceMemory(l1_caches_global=l1, l1_window_sectors=window)
     mem.register("buf", np.zeros(words, dtype=np.float32))
     return mem
+
+
+def serial_dict_misses(sectors, window):
+    """The recency-window rule stated directly: one tick per sector
+    reference, miss iff the sector was never seen or last seen more than
+    ``window`` ticks ago."""
+    recent, clock, misses = {}, 0, 0
+    for s in sectors:
+        clock += 1
+        last = recent.get(s)
+        if last is None or clock - last > window:
+            misses += 1
+        recent[s] = clock
+    return misses
 
 
 class TestL1Filter:
@@ -71,6 +86,18 @@ class TestL1Filter:
         assert mem.stats.global_load.l1_filtered_transactions == 1
         assert mem.stats.global_store.l1_filtered_transactions == 0
 
+    def test_batch_engine_agrees_on_interleaved_stream(self):
+        # Re-references straddling the eviction window: sector 0 hits at
+        # tick 4 (3 ticks after its first touch) and misses at tick 8 (4
+        # ticks after its last), sector 1 misses at tick 9.
+        w = 3
+        mem = make_mem(window=w)
+        sector_seq = [0, 1, 2, 0, 3, 4, 5, 0, 1]
+        for s in sector_seq:
+            mem.load("buf", np.arange(8) + 8 * s)
+        got = mem.stats.global_load.l1_filtered_transactions
+        assert got == serial_dict_misses(sector_seq, w) == 8
+
 
 # -- bank_conflict_passes ----------------------------------------------------
 
@@ -99,6 +126,37 @@ class TestBankConflicts:
     def test_empty_request_is_zero_passes(self):
         assert bank_conflict_passes(np.array([], dtype=np.int64)) == 0
 
+    def test_batch_matches_scalar_on_random_warps(self):
+        # A batch of random partially-active warps against the rule
+        # stated per bank: passes = most distinct words sharing a bank.
+        rng = np.random.default_rng(0)
+        addrs = rng.integers(0, 256, size=(64, 32))
+        mask = rng.random((64, 32)) < 0.7
+        for wi in range(64):
+            active = addrs[wi][mask[wi]].tolist()
+            per_bank = {}
+            for word in set(active):
+                per_bank.setdefault(word % 32, set()).add(word)
+            expect = max((len(v) for v in per_bank.values()), default=0)
+            assert bank_conflict_passes(addrs[wi][mask[wi]]) == expect, f"warp {wi}"
+
+    def test_batch_masked_lanes_and_edges(self):
+        addrs = np.vstack([
+            np.full(32, 5),        # broadcast
+            2 * np.arange(32),     # 2-way
+            32 * np.arange(32),    # 32-way
+            np.arange(32),         # conflict free
+        ])
+        mask = np.ones_like(addrs, dtype=bool)
+        mask[3, 1:] = False  # single active lane
+        got = [bank_conflict_passes(row[m]) for row, m in zip(addrs, mask)]
+        assert got == [1, 2, 32, 1]
+        # Masking the colliding lanes away removes the conflict.
+        assert bank_conflict_passes((32 * np.arange(32))[:1]) == 1
+        # Fully-masked warp costs zero passes.
+        none = np.zeros(32, dtype=bool)
+        assert bank_conflict_passes(np.arange(32)[none]) == 0
+
 
 # -- vectorized helpers ------------------------------------------------------
 
@@ -109,3 +167,27 @@ class TestBatchHelpers:
             ragged_arange(np.array([3, 1, 0, 2])), [0, 1, 2, 0, 0, 1]
         )
         assert ragged_arange(np.array([], dtype=np.int64)).size == 0
+
+    def test_l1_filtered_misses_matches_serial_dict(self):
+        rng = np.random.default_rng(1)
+        for window in (1, 4, 512):
+            sectors = rng.integers(0, 40, size=500)
+            mem = make_mem(window=window)
+            for s in sectors.tolist():
+                mem.load("buf", np.arange(8) + 8 * s)
+            got = mem.stats.global_load.l1_filtered_transactions
+            assert got == serial_dict_misses(sectors.tolist(), window), window
+
+    def test_bounds_checked_like_trace_memory(self):
+        # Only active lanes are bounds-checked, on loads and stores alike.
+        mem = TraceMemory()
+        mem.register("buf", np.zeros(16, dtype=np.float32))
+        with pytest.raises(IndexError):
+            mem.load("buf", np.arange(12, 20))  # straddles the end
+        with pytest.raises(IndexError):
+            mem.load("buf", np.array([-1, 0]))
+        with pytest.raises(IndexError):
+            mem.store("buf", np.array([16]), np.ones(1, dtype=np.float32))
+        idx = np.arange(12, 20)
+        got = mem.load("buf", idx, mask=idx < 16)  # lanes past the end off
+        assert got.size == 4
