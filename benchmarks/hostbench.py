@@ -31,7 +31,7 @@ from typing import Any, Callable, Dict, Optional
 
 import numpy as np
 
-from repro.core.semiring import PLUS_TIMES
+from repro.semiring import PLUS_TIMES
 from repro.sparse import power_law
 from repro.sparse.csr import CSRMatrix
 

@@ -18,10 +18,10 @@ format construction.
 
 from __future__ import annotations
 
-from repro.core import _counting as cnt
+from repro.core.access_profile import access_profile, warps_per_row
 from repro.gpusim.config import GPUSpec
 from repro.gpusim.kernel import KernelCounts, SpMMKernel
-from repro.gpusim.memory import KernelStats
+from repro.gpusim.memory import KernelStats, charge_row_split
 from repro.gpusim.occupancy import LaunchConfig
 from repro.gpusim.timing import ExecHints
 from repro.sparse.csr import CSRMatrix
@@ -70,56 +70,40 @@ class ASpTSpMM(SpMMKernel):
     def count(self, a: CSRMatrix, n: int, gpu: GPUSpec) -> KernelCounts:
         fmt = self.preprocess(a)
         stats = KernelStats()
-        wpr = cnt.warps_per_row(n, 1)
+        prof = access_profile(a)
+        wpr = warps_per_row(n)
         m, nnz = a.nrows, a.nnz
+        b = charge_row_split(stats, prof, n, 2 * m * wpr)
 
         # Dense traffic: tiles classified dense reuse B rows from shared
-        # memory, saving `dense_tile_saving` of their stream.
-        b_loads = cnt.count_b_loads(a, n)
+        # memory, saving `dense_tile_saving` of their stream.  The reused
+        # share moves from global to shared loads.
         scale = 1.0 - self.dense_tile_saving * fmt.dense_fraction
-        b_insts = int(round(b_loads.instructions * scale))
-        b_sectors = int(round(b_loads.sectors * scale))
-        b_req = int(round(b_loads.requested_bytes * scale))
-        stats.global_load.instructions += b_insts
-        stats.global_load.transactions += b_sectors
-        stats.global_load.requested_bytes += b_req
-        stats.global_load.l1_filtered_transactions += b_sectors
-        # The reused share moves through shared memory instead.
-        reused = b_loads.instructions - b_insts
-        stats.shared_load.instructions += reused
-        stats.shared_load.transactions += reused
-        stats.shared_load.requested_bytes += b_loads.requested_bytes - b_req
+        b_insts = int(round(b.instructions * scale))
+        b_sectors = int(round(b.sectors * scale))
+        b_req = int(round(b.requested_bytes * scale))
+        stats.global_load.charge(
+            b_insts - b.instructions,
+            b_sectors - b.sectors,
+            b_req - b.requested_bytes,
+            b_sectors - b.sectors,
+        )
+        reused = b.instructions - b_insts
+        stats.shared_load.charge(reused, reused, b.requested_bytes - b_req, 0)
         stats.block_syncs += (fmt.shape[0] // max(fmt.panel_height, 1)) * wpr
 
-        tiles = cnt.count_tile_loads(a, _TILE)
-        stats.global_load.instructions += 2 * wpr * tiles.instructions
-        stats.global_load.transactions += 2 * wpr * tiles.sectors
-        stats.global_load.requested_bytes += 2 * wpr * tiles.requested_bytes
-        stats.global_load.l1_filtered_transactions += 2 * wpr * tiles.sectors
+        tiles = prof.tile_loads(_TILE)
+        sp = 2 * wpr
+        stats.global_load.charge(
+            sp * tiles.instructions,
+            sp * tiles.sectors,
+            sp * tiles.requested_bytes,
+            sp * tiles.sectors,
+        )
 
-        rp_insts = 2 * m * wpr
-        stats.global_load.instructions += rp_insts
-        stats.global_load.transactions += rp_insts
-        stats.global_load.requested_bytes += 4 * rp_insts
-        stats.global_load.l1_filtered_transactions += max(rp_insts // 8, 1) if m else 0
-
-        c_stores = cnt.count_c_stores(a, n)
-        stats.global_store.instructions += c_stores.instructions
-        stats.global_store.transactions += c_stores.sectors
-        stats.global_store.requested_bytes += c_stores.requested_bytes
-
-        tb = stats.traffic("B")
-        tb.sectors = b_sectors
-        tb.unique_bytes = cnt.unique_b_columns(a) * n * 4
-        tb.reuse_is_local = False
-        tr = stats.traffic("colind")
-        tr.sectors = wpr * tiles.sectors
-        tr.unique_bytes = 4 * nnz
-        tr.reuse_is_local = True
-        tv = stats.traffic("values")
-        tv.sectors = wpr * tiles.sectors
-        tv.unique_bytes = 4 * nnz
-        tv.reuse_is_local = True
+        stats.traffic("B", b_sectors, prof.unique_b_columns * n * 4, False)
+        stats.traffic("colind", wpr * tiles.sectors, 4 * nnz, True)
+        stats.traffic("values", wpr * tiles.sectors, 4 * nnz, True)
 
         stats.flops = 2 * nnz * n
         stats.alu_instructions = 5 * nnz * wpr + 14 * m * wpr

@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core import _counting as cnt
-from repro.core.semiring import PLUS_TIMES, Semiring
+from repro.core.access_profile import access_profile, warps_per_row
 from repro.gpusim.config import GPUSpec
 from repro.gpusim.kernel import KernelCounts, SpMMKernel
 from repro.gpusim.memory import KernelStats
 from repro.gpusim.occupancy import LaunchConfig
 from repro.gpusim.timing import ExecHints
+from repro.semiring import PLUS_TIMES, Semiring
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.convert import csr_to_ellpack_time
 from repro.sparse.formats import EllpackR, ellpack_width, to_ellpack_r
@@ -69,47 +69,31 @@ class FastSpMM(SpMMKernel):
 
     def count(self, a: CSRMatrix, n: int, gpu: GPUSpec) -> KernelCounts:
         stats = KernelStats()
+        prof = access_profile(a)
         m, nnz = a.nrows, a.nnz
         width = ellpack_width(a)
         slots = m * width  # padded element count — the format's tax
-        wpr = cnt.warps_per_row(n, 1)
-        segs = cnt.dense_segments(n)
-        sec_per_row = sum((length + 7) // 8 for _, length in segs)
+        wpr = warps_per_row(n)
+        gl = stats.global_load
 
         # Slab loads: column-major ELLPACK-R walk is perfectly coalesced;
         # every padded slot is touched (colind + value).
         slab_loads = 2 * ((slots + 31) // 32) * wpr
-        stats.global_load.instructions += slab_loads
-        stats.global_load.transactions += slab_loads * 4
-        stats.global_load.requested_bytes += slab_loads * 128
-        stats.global_load.l1_filtered_transactions += slab_loads * 4
+        gl.charge(slab_loads, slab_loads * 4, slab_loads * 128, slab_loads * 4)
 
         # Dense loads: per *real* nonzero (padding short-circuits on the
         # row-length check before touching B).
-        b_loads = cnt.count_b_loads(a, n)
-        stats.global_load.instructions += b_loads.instructions
-        stats.global_load.transactions += b_loads.sectors
-        stats.global_load.requested_bytes += b_loads.requested_bytes
-        stats.global_load.l1_filtered_transactions += b_loads.sectors
+        b = prof.b_loads(n)
+        gl.charge(b.instructions, b.sectors, b.requested_bytes, b.sectors)
 
         rl_insts = ((m + 31) // 32) * wpr  # row-length array, coalesced
-        stats.global_load.instructions += rl_insts
-        stats.global_load.transactions += rl_insts * 4
-        stats.global_load.requested_bytes += rl_insts * 128
+        gl.charge(rl_insts, rl_insts * 4, rl_insts * 128, 0)
 
-        c_stores = cnt.count_c_stores(a, n)
-        stats.global_store.instructions += c_stores.instructions
-        stats.global_store.transactions += c_stores.sectors
-        stats.global_store.requested_bytes += c_stores.requested_bytes
+        c = prof.c_stores(n)
+        stats.global_store.charge(c.instructions, c.sectors, c.requested_bytes, 0)
 
-        ts = stats.traffic("ell_slab")
-        ts.sectors = slab_loads * 4
-        ts.unique_bytes = slots * 8
-        ts.reuse_is_local = True
-        tb = stats.traffic("B")
-        tb.sectors = b_loads.sectors
-        tb.unique_bytes = cnt.unique_b_columns(a) * n * 4
-        tb.reuse_is_local = False
+        stats.traffic("ell_slab", slab_loads * 4, slots * 8, True)
+        stats.traffic("B", b.sectors, prof.unique_b_columns * n * 4, False)
 
         stats.flops = 2 * nnz * n
         stats.alu_instructions = 4 * ((slots + 31) // 32) * wpr + 8 * m * wpr

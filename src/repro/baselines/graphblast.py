@@ -19,10 +19,10 @@ The paper measures GE-SpMM at 1.42-1.81x over it, the gap widening with
 
 from __future__ import annotations
 
-from repro.core import _counting as cnt
+from repro.core.access_profile import access_profile, warps_per_row
 from repro.gpusim.config import GPUSpec
 from repro.gpusim.kernel import KernelCounts, SpMMKernel
-from repro.gpusim.memory import KernelStats
+from repro.gpusim.memory import KernelStats, charge_register_restream, charge_row_split
 from repro.gpusim.occupancy import LaunchConfig
 from repro.gpusim.timing import ExecHints
 from repro.sparse.csr import CSRMatrix
@@ -49,57 +49,17 @@ class GraphBlastRowSplit(SpMMKernel):
 
     def count(self, a: CSRMatrix, n: int, gpu: GPUSpec) -> KernelCounts:
         stats = KernelStats()
-        wpr = cnt.warps_per_row(n, 1)  # chunks iterated inside the warp
+        prof = access_profile(a)
+        wpr = warps_per_row(n)  # chunks iterated inside the warp
         m, nnz = a.nrows, a.nnz
-        lengths = a.row_lengths()
-
-        b_loads = cnt.count_b_loads(a, n)
-        stats.global_load.instructions += b_loads.instructions
-        stats.global_load.transactions += b_loads.sectors
-        stats.global_load.requested_bytes += b_loads.requested_bytes
-        stats.global_load.l1_filtered_transactions += b_loads.sectors
 
         # Coalesced sparse tile fetch; registers hold one tile, so rows
         # longer than a tile re-stream per column chunk (as in csrmm2).
-        tiles = cnt.count_tile_loads(a, _TILE)
-        short_rows = int((lengths <= _TILE).sum()) if m else 0
-        long_tiles = tiles.instructions - short_rows
-        sp_insts = 2 * (short_rows + long_tiles * wpr)
-        scale = sp_insts / max(2 * tiles.instructions, 1)
-        sp_sectors = int(round(2 * tiles.sectors * scale))
-        sp_requested = int(round(2 * tiles.requested_bytes * scale))
-        stats.global_load.instructions += sp_insts
-        stats.global_load.transactions += sp_sectors
-        stats.global_load.requested_bytes += sp_requested
-        stats.global_load.l1_filtered_transactions += sp_sectors
+        charge_register_restream(stats, prof, _TILE, wpr)
+        b = charge_row_split(stats, prof, n, 2 * m)
 
-        rp_insts = 2 * m
-        stats.global_load.instructions += rp_insts
-        stats.global_load.transactions += rp_insts
-        stats.global_load.requested_bytes += 4 * rp_insts
-        stats.global_load.l1_filtered_transactions += max(rp_insts // 8, 1) if m else 0
-
-        c_stores = cnt.count_c_stores(a, n)
-        stats.global_store.instructions += c_stores.instructions
-        stats.global_store.transactions += c_stores.sectors
-        stats.global_store.requested_bytes += c_stores.requested_bytes
-
-        tr = stats.traffic("colind")
-        tr.sectors = sp_sectors // 2
-        tr.unique_bytes = 4 * nnz
-        tr.reuse_is_local = True
-        tv = stats.traffic("values")
-        tv.sectors = sp_sectors - sp_sectors // 2
-        tv.unique_bytes = 4 * nnz
-        tv.reuse_is_local = True
-        tb = stats.traffic("B")
-        tb.sectors = b_loads.sectors
-        tb.unique_bytes = cnt.unique_b_columns(a) * n * 4
-        tb.reuse_is_local = False
-        tp = stats.traffic("rowptr")
-        tp.sectors = rp_insts
-        tp.unique_bytes = 4 * (m + 1)
-        tp.reuse_is_local = True
+        stats.traffic("B", b.sectors, prof.unique_b_columns * n * 4, False)
+        stats.traffic("rowptr", 2 * m, 4 * (m + 1), True)
 
         stats.flops = 2 * nnz * n
         # One __shfl broadcast plus loop control per consumed element per

@@ -19,7 +19,7 @@ GNN workloads need new primitives, not SpMV-era ones.
 
 from __future__ import annotations
 
-from repro.core import _counting as cnt
+from repro.core.access_profile import access_profile
 from repro.gpusim.config import GPUSpec
 from repro.gpusim.kernel import KernelCounts, SpMMKernel
 from repro.gpusim.memory import KernelStats
@@ -47,37 +47,24 @@ class GunrockAdvanceSpMM(SpMMKernel):
 
     def count(self, a: CSRMatrix, n: int, gpu: GPUSpec) -> KernelCounts:
         stats = KernelStats()
-        m, nnz = a.nrows, a.nnz
+        prof = access_profile(a)
+        nnz = a.nnz
         warp_steps = ((nnz + 31) // 32) * n  # warp-level feature iterations
 
         # Edge metadata (src, dst, weight): coalesced, once per edge.
-        meta = cnt.count_tile_loads(a, 32)
-        stats.global_load.instructions += 3 * meta.instructions
-        stats.global_load.transactions += 3 * meta.sectors
-        stats.global_load.requested_bytes += 3 * meta.requested_bytes
-        stats.global_load.l1_filtered_transactions += 3 * meta.sectors
-
+        meta = prof.tile_loads(32)
+        stats.global_load.charge(
+            3 * meta.instructions, 3 * meta.sectors, 3 * meta.requested_bytes, 3 * meta.sectors
+        )
         # Dense loads: one scattered warp load per feature step — 32
         # distinct sectors, 128 useful bytes.
-        stats.global_load.instructions += warp_steps
-        stats.global_load.transactions += 32 * warp_steps
-        stats.global_load.requested_bytes += 128 * warp_steps
-        stats.global_load.l1_filtered_transactions += 32 * warp_steps
-
+        stats.global_load.charge(warp_steps, 32 * warp_steps, 128 * warp_steps, 32 * warp_steps)
         # Atomic output updates: scattered read-modify-write per step.
-        stats.global_store.instructions += warp_steps
-        stats.global_store.transactions += 32 * warp_steps
-        stats.global_store.requested_bytes += 128 * warp_steps
+        stats.global_store.charge(warp_steps, 32 * warp_steps, 128 * warp_steps, 0)
         stats.atomic_ops = warp_steps
 
-        tb = stats.traffic("B")
-        tb.sectors = 32 * warp_steps
-        tb.unique_bytes = cnt.unique_b_columns(a) * n * 4
-        tb.reuse_is_local = False
-        tm = stats.traffic("edges")
-        tm.sectors = 3 * meta.sectors
-        tm.unique_bytes = 12 * nnz
-        tm.reuse_is_local = True
+        stats.traffic("B", 32 * warp_steps, prof.unique_b_columns * n * 4, False)
+        stats.traffic("edges", 3 * meta.sectors, 12 * nnz, True)
 
         stats.flops = 2 * nnz * n
         # Frontier bookkeeping and loop control per edge per feature.

@@ -10,13 +10,13 @@ matrix, and the dense-vector gather ``x[k] = B[k, j]`` is scattered.
 
 from __future__ import annotations
 
-from repro.core import _counting as cnt
-from repro.core.semiring import PLUS_TIMES
+from repro.core.access_profile import access_profile
 from repro.gpusim.config import GPUSpec
 from repro.gpusim.kernel import KernelCounts, SpMMKernel
 from repro.gpusim.memory import KernelStats
 from repro.gpusim.occupancy import LaunchConfig
 from repro.gpusim.timing import ExecHints
+from repro.semiring import PLUS_TIMES
 from repro.sparse.csr import CSRMatrix
 
 __all__ = ["SpMVLoopSpMM"]
@@ -37,30 +37,25 @@ class SpMVLoopSpMM(SpMMKernel):
 
     def count(self, a: CSRMatrix, n: int, gpu: GPUSpec) -> KernelCounts:
         stats = KernelStats()
+        prof = access_profile(a)
         m, nnz = a.nrows, a.nnz
 
-        tiles = cnt.count_tile_loads(a, 32)
+        tiles = prof.tile_loads(32)
         # Per launch: coalesced colind/val tiles + scattered x gather
         # (one sector per nonzero) + rowptr; x N launches.
-        stats.global_load.instructions += n * (2 * tiles.instructions + tiles.instructions + 2 * m)
-        stats.global_load.transactions += n * (2 * tiles.sectors + nnz + 2 * m)
-        stats.global_load.requested_bytes += n * (2 * tiles.requested_bytes + 4 * nnz + 8 * m)
-        stats.global_load.l1_filtered_transactions += n * (2 * tiles.sectors + nnz + max(m // 4, 1))
-
+        stats.global_load.charge(
+            n * (2 * tiles.instructions + tiles.instructions + 2 * m),
+            n * (2 * tiles.sectors + nnz + 2 * m),
+            n * (2 * tiles.requested_bytes + 4 * nnz + 8 * m),
+            n * (2 * tiles.sectors + nnz + max(m // 4, 1)),
+        )
         # y stores: one coalesced store per 32 rows per launch.
         st_insts = n * ((m + 31) // 32)
-        stats.global_store.instructions += st_insts
-        stats.global_store.transactions += st_insts * 4
-        stats.global_store.requested_bytes += n * m * 4
+        stats.global_store.charge(st_insts, st_insts * 4, n * m * 4, 0)
 
-        tsp = stats.traffic("colind+values")
-        tsp.sectors = n * 2 * tiles.sectors
-        tsp.unique_bytes = 8 * nnz
-        tsp.reuse_is_local = False  # re-read across distant launches
-        tbx = stats.traffic("B")
-        tbx.sectors = n * nnz
-        tbx.unique_bytes = cnt.unique_b_columns(a) * n * 4
-        tbx.reuse_is_local = False
+        # colind+values are re-read across distant launches.
+        stats.traffic("colind+values", n * 2 * tiles.sectors, 8 * nnz, False)
+        stats.traffic("B", n * nnz, prof.unique_b_columns * n * 4, False)
 
         stats.flops = 2 * nnz * n
         stats.alu_instructions = n * (5 * tiles.instructions * 1 + 3 * ((nnz + 31) // 32) + 10 * m // 32)

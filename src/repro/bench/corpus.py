@@ -434,7 +434,7 @@ def _run_shard(
     graphs: Dict[str, CSRMatrix] = {s.name: s.build() for s in shard}
     try:
         stats = {name: _matrix_stats(a) for name, a in graphs.items()}
-        results, _ = run_sweep_with_stats(kernels, graphs, widths, gpus, quiet=True)
+        results, _ = run_sweep_with_stats(kernels, graphs, widths, gpus)
         cells = [
             [r.kernel, r.graph, int(r.n), r.gpu, r.time_s, r.gflops]
             for r in results

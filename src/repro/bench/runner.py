@@ -9,10 +9,9 @@ prints rows directly comparable to the paper's artifact.
 from __future__ import annotations
 
 import math
-import sys
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.gpusim.config import GPUSpec
@@ -127,8 +126,6 @@ def run_sweep_with_stats(
     graphs: Dict[str, CSRMatrix],
     widths: Sequence[int],
     gpus: Sequence[GPUSpec],
-    progress: Optional[Callable[[str], None]] = None,
-    quiet: bool = True,
 ) -> Tuple[List[KernelResult], SweepHostStats]:
     """:func:`run_sweep` plus host-side throughput statistics.
 
@@ -177,10 +174,6 @@ def run_sweep_with_stats(
                             )
                         )
             obs.event("sweep.graph.done", graph=gname, gpu=gpu.name)
-            if progress:
-                progress(gname)
-            if not quiet:
-                print(f"[sweep] {gname} done on {gpu.name}", file=sys.stderr)
     registry.counter("sweep.memo.hits").inc(hits)
     registry.counter("sweep.memo.misses").inc(misses)
     stats = SweepHostStats(
@@ -197,28 +190,21 @@ def run_sweep(
     graphs: Dict[str, CSRMatrix],
     widths: Sequence[int],
     gpus: Sequence[GPUSpec],
-    progress: Optional[Callable[[str], None]] = None,
-    quiet: bool = True,
 ) -> List[KernelResult]:
     """Estimate every kernel on every (graph, N, GPU) combination.
 
     Every cell runs inside a ``sweep.cell`` span and lands in the metrics
     registry as a series keyed by ``(kernel, graph, n, gpu)``, so a sweep
     is fully reconstructable from ``--trace-out`` / ``--metrics-out``
-    dumps.  Progress reporting goes through the span layer (an event per
-    finished graph) and additionally through the legacy ``progress``
-    callback when one is given; pass ``quiet=False`` to also narrate
-    per-graph progress on stderr.  The default is silent, keeping
-    benchmark scripts' stdout byte-identical.
+    dumps.  Progress is reported through the span layer only: a
+    ``sweep.graph.done`` event per finished graph.  Nothing is printed,
+    keeping benchmark scripts' stdout byte-identical.
 
     The estimate memo reuses previously computed cells across calls; see
     :func:`run_sweep_with_stats` for details and for host-side throughput
     reporting.
     """
-    results, _ = run_sweep_with_stats(
-        kernels, graphs, widths, gpus,
-        progress=progress, quiet=quiet,
-    )
+    results, _ = run_sweep_with_stats(kernels, graphs, widths, gpus)
     return results
 
 

@@ -10,7 +10,11 @@ from repro.core.crc import CRCSpMM
 from repro.core.cwm import CWMSpMM
 from repro.core.gespmm import ADAPTIVE_THRESHOLD, DEFAULT_CF, GESpMM, gespmm, gespmm_like
 from repro.core.mergepath import MergePartition, MergePathSpMM, merge_path_partition
-from repro.core.semiring import (
+from repro.core.sddmm import GESDDMM, edge_softmax, reference_sddmm
+from repro.core.simple import SimpleSpMM
+from repro.core.fused import Epilogue, FusedGESpMM, RELU_EPILOGUE, bias_relu_epilogue
+from repro.core.tuning import TunedSpMM, TuneResult, oracle_gap, tune_cf
+from repro.semiring import (
     MAX_TIMES,
     MEAN_TIMES,
     MIN_TIMES,
@@ -18,10 +22,6 @@ from repro.core.semiring import (
     Semiring,
     builtin_semirings,
 )
-from repro.core.sddmm import GESDDMM, edge_softmax, reference_sddmm
-from repro.core.simple import SimpleSpMM
-from repro.core.fused import Epilogue, FusedGESpMM, RELU_EPILOGUE, bias_relu_epilogue
-from repro.core.tuning import TunedSpMM, TuneResult, oracle_gap, tune_cf
 
 __all__ = [
     "AccessProfile",

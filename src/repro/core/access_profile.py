@@ -3,9 +3,9 @@
 Every analytic ``count()`` in the simulator reduces to the same handful
 of per-matrix quantities — how many 32 B sectors a warp touches walking a
 sparse row, loading its 32-element tiles, or streaming dense row
-segments of ``B``/``C``.  The old counters in :mod:`repro.core._counting`
-re-derived these from scratch per call, expanding O(nnz) temporaries and
-looping over column segments in Python when ``N % 8 != 0``.
+segments of ``B``/``C``.  Kernels read them from :func:`access_profile`;
+the streams the row-split kernels share are charged from it by
+:func:`repro.gpusim.memory.charge_row_split`.
 
 Following the observation (Yang, Buluç & Owens, *Design Principles for
 Sparse Matrix Multiplication on the GPU*) that SpMM cost models are
@@ -52,6 +52,7 @@ __all__ = [
     "AccessTotals",
     "AccessProfile",
     "dense_segments",
+    "warps_per_row",
     "access_profile",
     "seed_access_profile",
     "clear_access_profile",
@@ -66,6 +67,12 @@ def dense_segments(n: int) -> List[Tuple[int, int]]:
     CF of these segments itself, so the union over the row is identical.
     """
     return [(s, min(32, n - s)) for s in range(0, n, 32)]
+
+
+def warps_per_row(n: int, cf: int = 1) -> int:
+    """Number of warps covering ``n`` output columns at coarsening ``cf``."""
+    span = 32 * cf
+    return (n + span - 1) // span
 
 
 def _pair_histogram(
@@ -251,6 +258,11 @@ class AccessProfile:
         out = AccessTotals(instructions, sectors, requested)
         self._tiles[tile] = out
         return out
+
+    def rows_up_to(self, length: int) -> int:
+        """Number of rows holding at most ``length`` elements (empty rows
+        included)."""
+        return int(self._pl_count[self._pl_len <= length].sum())
 
     def broadcast_sectors(self) -> int:
         """Distinct sectors touched when a warp walks a sparse row one

@@ -15,10 +15,10 @@ from ~69% to ~92% on the paper's profiling matrices (Table V).
 
 from __future__ import annotations
 
-from repro.core import _counting as cnt
+from repro.core.access_profile import access_profile, warps_per_row
 from repro.gpusim.config import GPUSpec
 from repro.gpusim.kernel import KernelCounts, SpMMKernel
-from repro.gpusim.memory import KernelStats
+from repro.gpusim.memory import KernelStats, charge_row_split
 from repro.gpusim.occupancy import LaunchConfig
 from repro.gpusim.timing import ExecHints
 from repro.sparse.csr import CSRMatrix
@@ -53,63 +53,39 @@ class CRCSpMM(SpMMKernel):
 
     def count(self, a: CSRMatrix, n: int, gpu: GPUSpec) -> KernelCounts:
         stats = KernelStats()
-        wpr = cnt.warps_per_row(n, 1)
+        prof = access_profile(a)
+        wpr = warps_per_row(n)
         m, nnz = a.nrows, a.nnz
-
-        b_loads = cnt.count_b_loads(a, n)
-        stats.global_load.instructions += b_loads.instructions
-        stats.global_load.transactions += b_loads.sectors
-        stats.global_load.requested_bytes += b_loads.requested_bytes
-        stats.global_load.l1_filtered_transactions += b_loads.sectors
+        # B segments, two rowptr loads per (row, segment) warp, C stores.
+        rp_insts = 2 * m * wpr
+        b = charge_row_split(stats, prof, n, rp_insts)
 
         # Coalesced tile loads of colind and val (already near-minimal,
         # so the Turing L1 filter leaves them unchanged).  Loads are
         # warp-wide regardless of the staging tile; a larger tile only
         # amortizes synchronization and loop control.
-        tiles = cnt.count_tile_loads(a, 32)
-        big_tiles = tiles if self.tile == 32 else cnt.count_tile_loads(a, self.tile)
-        stats.global_load.instructions += 2 * wpr * tiles.instructions
-        stats.global_load.transactions += 2 * wpr * tiles.sectors
-        stats.global_load.requested_bytes += 2 * wpr * tiles.requested_bytes
-        stats.global_load.l1_filtered_transactions += 2 * wpr * tiles.sectors
-
-        rp_insts = 2 * m * wpr
-        stats.global_load.instructions += rp_insts
-        stats.global_load.transactions += rp_insts
-        stats.global_load.requested_bytes += 4 * rp_insts
-        stats.global_load.l1_filtered_transactions += max(rp_insts // 8, 1) if m else 0
-
-        c_stores = cnt.count_c_stores(a, n)
-        stats.global_store.instructions += c_stores.instructions
-        stats.global_store.transactions += c_stores.sectors
-        stats.global_store.requested_bytes += c_stores.requested_bytes
+        tiles = prof.tile_loads(32)
+        big_tiles = prof.tile_loads(self.tile)
+        sp = 2 * wpr
+        stats.global_load.charge(
+            sp * tiles.instructions,
+            sp * tiles.sectors,
+            sp * tiles.requested_bytes,
+            sp * tiles.sectors,
+        )
 
         # Shared memory: 2 contiguous stores per tile (conflict free), and
         # 2 broadcast reads per consumed nonzero (conflict free).
-        stats.shared_store.instructions = 2 * wpr * tiles.instructions
-        stats.shared_store.transactions = stats.shared_store.instructions
-        stats.shared_store.requested_bytes = 2 * wpr * tiles.requested_bytes
-        stats.shared_load.instructions = 2 * nnz * wpr
-        stats.shared_load.transactions = stats.shared_load.instructions
-        stats.shared_load.requested_bytes = 4 * stats.shared_load.instructions
+        stats.shared_store.charge(
+            sp * tiles.instructions, sp * tiles.instructions, sp * tiles.requested_bytes, 0
+        )
+        stats.shared_load.charge(2 * nnz * wpr, 2 * nnz * wpr, 8 * nnz * wpr, 0)
         stats.warp_syncs = wpr * big_tiles.instructions
 
-        tr = stats.traffic("colind")
-        tr.sectors = wpr * tiles.sectors
-        tr.unique_bytes = 4 * nnz
-        tr.reuse_is_local = True
-        tv = stats.traffic("values")
-        tv.sectors = wpr * tiles.sectors
-        tv.unique_bytes = 4 * nnz
-        tv.reuse_is_local = True
-        tb = stats.traffic("B")
-        tb.sectors = b_loads.sectors
-        tb.unique_bytes = cnt.unique_b_columns(a) * n * 4
-        tb.reuse_is_local = False
-        tp = stats.traffic("rowptr")
-        tp.sectors = rp_insts
-        tp.unique_bytes = 4 * (m + 1)
-        tp.reuse_is_local = True
+        stats.traffic("colind", wpr * tiles.sectors, 4 * nnz, True)
+        stats.traffic("values", wpr * tiles.sectors, 4 * nnz, True)
+        stats.traffic("B", b.sectors, prof.unique_b_columns * n * 4, False)
+        stats.traffic("rowptr", rp_insts, 4 * (m + 1), True)
 
         stats.flops = 2 * nnz * n
         # Inner-loop bookkeeping per consumed nonzero plus per-tile and

@@ -14,10 +14,10 @@ paper's empirical choice of CF=2 (Fig. 9).
 
 from __future__ import annotations
 
-from repro.core import _counting as cnt
+from repro.core.access_profile import access_profile, warps_per_row
 from repro.gpusim.config import GPUSpec
 from repro.gpusim.kernel import KernelCounts, SpMMKernel
-from repro.gpusim.memory import KernelStats
+from repro.gpusim.memory import KernelStats, charge_row_split
 from repro.gpusim.occupancy import LaunchConfig
 from repro.gpusim.timing import ExecHints
 from repro.sparse.csr import CSRMatrix
@@ -59,60 +59,35 @@ class CWMSpMM(SpMMKernel):
 
     def count(self, a: CSRMatrix, n: int, gpu: GPUSpec) -> KernelCounts:
         stats = KernelStats()
+        prof = access_profile(a)
         cf = self.cf
-        wpr = cnt.warps_per_row(n, cf)
+        wpr = warps_per_row(n, cf)
         m, nnz = a.nrows, a.nnz
 
         # Dense loads: each merged warp issues CF segment loads per
         # consumed nonzero, so the totals over the row are exactly the
         # CF=1 totals (the union of segments covers the same N columns).
-        b_loads = cnt.count_b_loads(a, n)
-        stats.global_load.instructions += b_loads.instructions
-        stats.global_load.transactions += b_loads.sectors
-        stats.global_load.requested_bytes += b_loads.requested_bytes
-        stats.global_load.l1_filtered_transactions += b_loads.sectors
-
-        tiles = cnt.count_tile_loads(a, _TILE)
-        stats.global_load.instructions += 2 * wpr * tiles.instructions
-        stats.global_load.transactions += 2 * wpr * tiles.sectors
-        stats.global_load.requested_bytes += 2 * wpr * tiles.requested_bytes
-        stats.global_load.l1_filtered_transactions += 2 * wpr * tiles.sectors
-
         rp_insts = 2 * m * wpr
-        stats.global_load.instructions += rp_insts
-        stats.global_load.transactions += rp_insts
-        stats.global_load.requested_bytes += 4 * rp_insts
-        stats.global_load.l1_filtered_transactions += max(rp_insts // 8, 1) if m else 0
+        b = charge_row_split(stats, prof, n, rp_insts)
 
-        c_stores = cnt.count_c_stores(a, n)
-        stats.global_store.instructions += c_stores.instructions
-        stats.global_store.transactions += c_stores.sectors
-        stats.global_store.requested_bytes += c_stores.requested_bytes
-
-        stats.shared_store.instructions = 2 * wpr * tiles.instructions
-        stats.shared_store.transactions = stats.shared_store.instructions
-        stats.shared_store.requested_bytes = 2 * wpr * tiles.requested_bytes
-        stats.shared_load.instructions = 2 * nnz * wpr
-        stats.shared_load.transactions = stats.shared_load.instructions
-        stats.shared_load.requested_bytes = 4 * stats.shared_load.instructions
+        tiles = prof.tile_loads(_TILE)
+        sp = 2 * wpr
+        stats.global_load.charge(
+            sp * tiles.instructions,
+            sp * tiles.sectors,
+            sp * tiles.requested_bytes,
+            sp * tiles.sectors,
+        )
+        stats.shared_store.charge(
+            sp * tiles.instructions, sp * tiles.instructions, sp * tiles.requested_bytes, 0
+        )
+        stats.shared_load.charge(2 * nnz * wpr, 2 * nnz * wpr, 8 * nnz * wpr, 0)
         stats.warp_syncs = wpr * tiles.instructions
 
-        tr = stats.traffic("colind")
-        tr.sectors = wpr * tiles.sectors
-        tr.unique_bytes = 4 * nnz
-        tr.reuse_is_local = True
-        tv = stats.traffic("values")
-        tv.sectors = wpr * tiles.sectors
-        tv.unique_bytes = 4 * nnz
-        tv.reuse_is_local = True
-        tb = stats.traffic("B")
-        tb.sectors = b_loads.sectors
-        tb.unique_bytes = cnt.unique_b_columns(a) * n * 4
-        tb.reuse_is_local = False
-        tp = stats.traffic("rowptr")
-        tp.sectors = rp_insts
-        tp.unique_bytes = 4 * (m + 1)
-        tp.reuse_is_local = True
+        stats.traffic("colind", wpr * tiles.sectors, 4 * nnz, True)
+        stats.traffic("values", wpr * tiles.sectors, 4 * nnz, True)
+        stats.traffic("B", b.sectors, prof.unique_b_columns * n * 4, False)
+        stats.traffic("rowptr", rp_insts, 4 * (m + 1), True)
 
         stats.flops = 2 * nnz * n
         # Per consumed nonzero: the shared broadcast and loop control are

@@ -21,9 +21,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.core.gespmm import GESpMM
-from repro.core.semiring import PLUS_TIMES, Semiring
 from repro.gpusim.config import GPUSpec
 from repro.gpusim.kernel import KernelCounts, SpMMKernel
+from repro.semiring import PLUS_TIMES, Semiring
 from repro.sparse.csr import CSRMatrix
 
 __all__ = ["Epilogue", "FusedGESpMM", "RELU_EPILOGUE"]
@@ -92,11 +92,10 @@ class FusedGESpMM(SpMMKernel):
         stats.flops += self.epilogue.flops_per_element * a.nrows * n
         if self.epilogue.uses_bias:
             # One extra broadcast-friendly load of the bias row per block.
-            stats.global_load.instructions += launch.blocks
             extra = max((n * 4 + 31) // 32, 1) * launch.blocks
-            stats.global_load.transactions += extra
-            stats.global_load.l1_filtered_transactions += max(extra // 8, 1)
-            stats.global_load.requested_bytes += 4 * n * launch.blocks
+            stats.global_load.charge(
+                launch.blocks, extra, 4 * n * launch.blocks, max(extra // 8, 1)
+            )
         return stats, launch, hints
 
     def unfused_epilogue_time(self, a: CSRMatrix, n: int, gpu: GPUSpec) -> float:

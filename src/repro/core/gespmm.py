@@ -4,7 +4,7 @@ This is the paper's deliverable (Section IV): a runtime kernel that
 
 * takes plain CSR — zero preprocessing, so it drops into GNN frameworks;
 * supports *SpMM-like* operations through user-defined init/reduce
-  (:mod:`repro.core.semiring`), which cuSPARSE does not;
+  (:mod:`repro.semiring`), which cuSPARSE does not;
 * adapts to the feature width ``N``: for ``N <= 32`` warp merging cannot
   help (a single warp already spans the row) so plain CRC runs; for
   ``N > 32`` it runs CRC + CWM with the empirically-chosen CF=2 — the
@@ -21,9 +21,9 @@ import numpy as np
 from repro import obs
 from repro.core.crc import CRCSpMM
 from repro.core.cwm import CWMSpMM
-from repro.core.semiring import PLUS_TIMES, Semiring
 from repro.gpusim.config import GPUSpec
 from repro.gpusim.kernel import KernelCounts, SpMMKernel
+from repro.semiring import PLUS_TIMES, Semiring
 from repro.sparse.csr import CSRMatrix
 
 __all__ = ["GESpMM", "gespmm", "gespmm_like"]

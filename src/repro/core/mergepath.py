@@ -48,7 +48,7 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.core import _counting as cnt
+from repro.core.access_profile import access_profile, dense_segments, warps_per_row
 from repro.gpusim.config import GPUSpec
 from repro.gpusim.kernel import KernelCounts, SpMMKernel
 from repro.gpusim.memory import KernelStats, segment_sectors
@@ -219,7 +219,7 @@ class MergePathSpMM(SpMMKernel):
         if self.items:
             return self.items
         total = a.nnz + a.nrows
-        nseg = cnt.warps_per_row(n, 1)
+        nseg = warps_per_row(n)
         target_tasks = max(gpu.n_sms * gpu.max_warps_per_sm // 2, 1)
         target_segments = max(-(-target_tasks // nseg), 1)
         items = -(-max(total, 1) // target_segments)
@@ -231,8 +231,9 @@ class MergePathSpMM(SpMMKernel):
     # -- analytic ------------------------------------------------------
     def count(self, a: CSRMatrix, n: int, gpu: GPUSpec) -> KernelCounts:
         stats = KernelStats()
+        prof = access_profile(a)
         m, nnz = a.nrows, a.nnz
-        nseg = cnt.warps_per_row(n, 1)
+        nseg = warps_per_row(n)
         sched = self._schedule(a, n, gpu)
         n_seg_path = sched.n_segments
         tasks = n_seg_path * nseg
@@ -241,27 +242,28 @@ class MergePathSpMM(SpMMKernel):
 
         # Boundary searches: 2K fixed broadcast probes per warp task.
         probe_insts = 2 * k_iters * tasks
-        gl.instructions += probe_insts
-        gl.transactions += probe_insts
-        gl.requested_bytes += 4 * probe_insts
-        gl.l1_filtered_transactions += max(probe_insts // 8, 1) if probe_insts else 0
+        gl.charge(
+            probe_insts,
+            probe_insts,
+            4 * probe_insts,
+            max(probe_insts // 8, 1) if probe_insts else 0,
+        )
 
         # Coalesced register chunks of colind and val over each
         # segment's nonzero range (per column-segment warp, like CRC).
         chunk_sectors = int(segment_sectors(sched.chunk_start, sched.chunk_len).sum())
         n_chunks = int(sched.chunk_seg.size)
-        gl.instructions += 2 * nseg * n_chunks
-        gl.transactions += 2 * nseg * chunk_sectors
-        gl.requested_bytes += 2 * nseg * 4 * nnz
-        gl.l1_filtered_transactions += 2 * nseg * chunk_sectors
+        gl.charge(
+            2 * nseg * n_chunks,
+            2 * nseg * chunk_sectors,
+            2 * nseg * 4 * nnz,
+            2 * nseg * chunk_sectors,
+        )
 
         # Dense-row loads: one B segment per consumed nonzero, exactly
         # the row-split pattern (addresses are identical).
-        b_loads = cnt.count_b_loads(a, n)
-        gl.instructions += b_loads.instructions
-        gl.transactions += b_loads.sectors
-        gl.requested_bytes += b_loads.requested_bytes
-        gl.l1_filtered_transactions += b_loads.sectors
+        b = prof.b_loads(n)
+        gl.charge(b.instructions, b.sectors, b.requested_bytes, b.sectors)
 
         # C traffic: every touching segment stores every touched row;
         # split rows add one carry load per touching segment (the RMW).
@@ -272,44 +274,23 @@ class MergePathSpMM(SpMMKernel):
         carry_insts = int(carry_per_row.sum()) * nseg
         store_sectors = carry_sectors = 0
         store_bytes = carry_bytes = 0
-        for seg_start, seg_len in cnt.dense_segments(n):
+        for seg_start, seg_len in dense_segments(n):
             sec = segment_sectors(rows * n + seg_start, np.int64(seg_len))
             store_sectors += int((touches * sec).sum())
             carry_sectors += int((carry_per_row * sec).sum())
             store_bytes += 4 * seg_len * int(touches.sum())
             carry_bytes += 4 * seg_len * int(carry_per_row.sum())
-        gl.instructions += carry_insts
-        gl.transactions += carry_sectors
-        gl.requested_bytes += carry_bytes
-        gl.l1_filtered_transactions += carry_sectors
-        gs = stats.global_store
-        gs.instructions += store_insts
-        gs.transactions += store_sectors
-        gs.requested_bytes += store_bytes
+        gl.charge(carry_insts, carry_sectors, carry_bytes, carry_sectors)
+        stats.global_store.charge(store_insts, store_sectors, store_bytes, 0)
 
         # No shared memory, no syncs: chunks live in registers and the
         # walk spreads them by shuffle.
 
-        tr = stats.traffic("colind")
-        tr.sectors = nseg * chunk_sectors
-        tr.unique_bytes = 4 * nnz
-        tr.reuse_is_local = True
-        tv = stats.traffic("values")
-        tv.sectors = nseg * chunk_sectors
-        tv.unique_bytes = 4 * nnz
-        tv.reuse_is_local = True
-        tb = stats.traffic("B")
-        tb.sectors = b_loads.sectors
-        tb.unique_bytes = cnt.unique_b_columns(a) * n * 4
-        tb.reuse_is_local = False
-        tp = stats.traffic("rowptr")
-        tp.sectors = probe_insts
-        tp.unique_bytes = 4 * (m + 1)
-        tp.reuse_is_local = True
-        tc = stats.traffic("C")
-        tc.sectors = carry_sectors
-        tc.unique_bytes = m * n * 4
-        tc.reuse_is_local = True
+        stats.traffic("colind", nseg * chunk_sectors, 4 * nnz, True)
+        stats.traffic("values", nseg * chunk_sectors, 4 * nnz, True)
+        stats.traffic("B", b.sectors, prof.unique_b_columns * n * 4, False)
+        stats.traffic("rowptr", probe_insts, 4 * (m + 1), True)
+        stats.traffic("C", carry_sectors, m * n * 4, True)
 
         stats.flops = 2 * nnz * n
         # Search arithmetic per probe, per-nonzero walk bookkeeping (the

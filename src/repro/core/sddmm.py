@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core import _counting as cnt
+from repro.core.access_profile import access_profile, dense_segments
 from repro.gpusim.config import GPUSpec
 from repro.gpusim.kernel import KernelCounts, SpMMKernel
 from repro.gpusim.memory import KernelStats
@@ -101,44 +101,29 @@ class GESDDMM(SpMMKernel):
         sectors.
         """
         stats = KernelStats()
+        prof = access_profile(a)
         m, nnz = a.nrows, a.nnz
-        segs = cnt.dense_segments(n)
+        segs = dense_segments(n)
         sec_per_row = sum((length + 7) // 8 for _, length in segs)
+        gl = stats.global_load
 
         # X rows: loaded once per occupied row (reused across the row's run).
-        occupied = cnt.occupied_rows(a)
-        stats.global_load.instructions += occupied * len(segs)
-        stats.global_load.transactions += occupied * sec_per_row
-        stats.global_load.requested_bytes += occupied * n * 4
-        stats.global_load.l1_filtered_transactions += occupied * sec_per_row
-
+        occupied = prof.occupied_rows
+        gl.charge(
+            occupied * len(segs), occupied * sec_per_row, occupied * n * 4, occupied * sec_per_row
+        )
         # Y rows: one coalesced stream per nonzero.
-        stats.global_load.instructions += nnz * len(segs)
-        stats.global_load.transactions += nnz * sec_per_row
-        stats.global_load.requested_bytes += nnz * n * 4
-        stats.global_load.l1_filtered_transactions += nnz * sec_per_row
-
+        gl.charge(nnz * len(segs), nnz * sec_per_row, nnz * n * 4, nnz * sec_per_row)
         # Mask structure: coalesced tiles of colind (+values for scaling).
-        tiles = cnt.count_tile_loads(a, 32)
-        stats.global_load.instructions += 2 * tiles.instructions
-        stats.global_load.transactions += 2 * tiles.sectors
-        stats.global_load.requested_bytes += 2 * tiles.requested_bytes
-        stats.global_load.l1_filtered_transactions += 2 * tiles.sectors
-
+        tiles = prof.tile_loads(32)
+        gl.charge(
+            2 * tiles.instructions, 2 * tiles.sectors, 2 * tiles.requested_bytes, 2 * tiles.sectors
+        )
         # Output: one value per nonzero, coalesced along the run.
-        out = cnt.count_tile_loads(a, 32)
-        stats.global_store.instructions += out.instructions
-        stats.global_store.transactions += out.sectors
-        stats.global_store.requested_bytes += 4 * nnz
+        stats.global_store.charge(tiles.instructions, tiles.sectors, 4 * nnz, 0)
 
-        tx = stats.traffic("X")
-        tx.sectors = occupied * sec_per_row
-        tx.unique_bytes = m * n * 4
-        tx.reuse_is_local = True
-        ty = stats.traffic("Y")
-        ty.sectors = nnz * sec_per_row
-        ty.unique_bytes = cnt.unique_b_columns(a) * n * 4
-        ty.reuse_is_local = False
+        stats.traffic("X", occupied * sec_per_row, m * n * 4, True)
+        stats.traffic("Y", nnz * sec_per_row, prof.unique_b_columns * n * 4, False)
 
         stats.flops = 2 * nnz * n  # multiply + tree-add per element
         # Shuffle-tree reduction: log2(32) warp ops per nonzero segment.

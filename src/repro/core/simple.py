@@ -11,10 +11,10 @@ pattern.
 
 from __future__ import annotations
 
-from repro.core import _counting as cnt
+from repro.core.access_profile import access_profile, warps_per_row
 from repro.gpusim.config import GPUSpec
 from repro.gpusim.kernel import KernelCounts, SpMMKernel
-from repro.gpusim.memory import KernelStats
+from repro.gpusim.memory import KernelStats, charge_row_split
 from repro.gpusim.occupancy import LaunchConfig
 from repro.gpusim.timing import ExecHints
 from repro.sparse.csr import CSRMatrix
@@ -39,53 +39,26 @@ class SimpleSpMM(SpMMKernel):
 
     def count(self, a: CSRMatrix, n: int, gpu: GPUSpec) -> KernelCounts:
         stats = KernelStats()
-        wpr = cnt.warps_per_row(n, 1)
+        prof = access_profile(a)
+        wpr = warps_per_row(n)
         m, nnz = a.nrows, a.nnz
 
-        b_loads = cnt.count_b_loads(a, n)
-        stats.global_load.instructions += b_loads.instructions
-        stats.global_load.transactions += b_loads.sectors
-        stats.global_load.requested_bytes += b_loads.requested_bytes
-        stats.global_load.l1_filtered_transactions += b_loads.sectors  # no reuse
-
         # Broadcast sparse walk: 2 loads (colind, val) per nonzero per warp,
-        # 1 sector each, 4 useful bytes each.
+        # 1 sector each, 4 useful bytes each.  With an L1 (Turing) the
+        # sequential walk re-hits its sector 7 of 8 times; the surviving
+        # traffic equals the coalesced walk.
         bc_insts = 2 * nnz * wpr
-        stats.global_load.instructions += bc_insts
-        stats.global_load.transactions += bc_insts
-        stats.global_load.requested_bytes += 4 * bc_insts
-        # With an L1 (Turing) the sequential walk re-hits its sector 7 of
-        # 8 times; the surviving traffic equals the coalesced walk.
-        stats.global_load.l1_filtered_transactions += 2 * wpr * cnt.broadcast_walk_sectors(a)
-
+        stats.global_load.charge(
+            bc_insts, bc_insts, 4 * bc_insts, 2 * wpr * prof.broadcast_sectors()
+        )
         # rowPtr: two broadcast loads per (row, segment) warp.
         rp_insts = 2 * m * wpr
-        stats.global_load.instructions += rp_insts
-        stats.global_load.transactions += rp_insts
-        stats.global_load.requested_bytes += 4 * rp_insts
-        stats.global_load.l1_filtered_transactions += max(rp_insts // 8, 1) if m else 0
+        b = charge_row_split(stats, prof, n, rp_insts)
 
-        c_stores = cnt.count_c_stores(a, n)
-        stats.global_store.instructions += c_stores.instructions
-        stats.global_store.transactions += c_stores.sectors
-        stats.global_store.requested_bytes += c_stores.requested_bytes
-
-        tr = stats.traffic("colind")
-        tr.sectors = nnz * wpr
-        tr.unique_bytes = 4 * nnz
-        tr.reuse_is_local = True
-        tv = stats.traffic("values")
-        tv.sectors = nnz * wpr
-        tv.unique_bytes = 4 * nnz
-        tv.reuse_is_local = True
-        tb = stats.traffic("B")
-        tb.sectors = b_loads.sectors
-        tb.unique_bytes = cnt.unique_b_columns(a) * n * 4
-        tb.reuse_is_local = False
-        tp = stats.traffic("rowptr")
-        tp.sectors = rp_insts
-        tp.unique_bytes = 4 * (m + 1)
-        tp.reuse_is_local = True
+        stats.traffic("colind", nnz * wpr, 4 * nnz, True)
+        stats.traffic("values", nnz * wpr, 4 * nnz, True)
+        stats.traffic("B", b.sectors, prof.unique_b_columns * n * 4, False)
+        stats.traffic("rowptr", rp_insts, 4 * (m + 1), True)
 
         stats.flops = 2 * nnz * n
         # Loop bookkeeping per nonzero step (pointer compare/increment,

@@ -21,8 +21,6 @@ from repro.gnn.tensor import Parameter, Tensor
 
 __all__ = ["GCN", "GraphSAGE"]
 
-_LAYER_TYPES = {"gcn": GCNLayer, "sage-gcn": SAGEGcnLayer, "sage-pool": SAGEPoolLayer}
-
 
 def _spmm_ledger_time(backend: AggregationBackend) -> float:
     """Simulated seconds the device ledger currently attributes to sparse
@@ -63,6 +61,17 @@ class _Model:
     def eval(self) -> None:
         self.training = False
 
+    def __call__(self, backend: AggregationBackend, g: GraphPair, x: Tensor, rng=None) -> Tensor:
+        """Forward pass: the layers in order with dropout between them,
+        then log-softmax."""
+        rng = rng or np.random.default_rng(1)
+        h = x
+        for i, layer in enumerate(self.layers):
+            if i > 0:
+                h = F.dropout(h, self.dropout, backend.charge, self.training, rng)
+            h = _run_layer(backend, g, h, layer, i)
+        return F.log_softmax(h, backend.charge)
+
 
 class GCN(_Model):
     """Multi-layer GCN for node classification (paper's GCN model)."""
@@ -83,15 +92,6 @@ class GCN(_Model):
         for i in range(n_layers):
             self.layers.append(GCNLayer(dims[i], dims[i + 1], rng, activation=True))
         self.layers.append(GCNLayer(dims[-1], n_classes, rng, activation=False))
-
-    def __call__(self, backend: AggregationBackend, g: GraphPair, x: Tensor, rng=None) -> Tensor:
-        rng = rng or np.random.default_rng(1)
-        h = x
-        for i, layer in enumerate(self.layers):
-            if i > 0:
-                h = F.dropout(h, self.dropout, backend.charge, self.training, rng)
-            h = _run_layer(backend, g, h, layer, i)
-        return F.log_softmax(h, backend.charge)
 
 
 class GraphSAGE(_Model):
@@ -119,12 +119,3 @@ class GraphSAGE(_Model):
         for i in range(n_layers):
             self.layers.append(layer_cls(dims[i], dims[i + 1], rng, activation=True))
         self.layers.append(layer_cls(dims[-1], n_classes, rng, activation=False))
-
-    def __call__(self, backend: AggregationBackend, g: GraphPair, x: Tensor, rng=None) -> Tensor:
-        rng = rng or np.random.default_rng(1)
-        h = x
-        for i, layer in enumerate(self.layers):
-            if i > 0:
-                h = F.dropout(h, self.dropout, backend.charge, self.training, rng)
-            h = _run_layer(backend, g, h, layer, i)
-        return F.log_softmax(h, backend.charge)

@@ -29,11 +29,11 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro import obs
-from repro.core.semiring import PLUS_TIMES, Semiring
 from repro.gpusim.config import GPUSpec
 from repro.gpusim.memory import KernelStats
 from repro.gpusim.occupancy import LaunchConfig
 from repro.gpusim.timing import ExecHints, KernelTiming, TimingParams, estimate_time
+from repro.semiring import PLUS_TIMES, Semiring
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.ops import reference_spmm_like
 

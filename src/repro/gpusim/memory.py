@@ -7,13 +7,24 @@ is that a warp's 32 lane addresses are merged into the minimum number of
 (``gld_transactions`` / ``gst_transactions``).  ``gld_efficiency`` is the
 ratio of bytes the program asked for to bytes the transactions moved.
 
-Kernels compute these totals in closed form with vectorized NumPy (each
-kernel's ``count`` method, built on :func:`segment_sectors`).  The
-reference they are checked against is a per-warp loop replay that moves
-real data and coalesces each access's actual addresses, one warp
-instruction at a time; it lives in ``tests/trace_references.py`` with the
-scalar sector and bank rules it applies per request, and the conformance
-tests require ``count`` to match it instruction for instruction.
+Kernels compute these totals in closed form (each kernel's ``count``
+method) from the per-matrix
+:class:`~repro.core.access_profile.AccessProfile`.  Every charge goes
+through :meth:`AccessStats.charge` and every array-traffic record through
+:meth:`KernelStats.traffic`.  The streams the row-split kernels share
+(Simple, CRC, CWM, cuSPARSE, GraphBLAST, ASpT: a warp per row and
+32-column segment loads one ``B`` segment per nonzero, reads ``rowptr``
+and stores ``C`` segments) are charged once, by
+:func:`charge_row_split`; the register-tile re-stream of cuSPARSE and
+GraphBLAST by :func:`charge_register_restream`.  Each ``count`` adds only
+what its kernel does differently.
+
+The reference ``count`` is checked against is a per-warp loop replay
+that moves real data and coalesces each access's actual addresses, one
+warp instruction at a time; it lives in ``tests/trace_references.py``
+with the scalar sector and bank rules it applies per request, and the
+conformance tests require ``count`` to match it instruction for
+instruction.
 
 Shared-memory accesses are modelled with the 32-bank rule: a warp request
 is replayed once per additional address mapping to an already-used bank
@@ -23,13 +34,18 @@ is replayed once per additional address mapping to an already-used bank
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import TYPE_CHECKING, Dict
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from repro.core.access_profile import AccessProfile, AccessTotals
 
 __all__ = [
     "AccessStats",
     "KernelStats",
+    "charge_register_restream",
+    "charge_row_split",
     "segment_sectors",
 ]
 
@@ -61,11 +77,24 @@ class AccessStats:
     requested_bytes: int = 0  # bytes the active lanes asked for
     l1_filtered_transactions: int = 0  # sectors after Turing L1 filtering
 
+    def charge(
+        self, instructions: int, sectors: int, requested_bytes: int, l1_filtered: int
+    ) -> None:
+        """Add one access stream: its warp instructions, 32 B sectors,
+        requested bytes, and the sectors left after Turing's L1 filter
+        (0 for stores, which the L1 does not filter)."""
+        self.instructions += instructions
+        self.transactions += sectors
+        self.requested_bytes += requested_bytes
+        self.l1_filtered_transactions += l1_filtered
+
     def merge(self, other: "AccessStats") -> None:
-        self.instructions += other.instructions
-        self.transactions += other.transactions
-        self.requested_bytes += other.requested_bytes
-        self.l1_filtered_transactions += other.l1_filtered_transactions
+        self.charge(
+            other.instructions,
+            other.transactions,
+            other.requested_bytes,
+            other.l1_filtered_transactions,
+        )
 
     @property
     def efficiency(self) -> float:
@@ -107,8 +136,16 @@ class KernelStats:
     block_syncs: int = 0
     atomic_ops: int = 0
 
-    def traffic(self, name: str) -> ArrayTraffic:
-        return self.array_traffic.setdefault(name, ArrayTraffic())
+    def traffic(self, name: str, *record) -> ArrayTraffic:
+        """The traffic record of array ``name``, created empty on first
+        use.  ``traffic(name, sectors, unique_bytes, reuse_is_local)``
+        sets its three fields.  The timing model sums DRAM bytes over the
+        records in insertion order, so a kernel's first call per array
+        fixes where that array's term falls in the float sum."""
+        tr = self.array_traffic.setdefault(name, ArrayTraffic())
+        if record:
+            tr.sectors, tr.unique_bytes, tr.reuse_is_local = record
+        return tr
 
     def merge(self, other: "KernelStats") -> None:
         self.global_load.merge(other.global_load)
@@ -144,3 +181,56 @@ class KernelStats:
         if l1_caches_global and self.global_load.l1_filtered_transactions:
             return self.global_load.l1_filtered_transactions
         return self.global_load.transactions
+
+
+def charge_row_split(
+    stats: KernelStats, prof: "AccessProfile", n: int, rowptr_loads: int
+) -> "AccessTotals":
+    """Charge the streams every row-split kernel shares, for ``n``
+    output columns, and return the ``B`` totals:
+
+    * one ``B`` segment load per nonzero per 32-column segment (no reuse
+      the L1 could filter);
+    * ``rowptr_loads`` broadcast ``rowptr`` loads of one sector each,
+      eight to a sector after the L1;
+    * one ``C`` segment store per (row, segment).
+
+    The array-traffic records stay with the kernel, which fixes their
+    order.
+    """
+    b = prof.b_loads(n)
+    stats.global_load.charge(b.instructions, b.sectors, b.requested_bytes, b.sectors)
+    stats.global_load.charge(
+        rowptr_loads,
+        rowptr_loads,
+        4 * rowptr_loads,
+        max(rowptr_loads // 8, 1) if prof.nrows else 0,
+    )
+    c = prof.c_stores(n)
+    stats.global_store.charge(c.instructions, c.sectors, c.requested_bytes, 0)
+    return b
+
+
+def charge_register_restream(
+    stats: KernelStats, prof: "AccessProfile", tile: int, chunks: int
+) -> None:
+    """Charge the sparse loads of a warp-per-row kernel that holds one
+    ``tile`` of the row in registers while it iterates ``chunks`` column
+    chunks (cuSPARSE csrmm2, GraphBLAST rowsplit), and record the
+    ``colind`` and ``values`` traffic.
+
+    Rows of at most ``tile`` elements load ``colind`` and ``values``
+    once for all chunks; longer rows re-stream their tiles every chunk.
+    Sectors and bytes scale from the coalesced tile loads by the share
+    of tile loads issued.
+    """
+    tiles = prof.tile_loads(tile)
+    short_rows = prof.rows_up_to(tile)
+    long_tiles = tiles.instructions - short_rows  # tiles belonging to long rows
+    insts = 2 * (short_rows + long_tiles * chunks)
+    scale = insts / max(2 * tiles.instructions, 1)
+    sectors = int(round(2 * tiles.sectors * scale))
+    requested = int(round(2 * tiles.requested_bytes * scale))
+    stats.global_load.charge(insts, sectors, requested, sectors)
+    stats.traffic("colind", sectors // 2, 4 * prof.nnz, True)
+    stats.traffic("values", sectors - sectors // 2, 4 * prof.nnz, True)

@@ -4,8 +4,9 @@ One straightforward implementation per invariant the production code in
 ``src/`` must reproduce: the ``ufunc.at`` scatter SpMM and segment
 reduction, the accumulating ``to_dense``, the per-row first-maximizer
 argmax and the ``aggregate_max`` gradient it routes, and the
-array-expansion access counters behind ``repro.core._counting``, and
-the stable-argsort top-k behind the DLMC pruned generators, and the
+array-expansion access counters behind
+``repro.core.access_profile.AccessProfile``, and the stable-argsort
+top-k behind the DLMC pruned generators, and the
 ``concat → matmul → add_bias`` chain that ``gnn.functional.matmul``'s
 block-and-bias form replaces.  They are
 written for clarity, not speed, and nothing in ``src/`` calls them.  The
@@ -214,15 +215,34 @@ def occupied_rows(a: CSRMatrix) -> int:
     return int((np.diff(a.rowptr) > 0).sum())
 
 
-#: the counters above, by the ``repro.core._counting`` name they mirror
-COUNTERS = (
-    "count_b_loads",
-    "count_c_stores",
-    "count_tile_loads",
-    "broadcast_walk_sectors",
-    "unique_b_columns",
-    "occupied_rows",
-)
+def rows_up_to(a: CSRMatrix, length: int) -> int:
+    return int((np.diff(a.rowptr) <= length).sum())
+
+
+class ReferenceProfile:
+    """The :class:`~repro.core.access_profile.AccessProfile` query
+    surface, answered by the counters above."""
+
+    def __init__(self, a: CSRMatrix) -> None:
+        self._a = a
+        self.nrows, self.nnz = a.nrows, a.nnz
+        self.unique_b_columns = unique_b_columns(a)
+        self.occupied_rows = occupied_rows(a)
+
+    def b_loads(self, n: int) -> AccessTotals:
+        return count_b_loads(self._a, n)
+
+    def c_stores(self, n: int) -> AccessTotals:
+        return count_c_stores(self._a, n)
+
+    def tile_loads(self, tile: int = 32) -> AccessTotals:
+        return count_tile_loads(self._a, tile)
+
+    def broadcast_sectors(self) -> int:
+        return broadcast_walk_sectors(self._a)
+
+    def rows_up_to(self, length: int) -> int:
+        return rows_up_to(self._a, length)
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Parity and caching tests for repro.core.access_profile.
 
-The contract (docs/PERFORMANCE.md): every profile-backed counter in
-``repro.core._counting`` is bit-identical — exact integer equality — to
-its array-expansion reference in ``tests/references.py``, on every
-matrix and every width, aligned or not.
+The contract (docs/PERFORMANCE.md): every counter of the cached
+:func:`~repro.core.access_profile.access_profile` that ``count()`` reads
+is bit-identical — exact integer equality — to its array-expansion
+reference in ``tests/references.py``, on every matrix and every width,
+aligned or not.
 """
 
 import numpy as np
@@ -12,12 +13,12 @@ import references as ref
 from hypothesis import given, settings, strategies as st
 
 from repro import obs
-from repro.core import _counting as cnt
 from repro.core.access_profile import (
     AccessProfile,
     AccessTotals,
     access_profile,
     clear_access_profile,
+    dense_segments,
 )
 from repro.sparse import csr_from_coo, csr_from_dense, power_law, uniform_random
 
@@ -42,13 +43,14 @@ def random_csr(draw, max_m=40, max_k=40, max_nnz=200):
 def assert_profile_matches_oracle(a, widths=WIDTHS, tiles=TILES):
     clear_access_profile(a)
     for n in widths:
-        assert cnt.count_b_loads(a, n) == ref.count_b_loads(a, n), n
-        assert cnt.count_c_stores(a, n) == ref.count_c_stores(a, n), n
+        assert access_profile(a).b_loads(n) == ref.count_b_loads(a, n), n
+        assert access_profile(a).c_stores(n) == ref.count_c_stores(a, n), n
     for tile in tiles:
-        assert cnt.count_tile_loads(a, tile) == ref.count_tile_loads(a, tile)
-    assert cnt.broadcast_walk_sectors(a) == ref.broadcast_walk_sectors(a)
-    assert cnt.unique_b_columns(a) == ref.unique_b_columns(a)
-    assert cnt.occupied_rows(a) == ref.occupied_rows(a)
+        assert access_profile(a).tile_loads(tile) == ref.count_tile_loads(a, tile)
+        assert access_profile(a).rows_up_to(tile) == ref.rows_up_to(a, tile)
+    assert access_profile(a).broadcast_sectors() == ref.broadcast_walk_sectors(a)
+    assert access_profile(a).unique_b_columns == ref.unique_b_columns(a)
+    assert access_profile(a).occupied_rows == ref.occupied_rows(a)
 
 
 # ----------------------------------------------------------------------
@@ -102,10 +104,10 @@ def _single_entry():
 def test_edge_cases_both_paths(make, n):
     a = make()
     clear_access_profile(a)
-    b = cnt.count_b_loads(a, n)
-    c = cnt.count_c_stores(a, n)
-    t = cnt.count_tile_loads(a, 32)
-    w = cnt.broadcast_walk_sectors(a)
+    b = access_profile(a).b_loads(n)
+    c = access_profile(a).c_stores(n)
+    t = access_profile(a).tile_loads(32)
+    w = access_profile(a).broadcast_sectors()
     assert b == ref.count_b_loads(a, n)
     assert c == ref.count_c_stores(a, n)
     assert t == ref.count_tile_loads(a, 32)
@@ -115,7 +117,7 @@ def test_edge_cases_both_paths(make, n):
         assert t == AccessTotals(0, 0, 0)
         assert w == 0
     # C stores cover all rows regardless of occupancy.
-    assert c.instructions == a.nrows * len(cnt.dense_segments(n))
+    assert c.instructions == a.nrows * len(dense_segments(n))
 
 
 def test_empty_matrix_profile_fields():
@@ -131,10 +133,10 @@ def test_empty_matrix_profile_fields():
 def test_known_value_aligned():
     # One dense 4x8 matrix, n=8: every row of B is exactly one sector.
     a = csr_from_dense(np.ones((4, 8), dtype=np.float32))
-    b = cnt.count_b_loads(a, 8)
+    b = access_profile(a).b_loads(8)
     assert b.sectors == a.nnz * 1
     assert b.instructions == a.nnz  # one 32-wide segment covers n=8
-    c = cnt.count_c_stores(a, 8)
+    c = access_profile(a).c_stores(8)
     assert c.sectors == 4 and c.instructions == 4
 
 
@@ -174,13 +176,13 @@ def test_exotic_tile_raises():
         with pytest.raises(ValueError):
             p.tile_loads(tile)
         with pytest.raises(ValueError):
-            cnt.count_tile_loads(a, tile)
+            AccessProfile(a).tile_loads(tile)
 
 
 def test_kernel_counts_unchanged_by_profile_path(monkeypatch):
-    # count() must yield identical stats when every counter is swapped
-    # for its reference.
-    from repro.core import CRCSpMM, CWMSpMM, GESpMM, SimpleSpMM
+    # count() must yield identical stats when the profile is swapped for
+    # one whose every counter is its reference.
+    from repro.core import CRCSpMM, CWMSpMM, GESpMM, SimpleSpMM, crc, cwm, simple
     from repro.gpusim.config import GTX_1080TI
 
     a = power_law(200, 2000, seed=5)
@@ -188,8 +190,8 @@ def test_kernel_counts_unchanged_by_profile_path(monkeypatch):
     widths = (32, 250, 7)
     profiled = {(k.name, n): k.count(a, n, GTX_1080TI) for k in kernels for n in widths}
     with monkeypatch.context() as patch:
-        for name in ref.COUNTERS:
-            patch.setattr(cnt, name, getattr(ref, name))
+        for module in (simple, crc, cwm):
+            patch.setattr(module, "access_profile", ref.ReferenceProfile)
         clear_access_profile(a)
         for kern in kernels:
             for n in widths:

@@ -154,9 +154,9 @@ class TestASpT:
         f_unif = k.preprocess(unif).dense_fraction
         assert f_band > f_unif
         sb, _, _ = k.count(band, 256, GTX_1080TI)
-        from repro.core import _counting as cnt
+        from repro.core.access_profile import access_profile
 
-        full = cnt.count_b_loads(band, 256).sectors
+        full = access_profile(band).b_loads(256).sectors
         assert sb.traffic("B").sectors < full  # reuse took traffic off DRAM
 
     def test_kernel_only_near_parity_with_ge(self, big):

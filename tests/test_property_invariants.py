@@ -6,7 +6,7 @@ from hypothesis.extra.numpy import arrays
 import references
 from trace_references import warp_sector_count
 
-from repro.core import _counting as cnt
+from repro.core.access_profile import access_profile, dense_segments
 from repro.gpusim.memory import segment_sectors
 from repro.semiring import MAX_TIMES, MEAN_TIMES, PLUS_TIMES
 from repro.sparse import (
@@ -171,9 +171,9 @@ def test_segment_sectors_matches_enumeration(start, length):
 @settings(max_examples=30, deadline=None)
 def test_b_load_counts_match_enumeration(a, n):
     """The closed-form dense-load counter equals per-nonzero enumeration."""
-    got = cnt.count_b_loads(a, n)
+    got = access_profile(a).b_loads(n)
     insts = sectors = req = 0
-    for start, length in cnt.dense_segments(n):
+    for start, length in dense_segments(n):
         for k in a.colind:
             insts += 1
             sectors += warp_sector_count(4 * (int(k) * n + start + np.arange(length)))
@@ -184,7 +184,7 @@ def test_b_load_counts_match_enumeration(a, n):
 @given(random_csr())
 @settings(max_examples=30, deadline=None)
 def test_tile_load_counts_match_enumeration(a):
-    got = cnt.count_tile_loads(a, 32)
+    got = access_profile(a).tile_loads(32)
     insts = sectors = req = 0
     for i in range(a.nrows):
         lo, hi = int(a.rowptr[i]), int(a.rowptr[i + 1])
@@ -199,6 +199,6 @@ def test_tile_load_counts_match_enumeration(a):
 @given(random_csr())
 @settings(max_examples=30, deadline=None)
 def test_broadcast_walk_never_exceeds_per_element(a):
-    walk = cnt.broadcast_walk_sectors(a)
+    walk = access_profile(a).broadcast_sectors()
     assert walk <= a.nnz + a.nrows  # at most one sector per element + slack
     assert walk >= (a.nnz + 7) // 8  # at least the dense packing bound

@@ -29,10 +29,10 @@ from repro.core import (
     MergePathSpMM,
     SimpleSpMM,
 )
-from repro.core import _counting as cnt
+from repro.core.access_profile import dense_segments
 from repro.core.mergepath import _CHUNK, _search_probes
-from repro.core.semiring import PLUS_TIMES
 from repro.gpusim.memory import ELEM, SECTOR, KernelStats
+from repro.semiring import PLUS_TIMES
 from repro.sparse.csr import VALUE_DTYPE
 
 _TILE = 32  # CRC/CWM elements staged per warp per phase
@@ -408,7 +408,7 @@ def sddmm_trace_xy_loop(kernel, mask, x, y, gpu):
     mem.register("X", x.ravel())
     mem.register("Y", y.ravel())
     mem.register("E", np.zeros(mask.nnz, dtype=VALUE_DTYPE))
-    segs = cnt.dense_segments(n)
+    segs = dense_segments(n)
     lanes = np.arange(32)
     rowptr = mask.rowptr  # row offsets arrive via launch metadata
     for i in range(mask.nrows):
